@@ -24,17 +24,15 @@ let exec_words ~app ~workers ~cores ~warmup ~duration =
   let db = Silo.Db.create eng cpu () in
   app.Rolis.App.setup db;
   for w = 0 to workers - 1 do
-    let gen =
-      app.Rolis.App.make_worker db
-        ~rng:(Sim.Rng.split (Sim.Engine.rng eng))
-        ~worker:w ~nworkers:workers
+    let body =
+      app.Rolis.App.make_worker db ~rng:(Sim.Rng.split (Sim.Engine.rng eng)) ~worker:w
     in
     ignore
       (Sim.Engine.spawn eng ~name:(Printf.sprintf "alloc-worker%d" w)
          (fun () ->
            Sim.Cpu.register cpu;
            while true do
-             ignore (Silo.Db.run db ~worker:w (gen ()))
+             ignore (Silo.Db.run db ~worker:w body)
            done))
   done;
   Sim.Engine.run ~until:warmup eng;

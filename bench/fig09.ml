@@ -15,8 +15,11 @@ let run ~quick =
   let db = Silo.Db.create eng cpu () in
   let params = tpcc_params ~workers:4 in
   Workload.Tpcc.setup params db;
-  let st = Workload.Tpcc.make_state params db in
   let rng = Sim.Rng.split (Sim.Engine.rng eng) in
+  let run_kind kind =
+    let payload = Workload.Tpcc.payload rng ~w:1 kind in
+    Silo.Db.run db ~worker:0 (Workload.Tpcc.op params db ~payload)
+  in
   Printf.printf "  %-12s %10s %10s   (mix %%)\n" "type" "reads" "writes";
   let share kind =
     let m = params.Workload.Tpcc.mix in
@@ -39,20 +42,14 @@ let run ~quick =
         (* Feed the new-order queues first so Delivery sees its full
            10-districts-with-work shape. *)
         for _ = 1 to 400 do
-          ignore
-            (Silo.Db.run db ~worker:0
-               (Workload.Tpcc.run_kind st rng ~worker:0 ~nworkers:1
-                  Workload.Tpcc.New_order))
+          ignore (run_kind Workload.Tpcc.New_order)
         done;
         List.iter
           (fun kind ->
             let samples = if kind = Workload.Tpcc.Delivery then 20 else 100 in
             let reads = ref 0 and writes = ref 0 and n = ref 0 in
             for _ = 1 to samples do
-              let r =
-                Silo.Db.run db ~worker:0
-                  (Workload.Tpcc.run_kind st rng ~worker:0 ~nworkers:1 kind)
-              in
+              let r = run_kind kind in
               if r.Silo.Db.tid <> None then begin
                 reads := !reads + r.Silo.Db.reads;
                 writes := !writes + r.Silo.Db.writes;
@@ -72,10 +69,11 @@ let run ~quick =
         let yp = { ycsb_params with Workload.Ycsb.keys = 10_000 } in
         Workload.Ycsb.setup yp ydb;
         let profile ~read_ratio label =
-          let p = { yp with Workload.Ycsb.read_ratio } in
+          let app = Workload.Ycsb.app { yp with Workload.Ycsb.read_ratio } in
+          let body = app.Rolis.App.make_worker ydb ~rng ~worker:0 in
           let reads = ref 0 and writes = ref 0 and n = ref 0 in
           for _ = 1 to 100 do
-            let r = Silo.Db.run ydb ~worker:0 (Workload.Ycsb.txn_body p ydb rng) in
+            let r = Silo.Db.run ydb ~worker:0 body in
             if r.Silo.Db.tid <> None then begin
               reads := !reads + r.Silo.Db.reads;
               writes := !writes + r.Silo.Db.writes;

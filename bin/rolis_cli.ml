@@ -161,7 +161,9 @@ let run_cluster workload workers cores batch batch_policy replay_batch
       read_lease = read_lease_us * Sim.Engine.us;
       wan_profile;
       (* Read-only sessions ride client network slots; the write path
-         stays on the embedded generator (Ycsb.app has no client_op). *)
+         stays on the embedded generator, whose payloads run through the
+         same op a write session would use (Ycsb.app leaves client_op
+         unset so the workers never wait on the client queue). *)
       clients = (if follower_reads then 4 else Rolis.Config.default.Rolis.Config.clients);
     }
   in

@@ -13,9 +13,9 @@ let () =
     {
       base with
       Rolis.App.make_worker =
-        (fun db ~rng ~worker ~nworkers ->
-          let gen = base.Rolis.App.make_worker db ~rng ~worker ~nworkers in
-          fun () -> if !stopped then fun _txn -> () else gen ());
+        (fun db ~rng ~worker ->
+          let body = base.Rolis.App.make_worker db ~rng ~worker in
+          fun txn -> if not !stopped then body txn);
     }
   in
   let cfg =

@@ -13,34 +13,33 @@ let initial_balance = 1_000
 
 let key i = Store.Keycodec.encode [ Store.Keycodec.I i ]
 
-(* An application is just: how to load the database + how workers
-   generate transaction bodies. *)
+(* An application is: how to load the database, how workers draw
+   transaction payloads, and one op that turns a payload into a
+   transaction body. Payload "a b amount" moves [amount] from account [a]
+   to [b]; the empty payload (generation stopped) is a no-op. *)
 let bank_app stopped =
-  {
-    Rolis.App.name = "bank";
-    setup =
-      (fun db ->
-        let t = Silo.Db.create_table db "accounts" in
-        for i = 0 to accounts - 1 do
-          Store.Table.insert t (key i)
-            (Store.Record.make (string_of_int initial_balance))
-        done);
-    make_worker =
-      (fun db ~rng ~worker:_ ~nworkers:_ ->
-        let t = Silo.Db.table db "accounts" in
-        fun () txn ->
-          if not !stopped then begin
-            let a = Sim.Rng.int rng accounts and b = Sim.Rng.int rng accounts in
-            if a <> b then begin
-              let bal k = int_of_string (Option.get (Silo.Txn.get txn t (key k))) in
-              let amount = 1 + Sim.Rng.int rng 50 in
-              Silo.Txn.put txn t (key a) (string_of_int (bal a - amount));
-              Silo.Txn.put txn t (key b) (string_of_int (bal b + amount))
-            end
-          end);
-    client_op = None;
-    read_op = None;
-  }
+  Rolis.App.make ~name:"bank"
+    ~setup:(fun db ->
+      let t = Silo.Db.create_table db "accounts" in
+      for i = 0 to accounts - 1 do
+        Store.Table.insert t (key i) (Store.Record.make (string_of_int initial_balance))
+      done)
+    ~payloads:(fun ~rng ~worker:_ () ->
+      if !stopped then ""
+      else
+        let a = Sim.Rng.int rng accounts and b = Sim.Rng.int rng accounts in
+        if a = b then "" else Printf.sprintf "%d %d %d" a b (1 + Sim.Rng.int rng 50))
+    ~op:(fun db ~payload txn ->
+      let t = Silo.Db.table db "accounts" in
+      match String.split_on_char ' ' payload with
+      | [ a; b; amount ] ->
+          let a = int_of_string a and b = int_of_string b in
+          let amount = int_of_string amount in
+          let bal k = int_of_string (Option.get (Silo.Txn.get txn t (key k))) in
+          Silo.Txn.put txn t (key a) (string_of_int (bal a - amount));
+          Silo.Txn.put txn t (key b) (string_of_int (bal b + amount))
+      | _ -> ())
+    ()
 
 let total db =
   let t = Silo.Db.table db "accounts" in

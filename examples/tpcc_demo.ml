@@ -26,7 +26,6 @@ let () =
   let cpu = Sim.Cpu.create eng ~cores:4 () in
   let db = Silo.Db.create eng cpu () in
   Workload.Tpcc.setup params db;
-  let st = Workload.Tpcc.make_state params db in
   let rng = Sim.Rng.split (Sim.Engine.rng eng) in
   let profile = Hashtbl.create 8 in
   let _p =
@@ -35,10 +34,8 @@ let () =
           (fun kind ->
             let reads = ref 0 and writes = ref 0 and n = ref 0 in
             for _ = 1 to 50 do
-              let r =
-                Silo.Db.run db ~worker:0
-                  (Workload.Tpcc.run_kind st rng ~worker:0 ~nworkers:1 kind)
-              in
+              let payload = Workload.Tpcc.payload rng ~w:1 kind in
+              let r = Silo.Db.run db ~worker:0 (Workload.Tpcc.op params db ~payload) in
               if r.Silo.Db.tid <> None then begin
                 reads := !reads + r.Silo.Db.reads;
                 writes := !writes + r.Silo.Db.writes;

@@ -24,16 +24,13 @@ let run ?(seed = 42L) ?(cores = 32) ?costs ?(replay_batch = Rolis.Config.PerTxn)
   let logs = Array.make threads [] in
   (* per worker, reverse order *)
   for w = 0 to threads - 1 do
-    let gen =
-      app.Rolis.App.make_worker db
-        ~rng:(Sim.Rng.split (Sim.Engine.rng eng))
-        ~worker:w ~nworkers:threads
+    let body =
+      app.Rolis.App.make_worker db ~rng:(Sim.Rng.split (Sim.Engine.rng eng)) ~worker:w
     in
     let _p =
       Sim.Engine.spawn eng (fun () ->
           Sim.Cpu.register cpu;
           while true do
-            let body = gen () in
             let r = Silo.Db.run db ~worker:w body in
             match r.Silo.Db.tid with
             | Some tid ->

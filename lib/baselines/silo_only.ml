@@ -14,16 +14,13 @@ let run ?(seed = 42L) ?(cores = 32) ?costs ?(warmup = 0)
   let db = Silo.Db.create eng cpu ?costs ~hash_tables () in
   app.Rolis.App.setup db;
   for w = 0 to workers - 1 do
-    let gen =
-      app.Rolis.App.make_worker db
-        ~rng:(Sim.Rng.split (Sim.Engine.rng eng))
-        ~worker:w ~nworkers:workers
+    let body =
+      app.Rolis.App.make_worker db ~rng:(Sim.Rng.split (Sim.Engine.rng eng)) ~worker:w
     in
     let _p =
       Sim.Engine.spawn eng ~name:(Printf.sprintf "silo-worker%d" w) (fun () ->
           Sim.Cpu.register cpu;
           while true do
-            let body = gen () in
             let r = Silo.Db.run db ~worker:w body in
             match r.Silo.Db.tid with
             | Some tid ->

@@ -1,25 +1,32 @@
 (** Application (workload) interface to a Rolis cluster.
 
-    An app declares how to populate a fresh database and how each worker
-    generates transaction bodies. [setup] runs identically on every
-    replica before the simulation starts (replicas begin in sync, as in
-    the paper's setup; adding an out-of-sync replica goes through
-    {!Bootstrap}). [make_worker] is called once per worker per replica and
-    returns a generator producing one transaction body per call; the body
-    runs under {!Silo.Db.run} on the leader. *)
+    An app states each transaction once, as an op that interprets a
+    payload (an app-defined string) into a transaction body. Two sources
+    feed that op: networked client sessions, whose requests carry the
+    payload, and the embedded per-worker generator (the paper's
+    closed-loop Silo workers), which draws payloads from a per-worker RNG.
 
-type gen = unit -> Silo.Txn.t -> unit
+    [setup] runs identically on every replica before the simulation
+    starts (replicas begin in sync, as in the paper's setup; adding an
+    out-of-sync replica goes through {!Bootstrap}). Bodies run under
+    {!Silo.Db.run} on the leader. *)
 
 type t = {
   name : string;
   setup : Silo.Db.t -> unit;
-  make_worker : Silo.Db.t -> rng:Sim.Rng.t -> worker:int -> nworkers:int -> gen;
+  make_worker : Silo.Db.t -> rng:Sim.Rng.t -> worker:int -> Silo.Txn.t -> unit;
+      (** the embedded generator of one worker on one replica: a body that
+          draws a fresh payload from [rng] on every attempt (an OCC retry
+          re-draws, as the closed-loop generators always have) and runs it
+          through the app's op. Used when the cluster serves no client
+          sessions. *)
   client_op : (Silo.Db.t -> payload:string -> Silo.Txn.t -> unit) option;
-      (** interpret a networked client request: parse [payload] (an
-          app-defined encoding) into a transaction body. Required when the
-          cluster runs with [Config.clients > 0] — workers then serve
-          queued client requests instead of calling [make_worker]'s
-          generator. *)
+      (** interpret a networked client request: parse [payload] into a
+          transaction body. Required when the cluster runs with
+          [Config.clients > 0] — workers then serve queued client requests
+          instead of running [make_worker]'s body. [None] keeps the
+          embedded generator even then, for deployments whose client slots
+          carry only read-only sessions. *)
   read_op : (Silo.Db.t -> payload:string -> Silo.Db.snap -> string) option;
       (** interpret a read-only client request against a watermark-pinned
           snapshot ({!Silo.Db.read_at}): parse [payload] and return the
@@ -29,7 +36,19 @@ type t = {
           [Config.follower_reads] and read-only client sessions. *)
 }
 
+val make :
+  name:string ->
+  setup:(Silo.Db.t -> unit) ->
+  payloads:(rng:Sim.Rng.t -> worker:int -> unit -> string) ->
+  op:(Silo.Db.t -> payload:string -> Silo.Txn.t -> unit) ->
+  ?read_op:(Silo.Db.t -> payload:string -> Silo.Db.snap -> string) ->
+  unit ->
+  t
+(** The one app constructor. [payloads ~rng ~worker] is worker [worker]'s
+    payload generator; [make_worker] runs its payloads through [op], and
+    [client_op] is [Some op]. *)
+
 val counter_app : keys:int -> t
 (** A tiny built-in app (random read-modify-write increments over [keys]
-    counters) used by tests and the quickstart example. Its client payload
-    is a decimal key index. *)
+    counters) used by tests and the quickstart example. Its payload is a
+    decimal key index. *)

@@ -10,73 +10,57 @@ let initial_balance = 1_000
 (* The paper's Fig. 3 workload: move a random amount between two random
    accounts in one transaction. Total money is the conserved quantity the
    final check asserts on every replica. [stopped] freezes generation so
-   the cluster can quiesce. [range] loads only an inclusive slice of the
-   account space — how a sharded deployment gives each shard its own
-   partition (conservation then only holds *globally*, which is exactly
-   what {!Check.money_sharded} asserts). The client_op additionally
-   understands the one-sided halves a cross-shard transfer splits into:
-   ["w a amt"] withdraws, ["c a amt"] credits. *)
+   the cluster can quiesce: the embedded generator then emits the empty
+   payload, a no-op body (as does a drawn self-transfer). [range] loads
+   only an inclusive slice of the account space — how a sharded
+   deployment gives each shard its own partition (conservation then only
+   holds *globally*, which is exactly what {!Check.money_sharded}
+   asserts). The op additionally understands the one-sided halves a
+   cross-shard transfer splits into: ["w a amt"] withdraws, ["c a amt"]
+   credits. *)
 let bank_app ?range ~accounts ~stopped () =
   let key i = Store.Keycodec.encode [ Store.Keycodec.I i ] in
   let lo, hi = match range with Some r -> r | None -> (0, accounts - 1) in
-  {
-    App.name = "chaos-bank";
-    setup =
-      (fun db ->
-        let t = Silo.Db.create_table db bank_table in
-        for i = lo to hi do
-          Store.Table.insert t (key i)
-            (Store.Record.make (string_of_int initial_balance))
-        done);
-    make_worker =
-      (fun db ~rng ~worker:_ ~nworkers:_ ->
-        let t = Silo.Db.table db bank_table in
-        fun () txn ->
-          if not !stopped then begin
-            let a = Sim.Rng.int rng accounts and b = Sim.Rng.int rng accounts in
-            if a <> b then begin
-              let bal k =
-                match Silo.Txn.get txn t (key k) with
-                | Some v -> int_of_string v
-                | None -> failwith (Printf.sprintf "chaos: account %d missing" k)
-              in
-              let va = bal a and vb = bal b in
-              let amount = 1 + Sim.Rng.int rng 10 in
-              Silo.Txn.put txn t (key a) (string_of_int (va - amount));
-              Silo.Txn.put txn t (key b) (string_of_int (vb + amount))
-            end
-          end);
-    client_op =
-      Some
-        (fun db ~payload txn ->
-          let t = Silo.Db.table db bank_table in
-          let bal k =
-            match Silo.Txn.get txn t (key k) with
-            | Some v -> int_of_string v
-            | None -> failwith (Printf.sprintf "chaos: account %d missing" k)
-          in
-          match String.split_on_char ' ' payload with
-          | [ "w"; a; amt ] ->
-              let a = int_of_string a and amount = int_of_string amt in
-              Silo.Txn.put txn t (key a) (string_of_int (bal a - amount))
-          | [ "c"; a; amt ] ->
-              let a = int_of_string a and amount = int_of_string amt in
-              Silo.Txn.put txn t (key a) (string_of_int (bal a + amount))
-          | [ a; b; amt ] ->
-              let a = int_of_string a and b = int_of_string b in
-              let amount = int_of_string amt in
-              let va = bal a and vb = bal b in
-              Silo.Txn.put txn t (key a) (string_of_int (va - amount));
-              Silo.Txn.put txn t (key b) (string_of_int (vb + amount))
-          | _ -> failwith "chaos: bad transfer payload");
-    read_op =
-      Some
-        (fun db ~payload snap ->
-          let t = Silo.Db.table db bank_table in
-          match Silo.Db.snap_get snap t (key (int_of_string payload)) with
-          | Some v -> v
-          | None -> string_of_int initial_balance);
-  }
+  App.make ~name:"chaos-bank"
+    ~setup:(fun db ->
+      let t = Silo.Db.create_table db bank_table in
+      for i = lo to hi do
+        Store.Table.insert t (key i)
+          (Store.Record.make (string_of_int initial_balance))
+      done)
+    ~payloads:(fun ~rng ~worker:_ () ->
+      if !stopped then ""
+      else
+        let a = Sim.Rng.int rng accounts and b = Sim.Rng.int rng accounts in
+        if a = b then "" else Printf.sprintf "%d %d %d" a b (1 + Sim.Rng.int rng 10))
+    ~op:(fun db ~payload txn ->
+      let t = Silo.Db.table db bank_table in
+      let bal k =
+        match Silo.Txn.get txn t (key k) with
+        | Some v -> int_of_string v
+        | None -> failwith (Printf.sprintf "chaos: account %d missing" k)
+      in
+      match String.split_on_char ' ' payload with
+      | [ "" ] -> ()
+      | [ "w"; a; amt ] ->
+          let a = int_of_string a and amount = int_of_string amt in
+          Silo.Txn.put txn t (key a) (string_of_int (bal a - amount))
+      | [ "c"; a; amt ] ->
+          let a = int_of_string a and amount = int_of_string amt in
+          Silo.Txn.put txn t (key a) (string_of_int (bal a + amount))
+      | [ a; b; amt ] ->
+          let a = int_of_string a and b = int_of_string b in
+          let amount = int_of_string amt in
+          let va = bal a and vb = bal b in
+          Silo.Txn.put txn t (key a) (string_of_int (va - amount));
+          Silo.Txn.put txn t (key b) (string_of_int (vb + amount))
+      | _ -> failwith "chaos: bad transfer payload")
+    ~read_op:(fun db ~payload snap ->
+      let t = Silo.Db.table db bank_table in
+      match Silo.Db.snap_get snap t (key (int_of_string payload)) with
+      | Some v -> v
+      | None -> string_of_int initial_balance)
+    ()
 
 (* Client-side request generator: "a b amount" with a <> b. *)
 let bank_payload rng ~accounts =

@@ -36,7 +36,7 @@ type t = {
   mutable election : Paxos.Election.t option;
   mutable streams : Paxos.Stream.t array;
   mutable batchers : Batcher.t array;
-  mutable gens : App.gen array;
+  mutable bodies : (Silo.Txn.t -> unit) array;
   wm : Watermark.t;
   (* (journal idx, entry) pairs: replay needs the index to stamp the
      checkpoint-safe frontier once an apply completes. *)
@@ -283,9 +283,55 @@ let stop_serving t =
     drop_speculative t
   end
 
+(* The execute-and-submit step both worker loops share: run [body] as one
+   Silo transaction on worker [w]; if it commits while this replica still
+   serves, append it to the worker's stream and release queue. [req] is
+   the client request being answered ([None] for the embedded generator).
+   A commit after leadership lapsed mid-transaction is speculative and
+   dropped with this tainted replica. *)
+let execute t w ~req body =
+  let start = Sim.Engine.time () in
+  if Option.is_some req || t.cfg.Config.networked_clients then
+    Sim.Cpu.consume t.cpu t.cfg.Config.client_rpc_overhead;
+  let r = Silo.Db.run t.db ~worker:w body in
+  let dec = Silo.Db.take_decision t.db ~worker:w in
+  match r.Silo.Db.tid with
+  | Some tid when t.serving ->
+      (match req with
+      | Some (cid, seq) ->
+          let sess = session t cid in
+          if seq > sess.s_applied then sess.s_applied <- seq
+      | None -> ());
+      Stats.note_executed t.stats;
+      let txn_log =
+        { Store.Wire.ts = tid.Silo.Tid.ts; req; decision = dec; writes = r.Silo.Db.log }
+      in
+      let bytes = Store.Wire.txn_byte_size txn_log in
+      let tok = Trace.sample t.trace ~worker:w ~ts:tid.Silo.Tid.ts ~exec_start:start in
+      let s = stream_of_worker t w in
+      (* Append + release record atomically (same event as the commit), so
+         stream timestamps stay monotone. *)
+      Batcher.submit t.batchers.(s) txn_log;
+      Queue.add
+        {
+          m_ts = tid.Silo.Tid.ts;
+          m_start = start;
+          m_bytes = bytes;
+          m_client = req;
+          m_tok = tok;
+        }
+        t.release_queues.(w);
+      Stats.note_submitted t.stats ~bytes;
+      Batcher.charge_submit_cost t.batchers.(s) ~bytes;
+      (match tok with Some tk -> Trace.note_serialized t.trace tk | None -> ());
+      `Committed
+  | Some _ -> `Lapsed
+  | None ->
+      Stats.note_user_abort t.stats;
+      `Aborted
+
 let worker_loop t w () =
-  let gen = t.gens.(w) in
-  let s = stream_of_worker t w in
+  let body = t.bodies.(w) in
   (* Stagger worker start so per-stream batch boundaries de-phase, as
      thread drift would on real hardware; otherwise every stream flushes
      in lockstep and the watermark wait is unrealistically small. *)
@@ -296,44 +342,7 @@ let worker_loop t w () =
         Sim.Cpu.register t.cpu;
         t.worker_active.(w) <- true
       end;
-      let body = gen () in
-      let start = Sim.Engine.time () in
-      if t.cfg.Config.networked_clients then
-        Sim.Cpu.consume t.cpu t.cfg.Config.client_rpc_overhead;
-      let r = Silo.Db.run t.db ~worker:w body in
-      let dec = Silo.Db.take_decision t.db ~worker:w in
-      match r.Silo.Db.tid with
-      | Some tid when t.serving ->
-          Stats.note_executed t.stats;
-          let txn_log =
-            {
-              Store.Wire.ts = tid.Silo.Tid.ts;
-              req = None;
-              decision = dec;
-              writes = r.Silo.Db.log;
-            }
-          in
-          let bytes = Store.Wire.txn_byte_size txn_log in
-          let tok =
-            Trace.sample t.trace ~worker:w ~ts:tid.Silo.Tid.ts ~exec_start:start
-          in
-          (* Append + release record atomically (same event as the
-             commit), so stream timestamps stay monotone. *)
-          Batcher.submit t.batchers.(s) txn_log;
-          Queue.add
-            {
-              m_ts = tid.Silo.Tid.ts;
-              m_start = start;
-              m_bytes = bytes;
-              m_client = None;
-              m_tok = tok;
-            }
-            t.release_queues.(w);
-          Stats.note_submitted t.stats ~bytes;
-          Batcher.charge_submit_cost t.batchers.(s) ~bytes;
-          (match tok with Some tk -> Trace.note_serialized t.trace tk | None -> ())
-      | Some _ -> () (* leadership lapsed mid-transaction: speculative, dropped *)
-      | None -> Stats.note_user_abort t.stats
+      ignore (execute t w ~req:None body)
     end
     else begin
       if t.worker_active.(w) then begin
@@ -349,7 +358,6 @@ let worker_loop t w () =
    intervening yield relative to other claims, so duplicate requests of
    the same seq can never reach two workers. *)
 let client_worker_loop t w op () =
-  let s = stream_of_worker t w in
   Sim.Engine.sleep (w * 1_700 * Sim.Engine.us);
   while true do
     match Sim.Sync.Mailbox.recv_timeout t.client_q (10 * Sim.Engine.ms) with
@@ -388,51 +396,14 @@ let client_worker_loop t w op () =
           end
           else begin
             sess.s_claimed <- seq;
-            let start = Sim.Engine.time () in
-            Sim.Cpu.consume t.cpu t.cfg.Config.client_rpc_overhead;
-            let r = Silo.Db.run t.db ~worker:w (op ~payload) in
-            let dec = Silo.Db.take_decision t.db ~worker:w in
-            match r.Silo.Db.tid with
-            | Some tid when t.serving ->
-                if seq > sess.s_applied then sess.s_applied <- seq;
-                Stats.note_executed t.stats;
-                let txn_log =
-                  {
-                    Store.Wire.ts = tid.Silo.Tid.ts;
-                    req = Some (cid, seq);
-                    decision = dec;
-                    writes = r.Silo.Db.log;
-                  }
-                in
-                let bytes = Store.Wire.txn_byte_size txn_log in
-                let tok =
-                  Trace.sample t.trace ~worker:w ~ts:tid.Silo.Tid.ts
-                    ~exec_start:start
-                in
-                Batcher.submit t.batchers.(s) txn_log;
-                Queue.add
-                  {
-                    m_ts = tid.Silo.Tid.ts;
-                    m_start = start;
-                    m_bytes = bytes;
-                    m_client = Some (cid, seq);
-                    m_tok = tok;
-                  }
-                  t.release_queues.(w);
-                Stats.note_submitted t.stats ~bytes;
-                Batcher.charge_submit_cost t.batchers.(s) ~bytes;
-                (match tok with
-                | Some tk -> Trace.note_serialized t.trace tk
-                | None -> ())
-            | Some _ ->
-                (* Leadership lapsed mid-transaction: the write is
-                   speculative and dropped with this tainted replica; the
-                   client's retry re-executes at the next leader. *)
+            match execute t w ~req:(Some (cid, seq)) (op ~payload) with
+            | `Committed | `Lapsed ->
+                (* Release acks a commit; after a lapse the client's retry
+                   re-executes at the next leader. *)
                 ()
-            | None ->
+            | `Aborted ->
                 (* User abort: no effect anywhere, safe to answer now. *)
                 sess.s_aborted <- seq;
-                Stats.note_user_abort t.stats;
                 client_reply t ~cid ~seq Paxos.Msg.Aborted
           end
         end
@@ -1273,7 +1244,7 @@ let create cfg eng net ~id:rid ~app ?initial_leader ?membership ?(learner = fals
       election = None;
       streams = [||];
       batchers = [||];
-      gens = [||];
+      bodies = [||];
       wm = Watermark.create ~streams:nstreams;
       replay_queues = Array.init nstreams (fun _ -> Queue.create ());
       backlog = 0;
@@ -1488,11 +1459,9 @@ let create cfg eng net ~id:rid ~app ?initial_leader ?membership ?(learner = fals
           ~shared:(nstreams < cfg.Config.workers)
           ());
   (if client_op = None then
-     t.gens <-
+     t.bodies <-
        Array.init cfg.Config.workers (fun w ->
-           app.App.make_worker db
-             ~rng:(Sim.Rng.split (Sim.Engine.rng eng))
-             ~worker:w ~nworkers:cfg.Config.workers));
+           app.App.make_worker db ~rng:(Sim.Rng.split (Sim.Engine.rng eng)) ~worker:w));
   (* Processes. *)
   spawn t "dispatch" (fun () ->
       while true do

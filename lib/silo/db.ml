@@ -15,6 +15,7 @@ type 'a result = {
 }
 
 type t = {
+  id : int;
   eng : Sim.Engine.t;
   cpu : Sim.Cpu.t;
   cost_model : Costs.t;
@@ -43,9 +44,13 @@ type t = {
   mutable s_snap_misses : int;
 }
 
+let next_id = ref 0
+
 let create eng cpu ?(costs = Costs.default) ?(physical_deletes = true)
     ?(hash_tables = []) () =
+  incr next_id;
   {
+    id = !next_id;
     eng;
     cpu;
     cost_model = costs;
@@ -68,6 +73,7 @@ let create eng cpu ?(costs = Costs.default) ?(physical_deletes = true)
     s_snap_misses = 0;
   }
 
+let id t = t.id
 let engine t = t.eng
 let cpu t = t.cpu
 let costs t = t.cost_model

@@ -54,6 +54,10 @@ val create :
     replica of a database must use the same list, or replay and checkpoint
     exchange runs against mismatched index semantics. *)
 
+val id : t -> int
+(** Unique per database in the process: a stable identity to hash on
+    (the record's contents mutate). *)
+
 val engine : t -> Sim.Engine.t
 val cpu : t -> Sim.Cpu.t
 val costs : t -> Costs.t

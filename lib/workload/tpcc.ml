@@ -230,7 +230,6 @@ type tables = {
 
 type state = {
   p : params;
-  db : Silo.Db.t;
   tb : tables;
   next_oid : (int * int, int ref) Hashtbl.t; (* FastIds counters *)
   mutable history_seq : int;
@@ -240,7 +239,6 @@ let make_state p db =
   let t n = Silo.Db.table db n in
   {
     p;
-    db;
     tb =
       {
         tw = t "warehouse";
@@ -327,236 +325,20 @@ let choose_customer st rng txn w d =
         Row.to_int c
   end
 
-(* ---- the five transactions ---- *)
+(* ---- the five transactions ----
 
-let new_order st rng ~worker txn =
-  let p = st.p in
-  let tb = st.tb in
-  let w = home_warehouse p ~worker in
-  let d = 1 + Sim.Rng.int rng p.districts in
-  let c = 1 + Sim.Rng.int rng p.customers_per_district in
-  let ol_cnt = 5 + Sim.Rng.int rng 11 in
-  let rollback = Sim.Rng.int rng 100 = 0 in
-  let w_row = get_exn txn tb.tw (k_warehouse w) "warehouse" in
-  let _w_tax = Row.to_int (Row.field w_row 1) in
-  let _c_row = get_exn txn tb.tc (k_customer w d c) "customer" in
-  let o_id =
-    if p.fast_ids then fast_next_oid st w d
-    else begin
-      let d_row = get_exn txn tb.td (k_district w d) "district" in
-      let next = Row.to_int (Row.field d_row 0) in
-      Silo.Txn.put txn tb.td (k_district w d) (Row.set_field d_row 0 (Row.int_field (next + 1)));
-      next
-    end
-  in
-  (* Read the district row for its tax even with FastIds (no write). *)
-  if p.fast_ids then ignore (get_exn txn tb.td (k_district w d) "district");
-  let all_local = ref 1 in
-  let inserted = ref 0 in
-  for ol = 1 to ol_cnt do
-    (* 1% of NewOrder transactions pick an invalid item and roll back
-       (spec 2.4.1.4); trigger on the last line like real generators. *)
-    if rollback && ol = ol_cnt then Silo.Txn.abort ();
-    let i_id = 1 + Sim.Rng.int rng p.items in
-    let supply_w =
-      if p.warehouses > 1 && Sim.Rng.int rng 100 = 0 then begin
-        all_local := 0;
-        1 + Sim.Rng.int rng p.warehouses
-      end
-      else w
-    in
-    let i_row = get_exn txn tb.ti (k_item i_id) "item" in
-    let price = Row.to_int (Row.field i_row 0) in
-    let s_key = k_stock supply_w i_id in
-    let s_row = get_exn txn tb.ts s_key "stock" in
-    let quantity = Row.to_int (Row.field s_row 0) in
-    let ordered = 1 + Sim.Rng.int rng 10 in
-    let new_qty = if quantity >= ordered + 10 then quantity - ordered else quantity - ordered + 91 in
-    let s_fields = Row.unpack s_row in
-    let s_row' =
-      match s_fields with
-      | _ :: ytd :: cnt :: rest ->
-          Row.pack
-            (Row.int_field new_qty
-            :: Row.int_field (Row.to_int ytd + ordered)
-            :: Row.int_field (Row.to_int cnt + 1)
-            :: rest)
-      | _ -> failwith "tpcc: bad stock row"
-    in
-    Silo.Txn.put txn tb.ts s_key s_row';
-    Silo.Txn.put txn tb.tol (k_order_line w d o_id ol)
-      (order_line_row ~i_id ~supply_w ~quantity:ordered ~amount:(price * ordered)
-         ~delivery_d:0);
-    incr inserted
-  done;
-  Silo.Txn.put txn tb.to_ (k_order w d o_id)
-    (oorder_row ~c_id:c ~carrier:0 ~ol_cnt:!inserted ~all_local:!all_local
-       ~entry_d:0);
-  Silo.Txn.put txn tb.tbc (k_order_by_cust w d c o_id) (Row.int_field o_id);
-  Silo.Txn.put txn tb.tno (k_new_order w d o_id) new_order_row
+   Every transaction is one payload op. A payload is compact — op code,
+   home warehouse, 31-bit seed — and the body derives every parameter
+   from [Sim.Rng.create seed], so OCC re-execution, a retried network
+   request and a cross-shard sub-transaction all replay the identical
+   transaction. Client sessions send payloads; the embedded per-worker
+   generator draws them ({!payloads}).
 
-let payment st rng ~worker txn =
-  let p = st.p in
-  let tb = st.tb in
-  let w = home_warehouse p ~worker in
-  let d = 1 + Sim.Rng.int rng p.districts in
-  let c = choose_customer st rng txn w d in
-  let amount = 100 + Sim.Rng.int rng 499_900 in
-  let w_row = get_exn txn tb.tw (k_warehouse w) "warehouse" in
-  Silo.Txn.put txn tb.tw (k_warehouse w)
-    (Row.set_field w_row 0 (Row.int_field (Row.to_int (Row.field w_row 0) + amount)));
-  let d_row = get_exn txn tb.td (k_district w d) "district" in
-  Silo.Txn.put txn tb.td (k_district w d)
-    (Row.set_field d_row 1 (Row.int_field (Row.to_int (Row.field d_row 1) + amount)));
-  let c_key = k_customer w d c in
-  let c_row = get_exn txn tb.tc c_key "customer" in
-  let fields = Row.unpack c_row in
-  let c_row' =
-    match fields with
-    | bal :: ytd :: cnt :: rest ->
-        Row.pack
-          (Row.int_field (Row.to_int bal - amount)
-          :: Row.int_field (Row.to_int ytd + amount)
-          :: Row.int_field (Row.to_int cnt + 1)
-          :: rest)
-    | _ -> failwith "tpcc: bad customer row"
-  in
-  Silo.Txn.put txn tb.tc c_key c_row';
-  st.history_seq <- st.history_seq + 1;
-  Silo.Txn.put txn tb.th (k_history w d c worker st.history_seq) (history_row ~amount)
-
-let order_status st rng ~worker txn =
-  let p = st.p in
-  let tb = st.tb in
-  let w = home_warehouse p ~worker in
-  let d = 1 + Sim.Rng.int rng p.districts in
-  let c = choose_customer st rng txn w d in
-  ignore (get_exn txn tb.tc (k_customer w d c) "customer");
-  let lo, hi = range [ I w; I d; I c ] in
-  match Silo.Txn.last_live txn tb.tbc ~lo ~hi with
-  | None -> () (* customer has no orders *)
-  | Some (_, o_field) ->
-      let o = Row.to_int o_field in
-      let o_row = get_exn txn tb.to_ (k_order w d o) "order" in
-      let ol_cnt = Row.to_int (Row.field o_row 2) in
-      for ol = 1 to ol_cnt do
-        ignore (get_exn txn tb.tol (k_order_line w d o ol) "order_line")
-      done
-
-let stock_level st rng ~worker txn =
-  let p = st.p in
-  let tb = st.tb in
-  let w = home_warehouse p ~worker in
-  let d = 1 + Sim.Rng.int rng p.districts in
-  let threshold = 10 + Sim.Rng.int rng 11 in
-  let next_o =
-    if p.fast_ids then peek_next_oid st w d
-    else Row.to_int (Row.field (get_exn txn tb.td (k_district w d) "district") 0)
-  in
-  (* Order lines of the last 20 orders of the district. *)
-  let lo = k_order_line w d (max 1 (next_o - 20)) 0 in
-  let _, hi = range [ I w; I d ] in
-  let lines = Silo.Txn.scan txn tb.tol ~lo ~hi () in
-  let seen = Hashtbl.create 64 in
-  let low = ref 0 in
-  List.iter
-    (fun (_, row) ->
-      let i_id = Row.to_int (Row.field row 0) in
-      if not (Hashtbl.mem seen i_id) then begin
-        Hashtbl.add seen i_id ();
-        let s_row = get_exn txn tb.ts (k_stock w i_id) "stock" in
-        if Row.to_int (Row.field s_row 0) < threshold then incr low
-      end)
-    lines
-
-let delivery st rng ~worker txn =
-  let p = st.p in
-  let tb = st.tb in
-  let w = home_warehouse p ~worker in
-  let carrier = 1 + Sim.Rng.int rng 10 in
-  for d = 1 to p.districts do
-    let lo, hi = range [ I w; I d ] in
-    match Silo.Txn.first_live txn tb.tno ~lo ~hi with
-    | None -> () (* no undelivered order in this district *)
-    | Some (no_key, _) ->
-        let o =
-          match Store.Keycodec.decode no_key with
-          | [ I _; I _; I o ] -> o
-          | _ -> failwith "tpcc: bad new_order key"
-        in
-        Silo.Txn.delete txn tb.tno no_key;
-        let o_key = k_order w d o in
-        let o_row = get_exn txn tb.to_ o_key "order" in
-        let c = Row.to_int (Row.field o_row 0) in
-        let ol_cnt = Row.to_int (Row.field o_row 2) in
-        Silo.Txn.put txn tb.to_ o_key (Row.set_field o_row 1 (Row.int_field carrier));
-        let total = ref 0 in
-        for ol = 1 to ol_cnt do
-          let ol_key = k_order_line w d o ol in
-          let ol_row = get_exn txn tb.tol ol_key "order_line" in
-          total := !total + Row.to_int (Row.field ol_row 3);
-          Silo.Txn.put txn tb.tol ol_key (Row.set_field ol_row 4 (Row.int_field 1))
-        done;
-        let c_key = k_customer w d c in
-        let c_row = get_exn txn tb.tc c_key "customer" in
-        let fields = Row.unpack c_row in
-        let c_row' =
-          match fields with
-          | bal :: ytd :: cnt :: dcnt :: rest ->
-              Row.pack
-                (Row.int_field (Row.to_int bal + !total)
-                :: ytd :: cnt
-                :: Row.int_field (Row.to_int dcnt + 1)
-                :: rest)
-          | _ -> failwith "tpcc: bad customer row"
-        in
-        Silo.Txn.put txn tb.tc c_key c_row'
-  done
-
-let run_kind st rng ~worker ~nworkers:_ kind txn =
-  match kind with
-  | New_order -> new_order st rng ~worker txn
-  | Payment -> payment st rng ~worker txn
-  | Order_status -> order_status st rng ~worker txn
-  | Stock_level -> stock_level st rng ~worker txn
-  | Delivery -> delivery st rng ~worker txn
-
-(* Per-database generator state, shared by all workers of a replica. *)
-let states : (Silo.Db.t * state) list ref = ref []
-
-let state_for p db =
-  match List.find_opt (fun (d, _) -> d == db) !states with
-  | Some (_, st) -> st
-  | None ->
-      let st = make_state p db in
-      states := (db, st) :: !states;
-      st
-
-let app p =
-  {
-    Rolis.App.name = "tpcc";
-    setup = setup p;
-    make_worker =
-      (fun db ~rng ~worker ~nworkers ->
-        let st = state_for p db in
-        fun () ->
-          let kind = pick_kind p rng in
-          fun txn -> run_kind st rng ~worker ~nworkers kind txn);
-    client_op = None;
-    read_op = None;
-  }
-
-(* ---- seed-based client transactions (sharded deployments) ----
-
-   The embedded worker bodies above draw every parameter from a
-   long-lived per-worker RNG, which is exactly right for a closed-loop
-   generator but useless for a networked request: a retry would re-draw.
-   The client-op path instead ships a compact payload — op code, home
-   warehouse, 31-bit seed — and derives every parameter from
-   [Sim.Rng.create seed] *inside* the body, so OCC re-execution and
-   cross-shard sub-transactions replay the identical transaction. The
-   embedded bodies are deliberately not refactored onto this path: they
-   feed the bit-identical default benchmarks.
+     "n w seed"      NewOrder at home warehouse [w]
+     "p w seed"      Payment
+     "o w seed"      OrderStatus
+     "s w seed"      StockLevel
+     "d w seed"      Delivery
 
    Cross-shard transactions split into escrow-style halves sharing one
    seed (same derived line list on both sides):
@@ -617,11 +399,11 @@ let stock_update st txn ~supply_w ~i_id ~qty =
            :: rest))
   | _ -> failwith "tpcc: bad stock row"
 
-(* History keys carry a worker component; client-op transactions use a
-   sentinel outside any embedded worker id range. *)
+(* History keys keep the schema's worker component; a payload names no
+   worker, so every Payment writes under one fixed slot. *)
 let client_worker_slot = 9_999
 
-let c_new_order st ~w ~remote ~seed txn =
+let new_order st ~w ~remote ~seed txn =
   let p = st.p and tb = st.tb in
   let d, c, rollback, lines = no_derive p seed in
   ignore (get_exn txn tb.tw (k_warehouse w) "warehouse");
@@ -641,9 +423,10 @@ let c_new_order st ~w ~remote ~seed txn =
   let all_local = ref 1 in
   List.iteri
     (fun i (i_id, qty, rflag) ->
-      (* The 1% rollback aborts on the last line, as the embedded body
-         does. A cross-shard "nh" never reaches here with [rollback]:
-         {!veto} surfaces it at prepare time as a global abort. *)
+      (* 1% of NewOrders pick an invalid item and roll back (spec
+         2.4.1.4), on the last line like real generators. A cross-shard
+         "nh" never reaches here with [rollback]: {!veto} surfaces it at
+         prepare time as a global abort. *)
       if rollback && i = n - 1 then Silo.Txn.abort ();
       let supply_w, local =
         match remote with
@@ -665,7 +448,7 @@ let c_new_order st ~w ~remote ~seed txn =
   Silo.Txn.put txn tb.tbc (k_order_by_cust w d c o_id) (Row.int_field o_id);
   Silo.Txn.put txn tb.tno (k_new_order w d o_id) new_order_row
 
-let c_new_order_remote st ~rw ~seed txn =
+let new_order_remote st ~rw ~seed txn =
   let _, _, _, lines = no_derive st.p seed in
   List.iter
     (fun (i_id, qty, rflag) ->
@@ -699,7 +482,7 @@ let pay_home st txn ~w ~d ~amount =
   Silo.Txn.put txn tb.td (k_district w d)
     (Row.set_field d_row 1 (Row.int_field (Row.to_int (Row.field d_row 1) + amount)))
 
-let c_payment st ~w ~seed txn =
+let payment st ~w ~seed txn =
   let p = st.p in
   let rng = Sim.Rng.create (Int64.of_int seed) in
   let d = 1 + Sim.Rng.int rng p.districts in
@@ -708,7 +491,7 @@ let c_payment st ~w ~seed txn =
   pay_home st txn ~w ~d ~amount;
   pay_customer st txn ~cw:w ~cd:d ~c ~amount
 
-let c_order_status st ~w ~seed txn =
+let order_status st ~w ~seed txn =
   let p = st.p and tb = st.tb in
   let rng = Sim.Rng.create (Int64.of_int seed) in
   let d = 1 + Sim.Rng.int rng p.districts in
@@ -725,7 +508,7 @@ let c_order_status st ~w ~seed txn =
         ignore (get_exn txn tb.tol (k_order_line w d o ol) "order_line")
       done
 
-let c_stock_level st ~w ~seed txn =
+let stock_level st ~w ~seed txn =
   let p = st.p and tb = st.tb in
   let rng = Sim.Rng.create (Int64.of_int seed) in
   let d = 1 + Sim.Rng.int rng p.districts in
@@ -749,7 +532,7 @@ let c_stock_level st ~w ~seed txn =
       end)
     lines
 
-let c_delivery st ~w ~seed txn =
+let delivery st ~w ~seed txn =
   let p = st.p and tb = st.tb in
   let rng = Sim.Rng.create (Int64.of_int seed) in
   let carrier = 1 + Sim.Rng.int rng 10 in
@@ -792,27 +575,75 @@ let c_delivery st ~w ~seed txn =
         Silo.Txn.put txn tb.tc c_key c_row'
   done
 
-let client_op p db ~payload txn =
+(* Per-database FastIds/history state, shared by every worker and session
+   of a replica. Looked up from [db] on every call, never captured: an op
+   may be partially applied to one database and wrapped (as the perf
+   harness does) before it runs. Held weakly, so a dropped database takes
+   its state with it. *)
+module States = Ephemeron.K1.Make (struct
+  type t = Silo.Db.t
+
+  let equal = ( == )
+  let hash = Silo.Db.id
+end)
+
+let states = States.create 16
+
+let state_for p db =
+  match States.find_opt states db with
+  | Some st -> st
+  | None ->
+      let st = make_state p db in
+      States.add states db st;
+      st
+
+let op p db ~payload txn =
   let st = state_for p db in
   let i = int_of_string in
   match String.split_on_char ' ' payload with
-  | [ "n"; w; seed ] -> c_new_order st ~w:(i w) ~remote:None ~seed:(i seed) txn
+  | [ "n"; w; seed ] -> new_order st ~w:(i w) ~remote:None ~seed:(i seed) txn
   | [ "nh"; w; rw; seed ] ->
-      c_new_order st ~w:(i w) ~remote:(Some (i rw)) ~seed:(i seed) txn
-  | [ "nr"; rw; seed ] -> c_new_order_remote st ~rw:(i rw) ~seed:(i seed) txn
-  | [ "p"; w; seed ] -> c_payment st ~w:(i w) ~seed:(i seed) txn
+      new_order st ~w:(i w) ~remote:(Some (i rw)) ~seed:(i seed) txn
+  | [ "nr"; rw; seed ] -> new_order_remote st ~rw:(i rw) ~seed:(i seed) txn
+  | [ "p"; w; seed ] -> payment st ~w:(i w) ~seed:(i seed) txn
   | [ "ph"; w; seed ] ->
       let d, _, _, amount = pay_derive p (i seed) in
       pay_home st txn ~w:(i w) ~d ~amount
   | [ "pr"; cw; seed ] ->
       let _, cd, c, amount = pay_derive p (i seed) in
       pay_customer st txn ~cw:(i cw) ~cd ~c ~amount
-  | [ "o"; w; seed ] -> c_order_status st ~w:(i w) ~seed:(i seed) txn
-  | [ "s"; w; seed ] -> c_stock_level st ~w:(i w) ~seed:(i seed) txn
-  | [ "d"; w; seed ] -> c_delivery st ~w:(i w) ~seed:(i seed) txn
+  | [ "o"; w; seed ] -> order_status st ~w:(i w) ~seed:(i seed) txn
+  | [ "s"; w; seed ] -> stock_level st ~w:(i w) ~seed:(i seed) txn
+  | [ "d"; w; seed ] -> delivery st ~w:(i w) ~seed:(i seed) txn
   | _ -> failwith ("tpcc: bad client payload " ^ payload)
 
-let client_app p = { (app p) with Rolis.App.client_op = Some (client_op p) }
+let format_payload ~w kind ~seed =
+  let code =
+    match kind with
+    | New_order -> "n"
+    | Payment -> "p"
+    | Order_status -> "o"
+    | Stock_level -> "s"
+    | Delivery -> "d"
+  in
+  Printf.sprintf "%s %d %d" code w seed
+
+let draw_seed rng = Sim.Rng.int rng 0x3FFF_FFFF
+let payload rng ~w kind = format_payload ~w kind ~seed:(draw_seed rng)
+
+(* The embedded generator: each worker serves its home warehouse (Silo's
+   affinity setup, and Fig. 17's skew shape), drawing the mix's kind and
+   then the seed. *)
+let payloads p ~rng ~worker =
+  let w = home_warehouse p ~worker in
+  fun () ->
+    let kind = pick_kind p rng in
+    payload rng ~w kind
+
+let client_app p =
+  Rolis.App.make ~name:"tpcc" ~setup:(setup p) ~payloads:(payloads p) ~op:(op p) ()
+
+let app p = { (client_app p) with Rolis.App.client_op = None }
 
 let veto p ~payload =
   match String.split_on_char ' ' payload with
@@ -830,7 +661,8 @@ let shard_gen p router ~cross_pct ~rng () =
   let w = 1 + Sim.Rng.int rng p.warehouses in
   let home = Rolis.Router.tpcc_shard_of_warehouse router w in
   let kind = pick_kind p rng in
-  let seed = Sim.Rng.int rng 0x3FFF_FFFF in
+  (* Drawn before the cross-shard coin: both branches share this seed. *)
+  let seed = draw_seed rng in
   let nshards = Rolis.Router.shards router in
   let cross_eligible =
     match kind with New_order | Payment -> nshards > 1 | _ -> false
@@ -853,16 +685,7 @@ let shard_gen p router ~cross_pct ~rng () =
           [ (home, sp "ph %d %d" w seed); (s', sp "pr %d %d" rw seed) ]
     | _ -> assert false
   end
-  else
-    let op =
-      match kind with
-      | New_order -> "n"
-      | Payment -> "p"
-      | Order_status -> "o"
-      | Stock_level -> "s"
-      | Delivery -> "d"
-    in
-    Rolis.Shard.Single (home, sp "%s %d %d" op w seed)
+  else Rolis.Shard.Single (home, format_payload ~w kind ~seed)
 
 (* ---- consistency checks ---- *)
 

@@ -6,6 +6,8 @@
     NewOrder 45%%, Payment 43%%, OrderStatus 4%%, StockLevel 4%%,
     Delivery 4%%. Each warehouse is served by the worker that owns it
     (workers own disjoint warehouse sets), matching Silo's affinity setup.
+    NewOrder's order lines are all supplied by the home warehouse, except
+    in the cross-shard halves.
 
     Scale note: the default cardinalities are reduced (10k items instead
     of 100k, 300 customers/district instead of 3000, 300 initial orders)
@@ -55,33 +57,28 @@ val setup : params -> Silo.Db.t -> unit
 (** Create and populate all tables. Deterministic: every replica loads
     identical data. *)
 
-(** Per-replica generator state (FastIds counters, history sequence). *)
-type state
+val op : params -> Silo.Db.t -> payload:string -> Silo.Txn.t -> unit
+(** The TPC-C op: every transaction body, stated once. A payload carries
+    an op code, a home warehouse and a 31-bit seed, and every transaction
+    parameter is derived from [Sim.Rng.create seed] inside the body — so
+    OCC re-execution and retried network requests replay the identical
+    transaction. Cross-shard NewOrder and Payment split into escrow-style
+    halves sharing one seed; see {!Rolis.Shard}. NewOrder raises
+    {!Silo.Txn.Abort} for the spec's 1%% rollbacks. FastIds counters and
+    the history sequence live in per-database state, looked up from the
+    database on each call and dropped with it. *)
 
-val make_state : params -> Silo.Db.t -> state
-
-val pick_kind : params -> Sim.Rng.t -> txn_kind
-
-val run_kind :
-  state -> Sim.Rng.t -> worker:int -> nworkers:int -> txn_kind -> Silo.Txn.t -> unit
-(** Build and execute one transaction body of the given kind. NewOrder
-    raises {!Silo.Txn.Abort} for the spec's 1%% rollbacks. *)
-
-val app : params -> Rolis.App.t
-
-(** {2 Sharded deployments}
-
-    A parallel, seed-based client-op path: payloads carry an op code, a
-    home warehouse and a 31-bit seed, and every transaction parameter is
-    derived from [Sim.Rng.create seed] inside the body — so OCC
-    re-execution and retried network requests replay the identical
-    transaction. The embedded worker bodies above are untouched (they
-    feed the bit-identical default benchmarks). Cross-shard NewOrder and
-    Payment split into escrow-style halves sharing one seed; see
-    {!Rolis.Shard}. *)
+val payload : Sim.Rng.t -> w:int -> txn_kind -> string
+(** The single-warehouse payload of one transaction of [kind] at home
+    warehouse [w], with a seed drawn from the RNG. *)
 
 val client_app : params -> Rolis.App.t
-(** {!app} with [client_op] populated by the seed-based path. *)
+(** The TPC-C app: its embedded generator gives each worker its home
+    warehouse (Silo's affinity setup), draws a kind from the mix and a
+    seed, and runs the {!payload} through {!op}; [client_op] is {!op}. *)
+
+val app : params -> Rolis.App.t
+(** {!client_app} without [client_op]: the embedded generator only. *)
 
 val veto : params -> payload:string -> bool
 (** Prepare-time veto for {!Rolis.Shard.wrap_app}: true for a
@@ -95,10 +92,10 @@ val shard_gen :
   rng:Sim.Rng.t ->
   unit ->
   Rolis.Shard.op
-(** Partition-aware logical-transaction generator: routes by home
-    warehouse; with probability [cross_pct] a NewOrder or Payment
-    becomes a distributed transaction against a second shard's
-    warehouse (remote supplier / remote customer). *)
+(** Partition-aware logical-transaction generator for a sharded
+    deployment: routes by home warehouse; with probability [cross_pct] a
+    NewOrder or Payment becomes a distributed transaction against a
+    second shard's warehouse (remote supplier / remote customer). *)
 
 val consistency_errors : params -> Silo.Db.t -> string list
 (** TPC-C consistency conditions (adapted): W_YTD = sum of D_YTD; every

@@ -30,59 +30,13 @@ let setup p db =
 let pick_key p chooser rng =
   match chooser with Some z -> Zipf.next z rng | None -> Sim.Rng.int rng p.keys
 
-let body p table chooser rng txn =
-  let read_only = Sim.Rng.float rng 1.0 < p.read_ratio in
-  for _ = 1 to p.ops_per_txn do
-    let k = key (pick_key p chooser rng) in
-    let v = Silo.Txn.get txn table k in
-    if not read_only then
-      (* Read-modify-write: flip a byte so the value really changes. *)
-      let v' =
-        match v with
-        | Some s when String.length s > 0 ->
-            let b = Bytes.of_string s in
-            Bytes.set b 0 (if Bytes.get b 0 = 'x' then 'y' else 'x');
-            Bytes.to_string b
-        | Some _ | None -> Row.pad p.value_size
-      in
-      Silo.Txn.put txn table k v'
-  done
-
 let chooser_of p = Option.map (fun theta -> Zipf.create ~n:p.keys ~theta) p.theta
 
-let txn_body p db rng txn =
-  let table = Silo.Db.table db table_name in
-  body p table (chooser_of p) rng txn
+(* ---- the transaction ----
 
-let app p =
-  {
-    Rolis.App.name = "ycsb++";
-    setup = setup p;
-    make_worker =
-      (fun db ~rng ~worker:_ ~nworkers:_ ->
-        let table = Silo.Db.table db table_name in
-        let chooser = chooser_of p in
-        fun () txn -> body p table chooser rng txn);
-    client_op = None;
-    read_op =
-      Some
-        (fun db ~payload snap ->
-          let table = Silo.Db.table db table_name in
-          let last = ref "" in
-          List.iter
-            (fun s ->
-              match Silo.Db.snap_get snap table (key (int_of_string s)) with
-              | Some v -> last := v
-              | None -> ())
-            (String.split_on_char ' ' payload);
-          !last);
-  }
-
-(* ---- sharded deployments ----
-
-   Client-op payloads carry their keys explicitly (no seed derivation
-   needed — the key list fixes the transaction), so retries and OCC
-   re-execution replay identically:
+   Payloads carry their keys explicitly (no seed derivation needed — the
+   key list fixes the transaction), so retries and OCC re-execution
+   replay identically:
 
      "t <ro> <k1,k2,...>"  a [ops_per_txn]-style transaction over the
                            listed keys: reads when ro=1, RMWs when ro=0;
@@ -92,6 +46,7 @@ let app p =
                            cross-shard oracle asserts; each half touches
                            a different key, so applies never conflict). *)
 
+(* Read-modify-write: flip a byte so the value really changes. *)
 let rmw p table k txn =
   let v' =
     match Silo.Txn.get txn table k with
@@ -103,7 +58,7 @@ let rmw p table k txn =
   in
   Silo.Txn.put txn table k v'
 
-let client_op p db ~payload txn =
+let op p db ~payload txn =
   let table = Silo.Db.table db table_name in
   match String.split_on_char ' ' payload with
   | [ "t"; ro; keys ] ->
@@ -116,7 +71,38 @@ let client_op p db ~payload txn =
   | [ "m"; k ] -> rmw p table (key (int_of_string k)) txn
   | _ -> failwith ("ycsb: bad client payload " ^ payload)
 
-let client_app p = { (app p) with Rolis.App.client_op = Some (client_op p) }
+(* A "t" payload over [ops_per_txn] keys, drawn in order by [draw]. *)
+let txn_payload p ~ro draw =
+  let ks = ref [] in
+  for _ = 1 to p.ops_per_txn do
+    ks := string_of_int (draw ()) :: !ks
+  done;
+  Printf.sprintf "t %d %s" (if ro then 1 else 0) (String.concat "," (List.rev !ks))
+
+(* The embedded generator: flip read-only vs RMW, then draw the keys with
+   the workload's skew. *)
+let payloads p ~rng ~worker:_ =
+  let chooser = chooser_of p in
+  fun () ->
+    let ro = Sim.Rng.float rng 1.0 < p.read_ratio in
+    txn_payload p ~ro (fun () -> pick_key p chooser rng)
+
+let read_op db ~payload snap =
+  let table = Silo.Db.table db table_name in
+  let last = ref "" in
+  List.iter
+    (fun s ->
+      match Silo.Db.snap_get snap table (key (int_of_string s)) with
+      | Some v -> last := v
+      | None -> ())
+    (String.split_on_char ' ' payload);
+  !last
+
+let client_app p =
+  Rolis.App.make ~name:"ycsb++" ~setup:(setup p) ~payloads:(payloads p) ~op:(op p)
+    ~read_op ()
+
+let app p = { (client_app p) with Rolis.App.client_op = None }
 
 (* Partition-aware generator: single-shard transactions keep all their
    keys inside one shard's range (uniform within the shard — the Zipfian
@@ -141,18 +127,12 @@ let shard_gen p router ~cross_pct ~rng () =
   else begin
     let s = Sim.Rng.int rng nsh in
     let ro = Sim.Rng.float rng 1.0 < p.read_ratio in
-    (* Explicit loop: key draws must happen in a defined order. *)
-    let ks = ref [] in
-    for _ = 1 to p.ops_per_txn do
-      ks := string_of_int (key_in s) :: !ks
-    done;
-    let keys = String.concat "," (List.rev !ks) in
-    Rolis.Shard.Single (s, Printf.sprintf "t %d %s" (if ro then 1 else 0) keys)
+    Rolis.Shard.Single (s, txn_payload p ~ro (fun () -> key_in s))
   end
 
 (* Read-session payload generator: [ops_per_txn] key indices drawn with
    the workload's skew, space-separated — the read-only counterpart of
-   [body], interpreted by [read_op] against a pinned snapshot. *)
+   [payloads], interpreted by [read_op] against a pinned snapshot. *)
 let read_payload_gen p rng =
   let chooser = chooser_of p in
   fun () ->

@@ -37,27 +37,29 @@ val table_name : string
 val key : int -> string
 val setup : params -> Silo.Db.t -> unit
 
-val txn_body : params -> Silo.Db.t -> Sim.Rng.t -> Silo.Txn.t -> unit
-(** One transaction: flips read-only vs RMW and touches [ops_per_txn]
-    random records. *)
+val op : params -> Silo.Db.t -> payload:string -> Silo.Txn.t -> unit
+(** The YCSB op, stated once: ["t <ro> <k1,k2,...>"] runs a transaction
+    over the listed keys (reads when [ro=1], RMWs otherwise); ["m <k>"] is
+    a single-key RMW — the cross-range 2PC sub-transaction. Keys travel in
+    the payload, so retries replay identically. *)
+
+val client_app : params -> Rolis.App.t
+(** The cluster app. Its embedded generator flips read-only vs RMW and
+    draws [ops_per_txn] keys (uniform or Zipfian) into a ["t"] payload
+    for {!op}; [client_op] is {!op}. Its [read_op] interprets a
+    read-session payload of space-separated key indices as point reads
+    against a pinned snapshot (for follower reads). *)
 
 val app : params -> Rolis.App.t
-(** The cluster app. Its [read_op] interprets a read-session payload of
-    space-separated key indices as point reads against a pinned snapshot
-    (the read-only counterpart of {!txn_body}, for follower reads). *)
+(** {!client_app} without [client_op]: writes come from the embedded
+    generator even when client slots exist, so a deployment whose
+    sessions are all read-only keeps the write path of [clients = 0]. *)
 
 val read_payload_gen : params -> Sim.Rng.t -> unit -> string
 (** Per-session generator of read payloads: [ops_per_txn] key indices
     drawn with the workload's skew, space-separated. *)
 
 (** {2 Sharded deployments} *)
-
-val client_app : params -> Rolis.App.t
-(** {!app} with [client_op] populated: ["t <ro> <k1,k2,...>"] runs a
-    transaction over the listed keys (reads when [ro=1], RMWs
-    otherwise); ["m <k>"] is a single-key RMW — the cross-range 2PC
-    sub-transaction. Keys travel in the payload, so retries replay
-    identically. *)
 
 val shard_gen :
   params ->

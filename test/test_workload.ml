@@ -62,8 +62,9 @@ let test_ycsb_setup_and_run () =
       check_int "table populated" 1_000
         (Store.Table.count (Silo.Db.table db Workload.Ycsb.table_name));
       let rng = Sim.Rng.split (Sim.Engine.rng eng) in
+      let body = (Workload.Ycsb.app p).Rolis.App.make_worker db ~rng ~worker:0 in
       for _ = 1 to 200 do
-        let r = Silo.Db.run db ~worker:0 (Workload.Ycsb.txn_body p db rng) in
+        let r = Silo.Db.run db ~worker:0 body in
         check_bool "committed" true (r.Silo.Db.tid <> None);
         check_int "4 ops read" 4 r.Silo.Db.reads
       done;
@@ -91,15 +92,14 @@ let test_tpcc_setup_consistent () =
 let test_tpcc_each_kind_runs () =
   in_sim (fun eng db ->
       Workload.Tpcc.setup small_tpcc db;
-      let st = Workload.Tpcc.make_state small_tpcc db in
       let rng = Sim.Rng.split (Sim.Engine.rng eng) in
       List.iter
         (fun kind ->
           (* Several instances of each kind, to hit by-name paths etc. *)
           for _ = 1 to 25 do
+            let payload = Workload.Tpcc.payload rng ~w:1 kind in
             let r =
-              Silo.Db.run db ~worker:0
-                (Workload.Tpcc.run_kind st rng ~worker:0 ~nworkers:1 kind)
+              Silo.Db.run db ~worker:0 (Workload.Tpcc.op small_tpcc db ~payload)
             in
             match kind with
             | Workload.Tpcc.New_order ->
@@ -115,16 +115,14 @@ let test_tpcc_each_kind_runs () =
 let test_tpcc_concurrent_mix_consistent () =
   in_sim (fun eng db ->
       Workload.Tpcc.setup small_tpcc db;
-      let st = Workload.Tpcc.make_state small_tpcc db in
+      let app = Workload.Tpcc.app small_tpcc in
       for w = 0 to 3 do
         let rng = Sim.Rng.split (Sim.Engine.rng eng) in
+        let body = app.Rolis.App.make_worker db ~rng ~worker:w in
         let _p =
           Sim.Engine.spawn eng (fun () ->
               for _ = 1 to 150 do
-                let kind = Workload.Tpcc.pick_kind small_tpcc rng in
-                ignore
-                  (Silo.Db.run db ~worker:w
-                     (Workload.Tpcc.run_kind st rng ~worker:w ~nworkers:4 kind))
+                ignore (Silo.Db.run db ~worker:w body)
               done)
         in
         ()
@@ -141,16 +139,14 @@ let test_tpcc_skewed_contention () =
             mix = { new_order = 100; payment = 0; order_status = 0; stock_level = 0; delivery = 0 } } in
   in_sim (fun eng db ->
       Workload.Tpcc.setup p db;
-      let st = Workload.Tpcc.make_state p db in
+      let app = Workload.Tpcc.app p in
       for w = 0 to 7 do
         let rng = Sim.Rng.split (Sim.Engine.rng eng) in
+        let body = app.Rolis.App.make_worker db ~rng ~worker:w in
         let _p =
           Sim.Engine.spawn eng (fun () ->
               for _ = 1 to 50 do
-                ignore
-                  (Silo.Db.run db ~worker:w
-                     (Workload.Tpcc.run_kind st rng ~worker:w ~nworkers:8
-                        Workload.Tpcc.New_order))
+                ignore (Silo.Db.run db ~worker:w body)
               done)
         in
         ()
@@ -162,6 +158,31 @@ let test_tpcc_skewed_contention () =
       Alcotest.(check (list string))
         "still consistent" []
         (Workload.Tpcc.consistency_errors p db))
+
+(* The TPC-C op's per-database state (FastIds counters, history
+   sequence) must not keep a database alive: once the last reference is
+   dropped, a full major collection reclaims it. *)
+let test_tpcc_state_released () =
+  let weak = Weak.create 1 in
+  let[@inline never] run_one_txn () =
+    let eng = Sim.Engine.create () in
+    let cpu = Sim.Cpu.create eng ~cores:1 () in
+    let db = Silo.Db.create eng cpu () in
+    let p = { small_tpcc with Workload.Tpcc.warehouses = 1 } in
+    Workload.Tpcc.setup p db;
+    let op = Option.get (Workload.Tpcc.client_app p).Rolis.App.client_op in
+    let committed = ref false in
+    ignore
+      (Sim.Engine.spawn eng (fun () ->
+           let r = Silo.Db.run db ~worker:0 (op db ~payload:"p 1 7") in
+           committed := r.Silo.Db.tid <> None));
+    Sim.Engine.run eng;
+    check_bool "payment committed" true !committed;
+    Weak.set weak 0 (Some db)
+  in
+  run_one_txn ();
+  Gc.full_major ();
+  check_bool "dropped database collected" true (Option.is_none (Weak.get weak 0))
 
 (* The heavyweight end-to-end check: TPC-C on a Rolis cluster, crash the
    leader, and require full TPC-C consistency on the new leader. *)
@@ -246,6 +267,8 @@ let () =
           Alcotest.test_case "concurrent mix consistent" `Quick
             test_tpcc_concurrent_mix_consistent;
           Alcotest.test_case "skewed contention" `Quick test_tpcc_skewed_contention;
+          Alcotest.test_case "dropped database releases its state" `Quick
+            test_tpcc_state_released;
           Alcotest.test_case "cluster failover consistency" `Slow
             test_tpcc_on_cluster_with_failover;
         ] );
