@@ -24,7 +24,6 @@ let tpcc_params ~workers =
    measurement window. *)
 let run_rolis ?(stream_mode = Rolis.Config.Per_worker) ?(batch = 1000)
     ?(batch_policy = Rolis.Config.Fixed)
-    ?(replay_batch = Rolis.Config.PerTxn)
     ?(target_delay = Rolis.Config.default.Rolis.Config.target_batch_delay_ns)
     ?(networked = false) ?(disable_replay = false) ?(cores = 32)
     ?(warmup = 300 * ms) ~workers ~duration ~app () =
@@ -40,7 +39,6 @@ let run_rolis ?(stream_mode = Rolis.Config.Per_worker) ?(batch = 1000)
       stream_mode;
       batch_size = batch;
       batch_policy;
-      replay_batch;
       target_batch_delay_ns = target_delay;
       networked_clients = networked;
       disable_replay;

@@ -5,9 +5,9 @@
 
    Extended with the bulk-replay fast path: the same captured logs
    applied entry-at-a-time through the sorted B-tree cursor sweep
-   ([Silo.Db.apply_replay_entry]), plus a cluster-level comparison of
-   per-txn vs bulk follower replay with the lag telemetry (how far the
-   replayed frontier trails the durable frontier). *)
+   ([Silo.Db.apply_replay_entry], what cluster followers run), plus a
+   cluster-level run with the lag telemetry (how far the replayed
+   frontier trails the durable frontier). *)
 
 open Common
 
@@ -28,7 +28,7 @@ let run ~quick =
         in
         Gc.compact ();
         let rb =
-          Baselines.Replay_only.run ~replay_batch:Rolis.Config.Bulk ~threads
+          Baselines.Replay_only.run ~bulk:true ~threads
             ~generate_duration:gen_dur ~app ()
         in
         let speedup =
@@ -79,8 +79,7 @@ let run ~quick =
     List.map
       (fun ways ->
         let r =
-          Baselines.Replay_only.run ~replay_batch:Rolis.Config.Bulk
-            ~replay_parallel:ways ~threads:par_threads
+          Baselines.Replay_only.run ~bulk:true ~replay_parallel:ways ~threads:par_threads
             ~generate_duration:par_gen_dur ~app:par_app ()
         in
         Gc.compact ();
@@ -96,44 +95,35 @@ let run ~quick =
           ])
       (points quick [ 1; 2; 4; 8 ] [ 1; 4 ])
   in
-  (* Cluster-level follower replay: same pipeline, per-txn vs bulk, with
-     the replay-lag telemetry (durable frontier minus replayed frontier,
-     sampled on the controller tick). Bulk must not trade throughput for
-     staleness: its lag percentiles gate against the per-txn series via
-     the _ms metric suffix. *)
+  (* Cluster-level follower replay with the replay-lag telemetry (durable
+     frontier minus replayed frontier, sampled on the controller tick);
+     the lag percentiles gate via the _ms metric suffix. *)
   Printf.printf "\n  %-10s %-8s %12s %12s %12s %10s\n" "cluster" "workers"
     "tput" "lag p50" "lag p95" "replayed";
   let cl_sweep = points quick [ 8; 16; 24 ] [ 8 ] in
   let cluster_pts =
-    List.concat_map
+    List.map
       (fun workers ->
         let app = Workload.Tpcc.app (tpcc_params ~workers) in
-        let one ~series replay_batch =
-          let c =
-            run_rolis ~replay_batch ~workers ~duration:(dur quick (400 * ms))
-              ~app ()
-          in
-          let lag = Rolis.Cluster.replay_lag c in
-          let lag_ms p = float_of_int p /. 1e6 in
-          Printf.printf "  %-10s %-8d %12s %9.2f ms %9.2f ms %10d\n%!" series
-            workers
-            (fmt_tps (Rolis.Cluster.throughput c))
-            (match lag with Some (_, p50, _) -> lag_ms p50 | None -> nan)
-            (match lag with Some (_, _, p95) -> lag_ms p95 | None -> nan)
-            (Rolis.Cluster.replayed_txns c);
-          let extra =
-            match lag with
-            | Some (_, p50, p95) ->
-                [ ("lag_p50_ms", lag_ms p50); ("lag_p95_ms", lag_ms p95) ]
-            | None -> []
-          in
-          let p = cluster_point ~extra ~series ~x:(float_of_int workers) c in
-          Gc.compact ();
-          p
+        let series = "cluster_bulk" in
+        let c = run_rolis ~workers ~duration:(dur quick (400 * ms)) ~app () in
+        let lag = Rolis.Cluster.replay_lag c in
+        let lag_ms p = float_of_int p /. 1e6 in
+        Printf.printf "  %-10s %-8d %12s %9.2f ms %9.2f ms %10d\n%!" series
+          workers
+          (fmt_tps (Rolis.Cluster.throughput c))
+          (match lag with Some (_, p50, _) -> lag_ms p50 | None -> nan)
+          (match lag with Some (_, _, p95) -> lag_ms p95 | None -> nan)
+          (Rolis.Cluster.replayed_txns c);
+        let extra =
+          match lag with
+          | Some (_, p50, p95) ->
+              [ ("lag_p50_ms", lag_ms p50); ("lag_p95_ms", lag_ms p95) ]
+          | None -> []
         in
-        let pertxn = one ~series:"cluster_pertxn" Rolis.Config.PerTxn in
-        let bulk = one ~series:"cluster_bulk" Rolis.Config.Bulk in
-        [ pertxn; bulk ])
+        let p = cluster_point ~extra ~series ~x:(float_of_int workers) c in
+        Gc.compact ();
+        p)
       cl_sweep
   in
   emit ~fig:"fig15" ~title:"Silo vs replay-only (TPC-C)" ~x_label:"threads"

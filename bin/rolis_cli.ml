@@ -28,14 +28,6 @@ let batch_policy_of_string s =
       Printf.eprintf "unknown batch policy %S (fixed|adaptive)\n" other;
       exit 2
 
-let replay_batch_of_string s =
-  match String.lowercase_ascii s with
-  | "pertxn" | "per-txn" -> Rolis.Config.PerTxn
-  | "bulk" -> Rolis.Config.Bulk
-  | other ->
-      Printf.eprintf "unknown replay batch mode %S (pertxn|bulk)\n" other;
-      exit 2
-
 (* Sharded deployment: each shard is a full cluster; drivers route
    single-shard transactions directly and commit cross-shard ones with
    the replicated-2PC protocol (see Rolis.Shard). *)
@@ -113,9 +105,9 @@ let run_sharded workload workers cores batch batch_policy shards cross_pct
       | None -> Printf.printf "shard %d leader:  none!\n" s)
     (Rolis.Shard.clusters dep)
 
-let run_cluster workload workers cores batch batch_policy replay_batch
-    replay_parallel hash_tables target_delay_us duration_ms warmup_ms networked
-    single_stream crash_at_ms ckpt_interval_ms no_truncate follower_reads
+let run_cluster workload workers cores batch batch_policy replay_parallel
+    hash_tables target_delay_us duration_ms warmup_ms networked single_stream
+    crash_at_ms ckpt_interval_ms no_truncate follower_reads
     read_lease_us wan_profile shards cross_pct drivers seed =
   if shards > 1 then
     run_sharded workload workers cores batch batch_policy shards cross_pct
@@ -136,7 +128,6 @@ let run_cluster workload workers cores batch batch_policy replay_batch
     exit 2
   end;
   let policy = batch_policy_of_string batch_policy in
-  let rbatch = replay_batch_of_string replay_batch in
   let cfg =
     {
       Rolis.Config.default with
@@ -144,7 +135,6 @@ let run_cluster workload workers cores batch batch_policy replay_batch
       cores;
       batch_size = batch;
       batch_policy = policy;
-      replay_batch = rbatch;
       replay_parallel;
       hash_tables;
       target_batch_delay_ns = target_delay_us * Sim.Engine.us;
@@ -202,13 +192,10 @@ let run_cluster workload workers cores batch batch_policy replay_batch
       (Rolis.Cluster.deadline_flushes cluster)
       (Rolis.Cluster.event_releases cluster)
       (Rolis.Cluster.coalesced_proposals cluster);
-  Printf.printf "replay:          %d txns replayed (%s mode)%s\n"
+  Printf.printf "replay:          %d txns replayed%s%s\n"
     (Rolis.Cluster.replayed_txns cluster)
-    (match rbatch with
-    | Rolis.Config.PerTxn -> "per-txn"
-    | Rolis.Config.Bulk ->
-        if replay_parallel > 1 then Printf.sprintf "bulk x%d" replay_parallel
-        else "bulk")
+    (if replay_parallel > 1 then Printf.sprintf " (x%d fan-out)" replay_parallel
+     else "")
     (match Rolis.Cluster.replay_lag cluster with
     | Some (n, p50, p95) ->
         Printf.sprintf ", follower lag p50 %.2f ms / p95 %.2f ms (%d samples)"
@@ -293,24 +280,14 @@ let batch_policy_arg =
            $(b,adaptive) (latency-targeted sizing, deadline flush, \
            event-driven release, proposal coalescing).")
 
-let replay_batch_arg =
-  Arg.(
-    value & opt string "pertxn"
-    & info [ "replay-batch" ]
-        ~doc:
-          "Follower replay mode: $(b,pertxn) (one CAS transaction per \
-           replayed write-set, the paper's loop) or $(b,bulk) (sorted \
-           entry-at-a-time cursor sweep with event-driven wakeups).")
-
 let replay_parallel_arg =
   Arg.(
     value & opt int 1
     & info [ "replay-parallel" ]
         ~doc:
-          "Bulk replay fan-out: cut each released entry's sorted run into \
-           this many key-disjoint slices applied concurrently on the \
-           follower (requires $(b,--replay-batch bulk)). 1 = sequential \
-           sweep.")
+          "Follower replay fan-out: cut each released entry's sorted key \
+           run into this many key-disjoint slices applied concurrently on \
+           the follower. 1 = sequential sweep.")
 
 let hash_tables_arg =
   Arg.(
@@ -425,7 +402,7 @@ let run_cmd =
   let term =
     Term.(
       const run_cluster $ workload_arg $ workers_arg $ cores_arg $ batch_arg
-      $ batch_policy_arg $ replay_batch_arg $ replay_parallel_arg
+      $ batch_policy_arg $ replay_parallel_arg
       $ hash_tables_arg $ target_delay_arg $ duration_arg $ warmup_arg
       $ networked_arg $ single_arg $ crash_arg $ ckpt_interval_arg
       $ no_truncate_arg $ follower_reads_arg $ read_lease_arg $ wan_profile_arg

@@ -13,7 +13,7 @@ let chunk ~epoch ~batch_size txns =
   in
   go [] [] 0 txns
 
-let run ?(seed = 42L) ?(cores = 32) ?costs ?(replay_batch = Rolis.Config.PerTxn)
+let run ?(seed = 42L) ?(cores = 32) ?costs ?(bulk = false)
     ?(batch_size = 1000) ?(replay_parallel = 1) ?(hash_tables = []) ~threads
     ~generate_duration ~app () =
   (* Phase 1: generate logs with a plain Silo run. *)
@@ -59,25 +59,24 @@ let run ?(seed = 42L) ?(cores = 32) ?costs ?(replay_batch = Rolis.Config.PerTxn)
     let _p =
       Sim.Engine.spawn eng2 (fun () ->
           Sim.Cpu.register cpu2;
-          (match replay_batch with
-          | Rolis.Config.PerTxn ->
-              let applied = ref 0 in
-              List.iter
-                (fun (txn : Store.Wire.txn_log) ->
-                  Silo.Db.apply_replay db2 txn ~epoch:1
-                    ~writes:(List.length txn.Store.Wire.writes)
-                    ~applied;
-                  incr replayed)
-                mine
-          | Rolis.Config.Bulk ->
-              List.iter
-                (fun entry ->
-                  let res =
-                    Silo.Db.apply_replay_entry db2 entry ~ways:replay_parallel
-                      ~upto:max_int ()
-                  in
-                  replayed := !replayed + res.Silo.Db.re_txns)
-                (chunk ~epoch:1 ~batch_size mine));
+          (if bulk then
+             List.iter
+               (fun entry ->
+                 let res =
+                   Silo.Db.apply_replay_entry db2 entry ~ways:replay_parallel
+                     ~upto:max_int ()
+                 in
+                 replayed := !replayed + res.Silo.Db.re_txns)
+               (chunk ~epoch:1 ~batch_size mine)
+           else
+             let applied = ref 0 in
+             List.iter
+               (fun (txn : Store.Wire.txn_log) ->
+                 Silo.Db.apply_replay db2 txn ~epoch:1
+                   ~writes:(List.length txn.Store.Wire.writes)
+                   ~applied;
+                 incr replayed)
+               mine);
           Sim.Cpu.unregister cpu2;
           if Sim.Engine.time () > !t_done then t_done := Sim.Engine.time ())
     in

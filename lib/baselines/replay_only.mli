@@ -17,7 +17,7 @@ val run :
   ?seed:int64 ->
   ?cores:int ->
   ?costs:Silo.Costs.t ->
-  ?replay_batch:Rolis.Config.replay_batch ->
+  ?bulk:bool ->
   ?batch_size:int ->
   ?replay_parallel:int ->
   ?hash_tables:string list ->
@@ -29,10 +29,11 @@ val run :
 (** Phase 1: run [threads] Silo workers for [generate_duration], capturing
     every committed write-set per worker. Phase 2: fresh database, same
     initial load; [threads] replay workers apply their own worker's log
-    sequentially — per transaction (default) or, with
-    [replay_batch = Bulk], chunked into entries of [batch_size]
-    transactions (default 1000) and applied through
-    {!Silo.Db.apply_replay_entry}'s sorted sweep. [replay_parallel]
+    sequentially — per transaction (default: the paper's loop, one
+    {!Silo.Db.apply_replay} per logged transaction) or, with [bulk],
+    chunked into entries of [batch_size] transactions (default 1000)
+    and applied through {!Silo.Db.apply_replay_entry}, the follower's
+    replay path. [replay_parallel]
     (default 1) is passed to the bulk path as its intra-entry fan-out;
     [hash_tables] selects hash-indexed tables in both phases.
     [replay_tps] is transactions replayed per second. *)

@@ -96,10 +96,6 @@ type outcome = {
   reads_parked : int;
   reads_redirected : int;
   read_misses : int;
-  read_audit_skipped : int;
-      (* audit-eligible snapshot serves dropped after the per-replica
-         read-audit cap (4096) filled: non-zero means the snapshot-read
-         oracle saw a truncated sample of this run *)
   shards : int; (* 1 for a classic single-group run *)
   cross_committed : int;
   cross_aborted : int;
@@ -119,10 +115,9 @@ let pp_outcome fmt o =
     o.rebuilds o.adds o.removes o.handoffs o.ops_skipped;
   if o.reads_acked + o.reads_served + o.reads_parked + o.reads_redirected > 0 then
     Format.fprintf fmt
-      " (reads: acked=%d served=%d parked=%d redirected=%d misses=%d \
-       audit_skipped=%d)"
+      " (reads: acked=%d served=%d parked=%d redirected=%d misses=%d)"
       o.reads_acked o.reads_served o.reads_parked o.reads_redirected
-      o.read_misses o.read_audit_skipped;
+      o.read_misses;
   if o.shards > 1 then
     Format.fprintf fmt " (shards=%d cross: committed=%d aborted=%d)" o.shards
       o.cross_committed o.cross_aborted;
@@ -333,7 +328,6 @@ let run_seed ?(replicas = 3) ?(workers = 4) ?(clients = 8) ?(accounts = 48)
     reads_parked = Cluster.reads_parked cluster;
     reads_redirected = Cluster.reads_redirected cluster;
     read_misses = Cluster.read_misses cluster;
-    read_audit_skipped = Cluster.read_audit_skipped cluster;
     shards = 1;
     cross_committed = 0;
     cross_aborted = 0;
@@ -535,10 +529,6 @@ let run_sharded_seed ?(shards = 2) ?(cross_pct = 0.2) ?(replicas = 3)
     reads_parked = 0;
     reads_redirected = 0;
     read_misses = 0;
-    read_audit_skipped =
-      Array.fold_left
-        (fun acc c -> acc + Cluster.read_audit_skipped c)
-        0 clusters;
     shards;
     cross_committed = Shard.cross_committed dep;
     cross_aborted = Shard.cross_aborted dep;

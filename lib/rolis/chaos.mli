@@ -70,9 +70,6 @@ type outcome = {
   reads_parked : int;  (** read requests bounced Busy (lease lapse / backlog) *)
   reads_redirected : int;  (** read requests bounced Not_leader *)
   read_misses : int;  (** snapshot-miss retries (reclaimed version races) *)
-  read_audit_skipped : int;
-      (** audited read samples dropped past the per-replica cap — nonzero
-          means {!Check.snapshot_reads} saw a truncated sample *)
   shards : int;  (** shard groups in the deployment (1 = classic run) *)
   cross_committed : int;  (** cross-shard 2PC transactions committed *)
   cross_aborted : int;  (** cross-shard 2PC transactions aborted *)

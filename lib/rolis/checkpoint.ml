@@ -110,10 +110,13 @@ let install_table ~into (ti : table_image) =
     with Not_found -> Silo.Db.create_table into ti.t_name
   in
   let installed = ref 0 in
-  let kvs = Array.to_list (Array.map (fun r -> (r.r_key, r)) ti.t_rows) in
+  let rows = ti.t_rows in
   ignore
-    (Store.Table.apply_sorted_run table kvs
-       ~f:(fun key row existing ->
+    (Store.Table.apply_sorted_run table
+       ~key:(fun i -> rows.(i).r_key)
+       ~lo:0 ~hi:(Array.length rows)
+       ~f:(fun i existing ->
+         let row = rows.(i) in
          let value = if row.r_deleted then None else Some row.r_value in
          match existing with
          | Some (rec_ : Store.Record.t) ->
@@ -132,7 +135,7 @@ let install_table ~into (ti : table_image) =
              if row.r_deleted then rec_.Store.Record.deleted <- true;
              incr installed;
              Store.Table.account_growth table
-               (Store.Record.byte_size ~key rec_);
+               (Store.Record.byte_size ~key:row.r_key rec_);
              Some rec_));
   !installed
 

@@ -699,9 +699,6 @@ let read_misses t =
     (fun acc r -> acc + Stats.read_misses (Replica.stats r))
     0 t.replicas
 
-let read_audit_skipped t =
-  Array.fold_left (fun acc r -> acc + Replica.read_audit_skipped r) 0 t.replicas
-
 let read_staleness t =
   let h =
     Sim.Metrics.Hist.merge

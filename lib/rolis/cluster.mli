@@ -181,15 +181,15 @@ val coalesced_proposals : t -> int
 
 val replayed_txns : t -> int
 (** Transactions applied through follower replay over the window, all
-    replicas (identical under [PerTxn] and [Bulk] replay — the fast path
-    changes cost accounting, not coverage). *)
+    replicas: every transaction with [ts <= upto] in each replayed
+    entry. *)
 
 val replay_lag : t -> (int * int * int) option
 (** Follower-lag summary over the window, merged across replicas:
     [(samples, p50, p95)] of durable-frontier minus replayed-frontier on
     the transaction-timestamp axis (which rides virtual ns), one sample
-    per replayed entry. [None] when tracing is disabled or no follower
-    replayed anything. *)
+    per follower controller tick. [None] when no follower replayed
+    anything. *)
 
 (** {2 Follower-read diagnostics}
 
@@ -210,11 +210,6 @@ val read_misses : t -> int
 (** [Snapshot_miss] retries: a read body touched a key whose
     below-pin version was already reclaimed (the read retried at a
     fresher pin). *)
-
-val read_audit_skipped : t -> int
-(** Audit-eligible serves dropped because a replica's snapshot-read audit
-    cap filled, summed over replicas. Non-zero means the snapshot-read
-    oracle audited a truncated sample of this run. *)
 
 val read_staleness : t -> (int * int * int) option
 (** Staleness summary over the last window, merged across replicas:

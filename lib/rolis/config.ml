@@ -1,6 +1,5 @@
 type stream_mode = Per_worker | Single | Sharded of int
 type batch_policy = Fixed | Adaptive
-type replay_batch = PerTxn | Bulk
 
 (* Conservative upper bound on one TPC-C transaction's wire footprint: a
    Delivery touches ~130 rows; at ~120 wire bytes per write that is under
@@ -42,7 +41,6 @@ type t = {
   admission_max_backlog : int;
   enqueue_cs_ns : int;
   entry_overhead_ns : int;
-  replay_batch : replay_batch;
   replay_parallel : int;
   disable_replay : bool;
   hash_tables : string list;
@@ -100,7 +98,6 @@ let default =
     admission_max_backlog = 100_000;
     enqueue_cs_ns = 1_200;
     entry_overhead_ns = 200_000;
-    replay_batch = PerTxn;
     replay_parallel = 1;
     disable_replay = false;
     hash_tables = [];
@@ -200,19 +197,8 @@ let validate t =
   if t.client_rpc_overhead < 0 then
     invalid_arg "Config: client_rpc_overhead must be non-negative";
   if t.clients < 0 then invalid_arg "Config: clients must be non-negative";
-  if t.replay_batch = Bulk && t.disable_replay then
-    invalid_arg
-      "Config: replay_batch = Bulk is meaningless with disable_replay — the \
-       bulk fast path never runs when followers do not apply entries; drop one \
-       of the two settings";
   if t.replay_parallel < 1 then
     invalid_arg "Config: replay_parallel must be >= 1";
-  if t.replay_parallel > 1 && t.replay_batch <> Bulk then
-    invalid_arg
-      "Config: replay_parallel > 1 requires replay_batch = Bulk — only the \
-       bulk path materialises the sorted, conflict-free run that can be cut \
-       into key-disjoint slices; the per-transaction path replays in commit \
-       order and cannot be parallelised safely";
   (let rec dup = function
      | [] -> None
      | x :: rest -> if List.mem x rest then Some x else dup rest

@@ -26,18 +26,6 @@ type batch_policy =
           notifications drive the release pass directly instead of
           waiting for the watermark tick *)
 
-type replay_batch =
-  | PerTxn
-      (** the paper's replay loop: one small CAS transaction per replayed
-          write-set, polled on the watermark tick — bit-identical to the
-          original follower pipeline *)
-  | Bulk
-      (** follower fast path: each durable entry's write-sets are merged
-          (last-writer-wins), sorted by (table, key) and applied through
-          a B-tree cursor sweep with one CPU charge per entry; replay
-          threads wake on enqueue/watermark events instead of polling,
-          so replay latency no longer floors at [watermark_interval] *)
-
 val max_txn_bytes : int
 (** Conservative wire-size bound on the largest TPC-C transaction;
     [max_batch_bytes] may not be configured below it. *)
@@ -114,14 +102,11 @@ type t = {
       (** fixed replication-layer cost per log entry (message handling,
           interrupts), amortised over the batch — this is what makes
           small batches slow in the Fig. 16 sweep *)
-  replay_batch : replay_batch;
-      (** per-transaction vs sorted-bulk follower replay (default
-          [PerTxn]) *)
   replay_parallel : int;
-      (** bulk-replay fan-out: each released entry's sorted run is cut
-          into this many key-disjoint slices applied by concurrent
-          processes on the follower's CPU (default [1] = the sequential
-          bulk sweep). Values > 1 require [replay_batch = Bulk] *)
+      (** follower-replay fan-out: each released entry's sorted key run
+          is cut into this many key-disjoint slices applied by concurrent
+          processes on the follower's CPU (default [1] = one sequential
+          sweep per entry) *)
   disable_replay : bool;
       (** keep followers from applying durable entries (the paper's
           "+Replication" factor-analysis configuration, Fig. 18) *)

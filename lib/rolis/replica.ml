@@ -45,14 +45,8 @@ type t = {
      enqueue/dequeue: admission control reads it per client request, so
      the O(streams) fold was on the hot path. *)
   mutable backlog : int;
-  (* Watermark-state generation: bumped on every durability commit and on
-     controller-observed watermark/epoch advances. The per-transaction
-     replay loop memoizes its seal probe against it — an unsealed
-     straddling entry re-checks [Watermark.final_watermark] only after the
-     state could actually have moved, not on every poll tick. *)
-  mutable wm_gen : int;
-  (* Event-driven replay (Bulk mode): per-stream wakeup generation +
-     mailbox, same shape as the batcher's generation-guarded deadline. A
+  (* Event-driven replay: per-stream wakeup generation + mailbox, same
+     shape as the batcher's generation-guarded deadline. A
      signal bumps the generation and posts at most one poke; the replay
      loop re-drains while the generation moves and only then parks. *)
   r_gen : int array;
@@ -67,7 +61,7 @@ type t = {
      advances before the (yielding) apply runs and so may claim entries
      whose writes are still in flight — a fuzzy checkpoint stamping its
      cover from [applied_ts] could advertise coverage it does not have.
-     These move only after [apply_entry]/[apply_entry_bulk] return. *)
+     These move only after [apply_entry] returns. *)
   safe_ts : int array;
   safe_idx : int array;
   (* Event-driven release (Adaptive policy): last watermark a release
@@ -127,18 +121,15 @@ type t = {
      snapshot reads only while [lease_epoch] is current and [lease_until]
      has not passed. Read requests queue in [read_q] for the read worker
      pool; a deterministic 1-in-N sample of served reads lands in
-     [read_audit] as [(pin, observations)] for {!Check.snapshot_reads}. *)
+     the [read_audit] reservoir as [(pin, observations)] for
+     {!Check.snapshot_reads}. *)
   mutable lease_epoch : int;
   mutable lease_until : int;
   read_q : (int * int * string) Sim.Sync.Mailbox.t;
   read_active : bool array;
   mutable read_seen : int;
-  mutable read_audit : (int * (int * string * int) list) list;
-  mutable read_audit_n : int;
-  mutable read_audit_skipped : int;
-      (* audit-eligible serves dropped because [read_audit_cap] was
-         reached — surfaced so "audit clean" is never misread as full
-         coverage of a long run *)
+  read_audit : (int * (int * string * int) list) array;
+  mutable read_audit_n : int; (* filled reservoir slots *)
 }
 
 let id t = t.rid
@@ -428,13 +419,11 @@ let rebuild_session t (txn : Store.Wire.txn_log) =
 
 (* Follower-lag bookkeeping. Every consumed entry (replayed or skipped as
    our own proposal) advances this stream's replayed frontier. The lag
-   sample is taken on the controller tick — a fixed cadence identical in
-   both replay modes — not at entry-apply time: the event-driven bulk
-   loop applies each entry the instant it becomes eligible, so apply-time
-   samples would always land on the crest of the durability sawtooth and
-   overstate its lag relative to the poll-delayed per-txn loop. Pure
-   host-side accounting — no virtual-time ops — so it is bit-identity
-   safe in both replay modes. *)
+   sample is taken on the controller tick, a fixed cadence, not at
+   entry-apply time: the event-driven loop applies each entry the instant
+   it becomes eligible, so apply-time samples would always land on the
+   crest of the durability sawtooth. Pure host-side accounting — no
+   virtual-time ops. *)
 let note_consumed t s (entry : Store.Wire.entry) =
   if entry.Store.Wire.last_ts > t.applied_ts.(s) then
     t.applied_ts.(s) <- entry.Store.Wire.last_ts
@@ -460,38 +449,15 @@ let replay_frontier t =
 
 let durable_frontier t = t.durable_max
 
+(* Replay one durable entry: sort its write-sets by (table, key), install
+   each key's versions in timestamp order through a B-tree cursor sweep —
+   one CPU charge, one trace span, one stats update per entry instead of
+   per transaction (Rolis §5's replay headroom, Fig. 15). [upto]
+   truncates the batch at the (final) watermark: transactions with
+   [ts <= upto] are safe — they may already have been released to
+   clients — while later ones in the same entry may depend on lost
+   transactions and must be skipped (§4.1). *)
 let apply_entry ?(upto = max_int) t (entry : Store.Wire.entry) =
-  (* [upto] truncates the batch at the (final) watermark: transactions
-     with [ts <= upto] are safe — they may already have been released to
-     clients — while later ones in the same entry may depend on lost
-     transactions and must be skipped (§4.1). *)
-  if not t.cfg.Config.disable_replay then begin
-    Sim.Cpu.register t.cpu;
-    let applied = ref 0 in
-    List.iter
-      (fun (txn : Store.Wire.txn_log) ->
-        if txn.Store.Wire.ts <= upto then begin
-          rebuild_session t txn;
-          let nwrites = List.length txn.writes in
-          let sampled = Trace.sample_replay t.trace in
-          let r0 = Sim.Engine.now t.eng in
-          Silo.Db.apply_replay t.db txn ~epoch:entry.epoch ~writes:nwrites
-            ~applied;
-          if sampled then
-            Trace.note_replay t.trace ~ts:txn.Store.Wire.ts ~start:r0
-              ~stop:(Sim.Engine.now t.eng);
-          Stats.note_replayed t.stats ~txns:1 ~writes:nwrites
-        end)
-      entry.txns;
-    Sim.Cpu.unregister t.cpu
-  end
-
-(* Bulk fast path (replay_batch = Bulk): merge the whole entry's
-   write-sets (last-writer-wins per key), sort once, apply through a
-   B-tree cursor sweep — one CPU charge, one trace span, one stats update
-   per entry instead of per transaction (Rolis §5's replay headroom,
-   Fig. 15). *)
-let apply_entry_bulk ?(upto = max_int) t (entry : Store.Wire.entry) =
   if not t.cfg.Config.disable_replay then begin
     Sim.Cpu.register t.cpu;
     List.iter
@@ -512,7 +478,7 @@ let apply_entry_bulk ?(upto = max_int) t (entry : Store.Wire.entry) =
     Sim.Cpu.unregister t.cpu
   end
 
-(* Event-driven replay wakeup (Bulk mode): bump the stream's generation
+(* Event-driven replay wakeup: bump the stream's generation
    and post at most one poke — [Mailbox.length] counts only queued
    messages, so the mailbox never holds more than one. A signal landing
    while the loop drains either bumps the generation (loop re-drains
@@ -527,77 +493,12 @@ let signal_replay_all t =
     signal_replay t s
   done
 
-let replay_loop_pertxn t s () =
-  let q = t.replay_queues.(s) in
-  let poll = t.cfg.Config.watermark_interval in
-  let pop () =
-    ignore (Queue.pop q);
-    t.backlog <- t.backlog - 1
-  in
-  (* Seal-probe memoization (see [wm_gen]): for an unsealed straddling
-     entry, re-probe [final_watermark] only after a durability event could
-     have changed the answer, instead of on every poll tick. *)
-  let seal_gen = ref (-1) in
-  while true do
-    match Queue.peek_opt q with
-    | None -> Sim.Engine.sleep poll
-    | Some (idx, entry) ->
-        let e = entry.Store.Wire.epoch in
-        if t.serving && e = t.srv_epoch then begin
-          (* Our own proposals: already applied by execution. *)
-          pop ();
-          note_consumed t s entry;
-          note_applied t s ~idx entry
-        end
-        else if e < t.repoch then begin
-          (* Left-over from an already-advanced epoch (defensive): apply
-             only the part below that epoch's final watermark. *)
-          pop ();
-          note_consumed t s entry;
-          (match Watermark.final_watermark t.wm ~epoch:e with
-          | Some w -> apply_entry t entry ~upto:w
-          | None -> ());
-          note_applied t s ~idx entry
-        end
-        else if e = t.repoch then begin
-          if entry.Store.Wire.last_ts <= t.rwm then begin
-            pop ();
-            note_consumed t s entry;
-            apply_entry t entry;
-            note_applied t s ~idx entry
-          end
-          else if !seal_gen = t.wm_gen then Sim.Engine.sleep poll
-          else begin
-            match Watermark.final_watermark t.wm ~epoch:e with
-            | Some w ->
-                (* The epoch is sealed and this entry straddles its final
-                   watermark: replay the prefix with [ts <= W] (those
-                   results may already be at clients) and skip the tail,
-                   which may depend on lost transactions (Fig. 3). *)
-                pop ();
-                note_consumed t s entry;
-                apply_entry t entry ~upto:w;
-                note_applied t s ~idx entry
-            | None ->
-                (* Memoize only the negative probe. A successful pop must
-                   leave [seal_gen] stale so the next straddling entry on
-                   this stream re-probes under the same generation —
-                   after an epoch seals, durability events may be finite,
-                   and memoizing the hit would strand every entry after
-                   the first one. *)
-                seal_gen := t.wm_gen;
-                Sim.Engine.sleep poll
-          end
-        end
-        else Sim.Engine.sleep poll (* future epoch: wait for the controller *)
-  done
-
-(* Bulk mode: same state machine, but instead of sleeping a poll interval
-   the loop drains everything applicable and then parks on the wakeup
-   mailbox, re-draining first if the generation moved while it worked. A
-   durability commit or watermark advance wakes it immediately, so replay
-   latency no longer floors at [watermark_interval]. *)
-let replay_loop_bulk t s () =
+(* Follower replay, one process per stream: drain every entry that is
+   applicable now, then park on the wakeup mailbox, re-draining first if
+   the generation moved while it worked. A durability commit or watermark
+   advance wakes it immediately, so replay latency does not floor at
+   [watermark_interval]. *)
+let replay_loop t s () =
   let q = t.replay_queues.(s) in
   let pop () =
     ignore (Queue.pop q);
@@ -612,15 +513,18 @@ let replay_loop_bulk t s () =
       | Some (idx, entry) ->
           let e = entry.Store.Wire.epoch in
           if t.serving && e = t.srv_epoch then begin
+            (* Our own proposals: already applied by execution. *)
             pop ();
             note_consumed t s entry;
             note_applied t s ~idx entry
           end
           else if e < t.repoch then begin
+            (* Left-over from an already-advanced epoch (defensive): apply
+               only the part below that epoch's final watermark. *)
             pop ();
             note_consumed t s entry;
             (match Watermark.final_watermark t.wm ~epoch:e with
-            | Some w -> apply_entry_bulk t entry ~upto:w
+            | Some w -> apply_entry t entry ~upto:w
             | None -> ());
             note_applied t s ~idx entry
           end
@@ -628,15 +532,19 @@ let replay_loop_bulk t s () =
             if entry.Store.Wire.last_ts <= t.rwm then begin
               pop ();
               note_consumed t s entry;
-              apply_entry_bulk t entry;
+              apply_entry t entry;
               note_applied t s ~idx entry
             end
             else
               match Watermark.final_watermark t.wm ~epoch:e with
               | Some w ->
+                  (* The epoch is sealed and this entry straddles its final
+                     watermark: replay the prefix with [ts <= W] (those
+                     results may already be at clients) and skip the tail,
+                     which may depend on lost transactions (Fig. 3). *)
                   pop ();
                   note_consumed t s entry;
-                  apply_entry_bulk t entry ~upto:w;
+                  apply_entry t entry ~upto:w;
                   note_applied t s ~idx entry
               | None -> continue := false (* unsealed straddle: park *)
           end
@@ -644,11 +552,6 @@ let replay_loop_bulk t s () =
     done;
     if t.r_gen.(s) = gen then Sim.Sync.Mailbox.recv t.r_wake.(s)
   done
-
-let replay_loop t s () =
-  match t.cfg.Config.replay_batch with
-  | Config.PerTxn -> replay_loop_pertxn t s ()
-  | Config.Bulk -> replay_loop_bulk t s ()
 
 (* ---- controller: watermark, release, replay-epoch advancement ---- *)
 
@@ -708,11 +611,37 @@ let quorum_alive t =
 
 (* ---- snapshot reads (epoch-guarded freshness leases) ---- *)
 
-(* Audit sampling of served reads: deterministic (counter-based, no RNG
-   draws) and bounded, so long runs keep a representative prefix without
-   unbounded host memory. *)
+(* Audit sampling of served reads: every [read_audit_interval]-th serve
+   is eligible, and eligible serves feed a reservoir of [read_audit_cap]
+   slots (Vitter's algorithm R), so the sample covers the whole run —
+   late reads after failovers included — in bounded host memory. The
+   reservoir draw hashes [read_seen] instead of touching the simulation
+   RNG: auditing never perturbs the run. *)
 let read_audit_interval = 64
 let read_audit_cap = 4096
+
+(* The slot the [seen]-th serve replaces once the reservoir is full:
+   uniform over the eligible serves so far, [-1] when it is not kept. *)
+let read_audit_victim seen =
+  let k = ((seen - 1) / read_audit_interval) + 1 in
+  let j = Hashtbl.hash seen mod k in
+  if j < read_audit_cap then j else -1
+
+let read_audit_wanted t seen =
+  (seen - 1) mod read_audit_interval = 0
+  && (t.read_audit_n < read_audit_cap || read_audit_victim seen >= 0)
+
+(* Keep an audited serve's observations. The reservoir may have filled
+   while the read yielded for its CPU charge, so the slot is chosen
+   here, not when the read was admitted. *)
+let keep_read_audit t seen sample =
+  if t.read_audit_n < read_audit_cap then begin
+    t.read_audit.(t.read_audit_n) <- sample;
+    t.read_audit_n <- t.read_audit_n + 1
+  end
+  else
+    let j = read_audit_victim seen in
+    if j >= 0 then t.read_audit.(j) <- sample
 
 (* May this replica serve a snapshot read right now? A serving leader may
    — provided it still sees a quorum (the same condition that lets it
@@ -840,10 +769,8 @@ let read_worker_loop t w rop () =
           end;
           let start = Sim.Engine.time () in
           t.read_seen <- t.read_seen + 1;
-          let eligible = (t.read_seen - 1) mod read_audit_interval = 0 in
-          let audit = eligible && t.read_audit_n < read_audit_cap in
-          if eligible && not audit then
-            t.read_audit_skipped <- t.read_audit_skipped + 1;
+          let seen = t.read_seen in
+          let audit = read_audit_wanted t seen in
           let rec attempt n =
             let pin = read_pin t in
             match Silo.Db.read_at t.db ~audit ~pin (fun s -> rop ~payload s) with
@@ -855,10 +782,7 @@ let read_worker_loop t w rop () =
           in
           match attempt 0 with
           | Some (pin, value, obs) ->
-              if audit then begin
-                t.read_audit <- (pin, obs) :: t.read_audit;
-                t.read_audit_n <- t.read_audit_n + 1
-              end;
+              if audit then keep_read_audit t seen (pin, obs);
               Stats.note_read_served t.stats;
               Trace.note_read_serve t.trace ~start ~stop:(Sim.Engine.time ())
                 ~staleness:(t.durable_max - pin);
@@ -870,8 +794,7 @@ let read_worker_loop t w rop () =
         end
   done
 
-let read_audits t = List.rev t.read_audit
-let read_audit_skipped t = t.read_audit_skipped
+let read_audits t = Array.to_list (Array.sub t.read_audit 0 t.read_audit_n)
 let lease_valid t = may_serve_reads t
 
 let controller_loop t () =
@@ -909,15 +832,11 @@ let controller_loop t () =
       end;
       drained
     in
-    if rwm_advanced || epoch_advanced then t.wm_gen <- t.wm_gen + 1;
-    (* Bulk replay parks between wakeups; poke every stream whenever its
+    (* Replay parks between wakeups; poke every stream whenever its
        go/no-go inputs moved (watermark or epoch advance) and as a sealed
        backstop for entries straddling the final watermark, whose apply
        decision changes without the replay watermark moving. *)
-    if
-      t.cfg.Config.replay_batch = Config.Bulk
-      && (rwm_advanced || epoch_advanced || sealed)
-    then signal_replay_all t;
+    if rwm_advanced || epoch_advanced || sealed then signal_replay_all t;
     (* Under the Adaptive policy release is event-driven — durability
        notifications that advance the watermark run the pass directly
        (see [on_commit]) — and the controller tick keeps only its
@@ -1248,7 +1167,6 @@ let create cfg eng net ~id:rid ~app ?initial_leader ?membership ?(learner = fals
       wm = Watermark.create ~streams:nstreams;
       replay_queues = Array.init nstreams (fun _ -> Queue.create ());
       backlog = 0;
-      wm_gen = 0;
       r_gen = Array.make nstreams 0;
       r_wake = Array.init nstreams (fun _ -> Sim.Sync.Mailbox.create eng);
       applied_ts = Array.make nstreams 0;
@@ -1288,9 +1206,9 @@ let create cfg eng net ~id:rid ~app ?initial_leader ?membership ?(learner = fals
       read_q = Sim.Sync.Mailbox.create eng;
       read_active = Array.make cfg.Config.read_workers false;
       read_seen = 0;
-      read_audit = [];
+      read_audit =
+        Array.make (if cfg.Config.follower_reads then read_audit_cap else 0) (0, []);
       read_audit_n = 0;
-      read_audit_skipped = 0;
     }
   in
   let client_op =
@@ -1358,9 +1276,7 @@ let create cfg eng net ~id:rid ~app ?initial_leader ?membership ?(learner = fals
         end
     | None -> ());
     Watermark.note_durable t.wm ~stream:s ~epoch:entry.epoch ~ts:entry.last_ts;
-    (* Watermark state moved: invalidate the per-txn replay loops' seal
-       memo and advance the durable frontier for follower-lag samples. *)
-    t.wm_gen <- t.wm_gen + 1;
+    (* Advance the durable frontier for follower-lag samples. *)
     if entry.Store.Wire.last_ts > t.durable_max then
       t.durable_max <- entry.Store.Wire.last_ts;
     if Trace.has_pending t.trace then
@@ -1375,21 +1291,19 @@ let create cfg eng net ~id:rid ~app ?initial_leader ?membership ?(learner = fals
     (match on_durable with Some f -> f ~stream:s ~idx entry | None -> ());
     Queue.add (idx, entry) t.replay_queues.(s);
     t.backlog <- t.backlog + 1;
-    (* Event-driven replay (Bulk): advance the replay watermark right here
-       — waiting for the controller tick would floor replay latency at
+    (* Event-driven replay: advance the replay watermark right here —
+       waiting for the controller tick would floor replay latency at
        [watermark_interval] — then wake every stream when it moved (the
        new watermark can unblock entries parked on other streams), or just
        this one for the enqueue. *)
-    if cfg.Config.replay_batch = Config.Bulk then begin
-      let advanced =
-        match Watermark.compute t.wm ~epoch:t.repoch with
-        | Some w when w > t.rwm ->
-            t.rwm <- w;
-            true
-        | Some _ | None -> false
-      in
-      if advanced then signal_replay_all t else signal_replay t s
-    end;
+    let advanced =
+      match Watermark.compute t.wm ~epoch:t.repoch with
+      | Some w when w > t.rwm ->
+          t.rwm <- w;
+          true
+      | Some _ | None -> false
+    in
+    if advanced then signal_replay_all t else signal_replay t s;
     (* Event-driven release: when this durability notification advanced
        the cluster minimum, run the release pass right here instead of
        waiting out the controller tick. The whole pass is yield-free

@@ -124,13 +124,9 @@ val read_audits : t -> (int * (int * string * int) list) list
 (** The deterministic sample of served reads kept for
     {!Check.snapshot_reads}: per audited read, its pin and every
     observation [(table id, key, observed version timestamp)] the read
-    body made ([-1] = key absent at the pin). Oldest first; bounded
-    (1-in-64 sampling, capped per replica). *)
-
-val read_audit_skipped : t -> int
-(** Audit-eligible serves dropped because the per-replica audit cap was
-    reached. Non-zero means {!read_audits} is a truncated sample — the
-    snapshot-read oracle covered a prefix of the run, not all of it. *)
+    body made ([-1] = key absent at the pin). Bounded: every 64th serve
+    is eligible, and eligible serves feed a fixed-size reservoir whose
+    deterministic draw keeps a uniform sample of the whole run. *)
 
 val session_state : t -> cid:int -> (int * int) option
 (** [(applied, released)] highest sequence numbers this replica knows for

@@ -385,89 +385,134 @@ type replay_entry_result = {
   re_steps : int;
 }
 
-(* Bulk replay of one durable log entry: merge every transaction's
-   write-set with [ts <= upto] (per-key last-writer-wins — timestamps are
-   strictly monotone across a stream's transactions, so the entry-order
-   winner equals the CAS-sequence winner), sort once by (table, key), and
-   sweep each table's B-tree with a cursor. One CPU charge for the whole
-   entry replaces the per-transaction charges; the per-key CAS semantics
-   (and therefore idempotence and crash-tolerance) are exactly those of
-   [apply_replay] run transaction by transaction. *)
+let no_write = { Store.Wire.table = 0; key = ""; value = None }
+
+(* Follower replay of one durable log entry. The write-sets of every
+   transaction with [ts <= upto] are flattened into one array and
+   stable-sorted by (table, key): transactions appear in timestamp order
+   and keys are unique within one write-set, so each key's versions come
+   out as a contiguous, ts-ascending run. Each table's key runs are swept
+   through its B-tree with a cursor, and every version of a key is
+   CAS-installed in ts order — exactly the per-key sequence
+   [apply_replay] runs transaction by transaction, so a pinned snapshot
+   reader keeps the intermediate version a later write of the same entry
+   overwrites. One CPU charge for the whole entry replaces the
+   per-transaction charges; it counts index work per distinct key. *)
 let apply_replay_entry t (entry : Store.Wire.entry) ?(ways = 1) ~upto () =
   if ways < 1 then invalid_arg "Db.apply_replay_entry: ways must be >= 1";
   let epoch = entry.Store.Wire.epoch in
-  let txns = ref 0 and writes = ref 0 in
-  let merged : (int * string, int * string option) Hashtbl.t =
-    Hashtbl.create 256
-  in
+  let txns = ref 0 and n = ref 0 in
   List.iter
     (fun (txn : Store.Wire.txn_log) ->
       if txn.Store.Wire.ts <= upto then begin
         incr txns;
-        List.iter
-          (fun (w : Store.Wire.write) ->
-            incr writes;
-            (* Transactions appear in ts order; keys are unique within
-               one write-set — plain replace implements last-writer-wins. *)
-            Hashtbl.replace merged (w.table, w.key) (txn.Store.Wire.ts, w.value))
-          txn.writes
+        n := !n + List.length txn.writes
       end)
     entry.Store.Wire.txns;
-  let run =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) merged []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
+  let n = !n in
+  (* [ws.(i)] is the i-th logged write, [tss.(i)] its transaction's
+     timestamp; [ord] is the (table, key) order over them. *)
+  let ws = Array.make n no_write and tss = Array.make n 0 in
+  let i = ref 0 in
+  List.iter
+    (fun (txn : Store.Wire.txn_log) ->
+      if txn.Store.Wire.ts <= upto then
+        List.iter
+          (fun w ->
+            ws.(!i) <- w;
+            tss.(!i) <- txn.Store.Wire.ts;
+            incr i)
+          txn.writes)
+    entry.Store.Wire.txns;
+  let ord = Array.init n Fun.id in
+  Array.stable_sort
+    (fun a b ->
+      let wa = ws.(a) and wb = ws.(b) in
+      let c = Int.compare wa.table wb.table in
+      if c <> 0 then c else String.compare wa.key wb.key)
+    ord;
+  (* Distinct keys: key [j]'s versions are [ord.(starts.(j))] up to
+     (excluding) [ord.(starts.(j + 1))]; the unused tail stays [n]. *)
+  let starts = Array.make (n + 1) n in
+  let nk = ref 0 in
+  for p = 0 to n - 1 do
+    let w = ws.(ord.(p)) in
+    if p = 0
+       || (let prev = ws.(ord.(p - 1)) in
+           prev.table <> w.table || not (String.equal prev.key w.key))
+    then begin
+      starts.(!nk) <- p;
+      incr nk
+    end
+  done;
+  let nk = !nk in
+  let write_of j = ws.(ord.(starts.(j))) in
+  let key_of j = (write_of j).key in
+  (* Visit the table runs of distinct keys [lo, hi). *)
+  let iter_tables lo hi f =
+    let a = ref lo in
+    while !a < hi do
+      let tid = (write_of !a).table in
+      let b = ref (!a + 1) in
+      while !b < hi && (write_of !b).table = tid do
+        incr b
+      done;
+      f (table_by_id t tid) !a !b;
+      a := !b
+    done
   in
-  (* Group a sorted (sub-)run by table (key order preserved within each). *)
-  let rec by_table = function
-    | [] -> []
-    | (((tid, _), _) :: _) as rest ->
-        let mine, others =
-          List.partition (fun (((tid', _), _) : (int * string) * _) -> tid' = tid) rest
-        in
-        (tid, List.map (fun ((_, key), v) -> (key, v)) mine) :: by_table others
-  in
-  let seeks = ref 0 and steps = ref 0 and hash_probes = ref 0 in
+  let seeks = ref 0 and steps = ref 0 in
   let installed = ref 0 in
-  (* Predict the index work of [groups]: tree tables report cursor
+  (* Predict the index work of keys [lo, hi): tree tables report cursor
      descents + in-leaf steps, hash tables one probe per key. *)
-  let charge_of groups =
+  let charge_of lo hi =
     let s = ref 0 and st = ref 0 and hp = ref 0 in
-    List.iter
-      (fun (tid, kvs) ->
-        let table = table_by_id t tid in
-        let counts = Store.Table.count_sorted_run table kvs in
+    iter_tables lo hi (fun table a b ->
+        let counts = Store.Table.count_sorted_run table ~key:key_of ~lo:a ~hi:b in
         match Store.Table.repr table with
         | Store.Table.Hash -> hp := !hp + counts.Store.Btree.descents
         | Store.Table.Btree ->
             s := !s + counts.Store.Btree.descents;
-            st := !st + counts.Store.Btree.steps)
-      groups;
+            st := !st + counts.Store.Btree.steps);
     seeks := !seeks + !s;
     steps := !steps + !st;
-    hash_probes := !hash_probes + !hp;
     Costs.replay_bulk_cost t.cost_model ~hash_probes:!hp ~seeks:!s ~steps:!st ()
   in
-  let sweep groups =
-    List.iter
-      (fun (tid, kvs) ->
-        let table = table_by_id t tid in
+  (* CAS key [j]'s versions from position [p0] on into [r], oldest
+     first; true if any won. *)
+  let install_from table r j p0 =
+    let won = ref false in
+    for p = p0 to starts.(j + 1) - 1 do
+      let v = ord.(p) in
+      if cas_existing t table r ~epoch ~ts:tss.(v) ~value:ws.(v).value then
+        won := true
+    done;
+    !won
+  in
+  let sweep lo hi =
+    iter_tables lo hi (fun table a b ->
         ignore
-          (Store.Table.apply_sorted_run table kvs
-             ~f:(fun key (ts, value) existing ->
+          (Store.Table.apply_sorted_run table ~key:key_of ~lo:a ~hi:b
+             ~f:(fun j existing ->
                match existing with
                | Some r ->
-                   if cas_existing t table r ~epoch ~ts ~value then
-                     incr installed;
+                   if install_from table r j starts.(j) then incr installed;
                    None (* record mutated in place; no structural change *)
                | None ->
+                   let p0 = starts.(j) in
+                   let v = ord.(p0) in
                    let r = Store.Record.make ~epoch:0 ~ts:(-1) "" in
-                   if Store.Record.cas_apply r ~epoch ~ts ~value then begin
-                     Store.Table.account_growth table (Store.Record.byte_size ~key r);
+                   if Store.Record.cas_apply r ~epoch ~ts:tss.(v) ~value:ws.(v).value
+                   then begin
+                     Store.Table.account_growth table
+                       (Store.Record.byte_size ~key:ws.(v).key r);
+                     (* Later versions replace the first through the
+                        same CAS an existing record takes. *)
+                     ignore (install_from table r j (p0 + 1));
                      incr installed;
                      Some r
                    end
                    else None)))
-      groups
   in
   (* Count, charge, then sweep: a read-only pass predicts the index work
      and the CPU is consumed *before* the indexes are touched, so
@@ -476,36 +521,32 @@ let apply_replay_entry t (entry : Store.Wire.entry) ?(ways = 1) ~upto () =
      predicted counts are also the charged/reported ones, keeping cost
      and stats consistent; they can drift from the live sweep by at most
      one charge per leaf split. *)
-  let n = List.length run in
-  if ways = 1 || n <= 1 then begin
-    let groups = by_table run in
-    Sim.Cpu.consume t.cpu (charge_of groups);
-    sweep groups
+  if ways = 1 || nk <= 1 then begin
+    Sim.Cpu.consume t.cpu (charge_of 0 nk);
+    sweep 0 nk
   end
   else begin
-    (* Parallel bulk replay: slice the globally sorted run into [w]
+    (* Parallel bulk replay: slice the sorted distinct keys into [w]
        contiguous pieces. Contiguity in the sorted order makes the key
        ranges disjoint, so the slices commute — each helper process
        charges and sweeps its own slice concurrently, and follower replay
        scales with the machine's cores the way leader execution does.
-       Safe below the watermark for the same reason the sequential bulk
-       path is: everything in [run] is already durable and conflict-free.
+       Safe below the watermark for the same reason the sequential path
+       is: every write in the entry is already durable and conflict-free.
        Helpers register as active threads, so the CPU model's efficiency
        and oversubscription factors apply to replay exactly as they do to
        leader workers. *)
-    let w = min ways n in
-    let arr = Array.of_list run in
+    let w = min ways nk in
     let wg = Sim.Sync.Waitgroup.create t.eng in
     Sim.Sync.Waitgroup.add wg w;
     for i = 0 to w - 1 do
-      let lo = i * n / w and hi = (i + 1) * n / w in
-      let groups = by_table (Array.to_list (Array.sub arr lo (hi - lo))) in
+      let lo = i * nk / w and hi = (i + 1) * nk / w in
       ignore
         (Sim.Engine.spawn t.eng ~name:(Printf.sprintf "replay-par-%d" i)
            (fun () ->
              Sim.Cpu.register t.cpu;
-             Sim.Cpu.consume t.cpu (charge_of groups);
-             sweep groups;
+             Sim.Cpu.consume t.cpu (charge_of lo hi);
+             sweep lo hi;
              Sim.Cpu.unregister t.cpu;
              Sim.Sync.Waitgroup.finish wg))
     done;
@@ -513,7 +554,7 @@ let apply_replay_entry t (entry : Store.Wire.entry) ?(ways = 1) ~upto () =
   end;
   {
     re_txns = !txns;
-    re_writes = !writes;
+    re_writes = n;
     re_installed = !installed;
     re_seeks = !seeks;
     re_steps = !steps;

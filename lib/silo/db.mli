@@ -112,29 +112,31 @@ val apply_replay :
     actually won its CAS. Idempotent. *)
 
 type replay_entry_result = {
-  re_txns : int;  (** transactions with [ts <= upto] (all merged) *)
+  re_txns : int;  (** transactions with [ts <= upto] *)
   re_writes : int;  (** their total logged writes *)
-  re_installed : int;  (** keys whose CAS won (deduped per key) *)
+  re_installed : int;  (** distinct keys at least one of whose versions won its CAS *)
   re_seeks : int;  (** fresh cursor descents charged *)
   re_steps : int;  (** in-leaf continuations charged *)
 }
 
 val apply_replay_entry :
   t -> Store.Wire.entry -> ?ways:int -> upto:int -> unit -> replay_entry_result
-(** Bulk replay of one durable entry (the follower fast path): merges the
-    write-sets of every transaction with [ts <= upto] (per-key
-    last-writer-wins, which equals the per-transaction CAS outcome since
-    stream timestamps are strictly monotone), sorts once by (table, key),
-    and applies each table's run through a
-    {!Store.Table.apply_sorted_run} sweep — one {!Costs.replay_bulk_cost}
-    CPU charge for the whole entry. Observably equivalent to calling
-    {!apply_replay} on each truncated transaction in order; idempotent
-    for the same reason.
+(** Follower replay of one durable entry: the write-sets of every
+    transaction with [ts <= upto] are sorted by (table, key), and each
+    table's distinct keys are swept through
+    {!Store.Table.apply_sorted_run}, CAS-installing every version of a
+    key in timestamp order — so a snapshot reader pinned between two
+    writes to one key in the entry finds the older one in the
+    prior-version slot. One {!Costs.replay_bulk_cost} CPU charge for
+    the whole entry, counting index work once per distinct key,
+    consumed before any index is touched. Observably equivalent to
+    calling {!apply_replay} on each truncated transaction in order;
+    idempotent for the same reason.
 
-    [ways] (default 1) parallelizes the sweep: the globally sorted run is
-    cut into [ways] contiguous — hence key-disjoint, hence commuting —
-    slices, each charged and applied by its own spawned process
-    registered on the machine's CPU. [ways = 1] is exactly the
+    [ways] (default 1) parallelizes the sweep: the sorted distinct keys
+    are cut into [ways] contiguous — hence key-disjoint, hence
+    commuting — slices, each charged and applied by its own spawned
+    process registered on the machine's CPU. [ways = 1] is exactly the
     sequential path. Final state and reported counts are
     [ways]-independent; only the virtual-time shape changes.
     @raise Invalid_argument if [ways < 1]. *)

@@ -42,26 +42,30 @@ let array_remove a i =
   b
 
 (* Binary search: [Ok i] if [keys.(i) = k], otherwise [Error i] where [i]
-   is the insertion point. *)
-let bsearch keys k =
+   is the insertion point. Keys are always strings, and the monomorphic
+   [String.compare] (the same order as polymorphic [compare]) skips the
+   generic comparison's tag dispatch on every probe. *)
+let bsearch (keys : string array) k =
   let lo = ref 0 and hi = ref (Array.length keys) in
   let found = ref (-1) in
   while !found < 0 && !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    let c = compare k keys.(mid) in
+    let c = String.compare k keys.(mid) in
     if c = 0 then found := mid else if c < 0 then hi := mid else lo := mid + 1
   done;
   if !found >= 0 then Ok !found else Error !lo
 
 (* Index of the child to descend into: subtree [i] holds keys [k] with
-   [seps.(i-1) <= k < seps.(i)]. *)
+   [seps.(i-1) <= k < seps.(i)], i.e. the first [i] with [k < seps.(i)].
+   Binary search: a descent touches O(log fanout) separator strings per
+   level instead of scanning up to [max_child] of them. *)
 let child_index n k =
-  let nseps = Array.length n.seps in
-  let i = ref 0 in
-  while !i < nseps && compare k n.seps.(!i) >= 0 do
-    incr i
+  let lo = ref 0 and hi = ref (Array.length n.seps) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if String.compare k n.seps.(mid) >= 0 then lo := mid + 1 else hi := mid
   done;
-  !i
+  !lo
 
 (* ---- find ---- *)
 
@@ -318,68 +322,80 @@ let advance c =
 
 type bulk_counts = { descents : int; steps : int }
 
-(* Descent that also returns the leaf's exclusive upper bound from the
-   separator chain. The bound — not the next leaf's first key, which can
-   drift above the separator after deletions — decides whether the next
+(* Sweep state shared by [apply_sorted] and [count_sorted]: the cached
+   descent target — a leaf plus its exclusive key-space bound from the
+   separator chain — held in one mutable record so a sweep allocates
+   nothing per key. The bound, not the next leaf's first key (which can
+   drift above the separator after deletions), decides whether the next
    ascending key still belongs to this leaf. *)
-let rec seek_leaf_hi node k hi =
-  match node with
-  | Leaf l -> (l, hi)
+type 'a sweep = {
+  mutable leaf : 'a leaf;
+  mutable hi : string;
+  mutable bounded : bool; (* [hi] is meaningful; false = rightmost leaf *)
+  mutable cached : bool; (* [leaf] is a valid descent target *)
+}
+
+let sweep_start t =
+  { leaf = leftmost_leaf t.root; hi = ""; bounded = false; cached = false }
+
+let sweep_covers sw k = sw.cached && ((not sw.bounded) || String.compare k sw.hi < 0)
+
+let rec sweep_go sw k = function
+  | Leaf l -> sw.leaf <- l
   | Node n ->
       let i = child_index n k in
-      let hi = if i < Array.length n.seps then Some n.seps.(i) else hi in
-      seek_leaf_hi n.kids.(i) k hi
+      if i < Array.length n.seps then begin
+        sw.hi <- n.seps.(i);
+        sw.bounded <- true
+      end;
+      sweep_go sw k n.kids.(i)
 
-let apply_sorted t kvs ~f =
+let sweep_descend t sw k =
+  sw.bounded <- false;
+  sw.cached <- true;
+  sweep_go sw k t.root
+
+let check_ascending ~fn ~key ~lo i =
+  if i > lo && String.compare (key (i - 1)) (key i) >= 0 then
+    invalid_arg (fn ^ ": keys must be strictly ascending")
+
+let apply_sorted t ~key ~lo ~hi ~f =
   let descents = ref 0 and steps = ref 0 in
-  (* Cached descent target: the current leaf plus its key-space bound.
-     While ascending keys stay below the bound they reuse the leaf (a
-     "step"); crossing it or splitting the leaf forces a fresh descent. *)
-  let cached = ref None in
-  let last = ref None in
-  List.iter
-    (fun (k, x) ->
-      (match !last with
-      | Some pk when compare pk k >= 0 ->
-          invalid_arg "Btree.apply_sorted: keys must be strictly ascending"
-      | Some _ | None -> ());
-      last := Some k;
-      let l, _hi =
-        match !cached with
-        | Some ((_, hi) as lh)
-          when match hi with None -> true | Some h -> compare k h < 0 ->
-            incr steps;
-            lh
-        | Some _ | None ->
-            incr descents;
-            let lh = seek_leaf_hi t.root k None in
-            cached := Some lh;
-            lh
-      in
-      match bsearch l.keys k with
-      | Ok i -> (
-          match f k x (Some l.vals.(i)) with
-          | Some v -> l.vals.(i) <- v
-          | None -> ())
-      | Error i -> (
-          match f k x None with
-          | None -> ()
-          | Some v ->
-              if Array.length l.keys < max_leaf then begin
-                l.keys <- array_insert l.keys i k;
-                l.vals <- array_insert l.vals i v;
-                t.size <- t.size + 1
-              end
-              else begin
-                (* Full leaf: route through the rooted insert, which
-                   handles the split (and any cascading parent splits).
-                   The cached leaf now covers only half its range —
-                   invalidate it and charge the extra descent. *)
-                cached := None;
-                incr descents;
-                ignore (insert t k v)
-              end))
-    kvs;
+  (* While ascending keys stay below the cached bound they reuse the leaf
+     (a "step"); crossing it or splitting the leaf forces a fresh
+     descent. *)
+  let sw = sweep_start t in
+  for i = lo to hi - 1 do
+    check_ascending ~fn:"Btree.apply_sorted" ~key ~lo i;
+    let k = key i in
+    if sweep_covers sw k then incr steps
+    else begin
+      incr descents;
+      sweep_descend t sw k
+    end;
+    let l = sw.leaf in
+    match bsearch l.keys k with
+    | Ok j -> (
+        match f i (Some l.vals.(j)) with Some v -> l.vals.(j) <- v | None -> ())
+    | Error j -> (
+        match f i None with
+        | None -> ()
+        | Some v ->
+            if Array.length l.keys < max_leaf then begin
+              l.keys <- array_insert l.keys j k;
+              l.vals <- array_insert l.vals j v;
+              t.size <- t.size + 1
+            end
+            else begin
+              (* Full leaf: route through the rooted insert, which
+                 handles the split (and any cascading parent splits).
+                 The cached leaf now covers only half its range —
+                 invalidate it and charge the extra descent. *)
+              sw.cached <- false;
+              incr descents;
+              ignore (insert t k v)
+            end)
+  done;
   { descents = !descents; steps = !steps }
 
 (* Read-only twin of [apply_sorted] for the replay decision pattern —
@@ -394,47 +410,37 @@ let apply_sorted t kvs ~f =
    keeps appending into. Keys that land in the left half after a split
    can trade a step for a descent versus the live sweep; the drift is at
    most one charge per split. *)
-let count_sorted t kvs =
+let count_sorted t ~key ~lo ~hi =
   let descents = ref 0 and steps = ref 0 in
-  let cached = ref None in
+  let sw = sweep_start t in
   let vfill = ref 0 in
   let redescend = ref false in
-  let last = ref None in
-  List.iter
-    (fun (k, _) ->
-      (match !last with
-      | Some pk when compare pk k >= 0 ->
-          invalid_arg "Btree.count_sorted: keys must be strictly ascending"
-      | Some _ | None -> ());
-      last := Some k;
-      let l =
-        match !cached with
-        | Some (l, hi)
-          when match hi with None -> true | Some h -> compare k h < 0 ->
-            if !redescend then begin
-              redescend := false;
-              incr descents
-            end
-            else incr steps;
-            l
-        | Some _ | None ->
-            incr descents;
-            let ((l, _) as lh) = seek_leaf_hi t.root k None in
-            cached := Some lh;
-            vfill := Array.length l.keys;
-            redescend := false;
-            l
-      in
-      match bsearch l.keys k with
-      | Ok _ -> ()
-      | Error _ ->
-          if !vfill < max_leaf then incr vfill
-          else begin
-            incr descents;
-            redescend := true;
-            vfill := max_leaf + 1 - ((max_leaf + 1) / 2)
-          end)
-    kvs;
+  for i = lo to hi - 1 do
+    check_ascending ~fn:"Btree.count_sorted" ~key ~lo i;
+    let k = key i in
+    if sweep_covers sw k then begin
+      if !redescend then begin
+        redescend := false;
+        incr descents
+      end
+      else incr steps
+    end
+    else begin
+      incr descents;
+      sweep_descend t sw k;
+      vfill := Array.length sw.leaf.keys;
+      redescend := false
+    end;
+    match bsearch sw.leaf.keys k with
+    | Ok _ -> ()
+    | Error _ ->
+        if !vfill < max_leaf then incr vfill
+        else begin
+          incr descents;
+          redescend := true;
+          vfill := max_leaf + 1 - ((max_leaf + 1) / 2)
+        end
+  done;
   { descents = !descents; steps = !steps }
 
 let iter_from t k f =

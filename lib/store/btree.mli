@@ -88,28 +88,34 @@ type bulk_counts = { descents : int; steps : int }
 
 val apply_sorted :
   'a t ->
-  (string * 'b) list ->
-  f:(string -> 'b -> 'a option -> 'a option) ->
+  key:(int -> string) ->
+  lo:int ->
+  hi:int ->
+  f:(int -> 'a option -> 'a option) ->
   bulk_counts
-(** [apply_sorted t kvs ~f] walks the tree once over the strictly
-    ascending run [kvs], calling [f key payload existing] at each key
-    with the current binding ([None] if absent). [f] returns [Some v] to
-    bind [key -> v] (insert, or replace the stored value) and [None] to
-    leave the tree's structure untouched — mutating an existing binding
-    in place and declining the insert are both expressed this way.
-    Leaf splits (and cascading parent splits) are handled; the sweep is
-    observably equivalent to a sequential [find]/[insert] loop over the
-    same run.
+(** [apply_sorted t ~key ~lo ~hi ~f] walks the tree once over the
+    strictly ascending run [key lo, ..., key (hi - 1)], calling
+    [f i existing] at each index with the current binding of [key i]
+    ([None] if absent). The run is addressed by index so the caller's
+    arrays need no copying into (key, payload) pairs, and the sweep
+    allocates nothing per key beyond what [f] does. [f] returns [Some v]
+    to bind [key i -> v] (insert, or replace the stored value) and
+    [None] to leave the tree's structure untouched — mutating an
+    existing binding in place and declining the insert are both
+    expressed this way. Leaf splits (and cascading parent splits) are
+    handled; the sweep is observably equivalent to a sequential
+    [find]/[insert] loop over the same run.
     @raise Invalid_argument if the keys are not strictly ascending. *)
 
-val count_sorted : 'a t -> (string * 'b) list -> bulk_counts
-(** [count_sorted t kvs] is a read-only prediction of the charges an
-    {!apply_sorted} sweep over [kvs] will incur, for the replay decision
-    pattern (present keys mutated in place, absent keys installed). The
-    tree is not modified, so a cost model can consume the predicted work
-    {e before} the mutating sweep makes its writes visible. Counts match
-    the live sweep exactly except around leaf splits, where the
-    prediction can drift by at most one descent/step per split.
+val count_sorted : 'a t -> key:(int -> string) -> lo:int -> hi:int -> bulk_counts
+(** [count_sorted t ~key ~lo ~hi] is a read-only prediction of the
+    charges an {!apply_sorted} sweep over the same run will incur, for
+    the replay decision pattern (present keys mutated in place, absent
+    keys installed). The tree is not modified, so a cost model can
+    consume the predicted work {e before} the mutating sweep makes its
+    writes visible. Counts match the live sweep exactly except around
+    leaf splits, where the prediction can drift by at most one
+    descent/step per split.
     @raise Invalid_argument if the keys are not strictly ascending. *)
 
 val check_invariants : 'a t -> unit

@@ -165,41 +165,35 @@ let compact t =
 
 (* ---- sorted bulk application, representation-dispatched ----
 
-   The bulk-replay and checkpoint-bootstrap paths hand a strictly
-   ascending (key, payload) run to the table. For a B-tree that is one
-   cursor sweep (PR 5's fast path); for a hash index there is no locality
-   to exploit, so each key is an independent probe — reported as one
-   "descent" with zero in-leaf steps, which is exactly how the cost model
-   wants to charge a hash lookup. *)
+   The replay and checkpoint-bootstrap paths hand a strictly ascending,
+   index-addressed key run to the table. For a B-tree that is one cursor
+   sweep; for a hash index there is no locality to exploit, so each key
+   is an independent probe — reported as one "descent" with zero in-leaf
+   steps, which is exactly how the cost model wants to charge a hash
+   lookup. *)
 
-let check_ascending kvs =
-  let rec go = function
-    | (a, _) :: ((b, _) :: _ as rest) ->
-        if compare a b >= 0 then
-          invalid_arg "Table.apply_sorted_run: keys not strictly ascending";
-        go rest
-    | _ -> ()
-  in
-  go kvs
+let check_ascending ~key ~lo ~hi =
+  for i = lo + 1 to hi - 1 do
+    if String.compare (key (i - 1)) (key i) >= 0 then
+      invalid_arg "Table.apply_sorted_run: keys not strictly ascending"
+  done
 
-let count_sorted_run t kvs =
+let count_sorted_run t ~key ~lo ~hi =
   match t.index with
-  | Tree tr -> Btree.count_sorted tr kvs
+  | Tree tr -> Btree.count_sorted tr ~key ~lo ~hi
   | Htbl _ ->
-      check_ascending kvs;
-      { Btree.descents = List.length kvs; steps = 0 }
+      check_ascending ~key ~lo ~hi;
+      { Btree.descents = hi - lo; steps = 0 }
 
-let apply_sorted_run t kvs ~f =
+let apply_sorted_run t ~key ~lo ~hi ~f =
   match t.index with
-  | Tree tr -> Btree.apply_sorted tr kvs ~f
+  | Tree tr -> Btree.apply_sorted tr ~key ~lo ~hi ~f
   | Htbl h ->
-      check_ascending kvs;
-      let descents = ref 0 in
-      List.iter
-        (fun (key, payload) ->
-          incr descents;
-          match f key payload (Hashtbl.find_opt h key) with
-          | Some r -> Hashtbl.replace h key r
-          | None -> ())
-        kvs;
-      { Btree.descents = !descents; steps = 0 }
+      check_ascending ~key ~lo ~hi;
+      for i = lo to hi - 1 do
+        let k = key i in
+        match f i (Hashtbl.find_opt h k) with
+        | Some r -> Hashtbl.replace h k r
+        | None -> ()
+      done;
+      { Btree.descents = hi - lo; steps = 0 }

@@ -74,17 +74,20 @@ val tree : t -> Record.t Btree.t
 (** Escape hatch for tests and bootstrap. @raise Invalid_argument on a
     hash-indexed table — dispatch through {!apply_sorted_run} instead. *)
 
-val count_sorted_run : t -> (string * 'b) list -> Btree.bulk_counts
+val count_sorted_run :
+  t -> key:(int -> string) -> lo:int -> hi:int -> Btree.bulk_counts
 (** Predict the index work of {!apply_sorted_run} over a strictly
     ascending run without mutating: {!Btree.count_sorted} for trees, one
     descent (and no steps) per key for hash tables. *)
 
 val apply_sorted_run :
   t ->
-  (string * 'b) list ->
-  f:(string -> 'b -> Record.t option -> Record.t option) ->
+  key:(int -> string) ->
+  lo:int ->
+  hi:int ->
+  f:(int -> Record.t option -> Record.t option) ->
   Btree.bulk_counts
 (** Representation-dispatched {!Btree.apply_sorted}: a single cursor
     sweep over a B-tree, independent point probes over a hash index.
-    [f]'s contract is exactly {!Btree.apply_sorted}'s.
+    The run and [f]'s contract are exactly {!Btree.apply_sorted}'s.
     @raise Invalid_argument if keys are not strictly ascending. *)

@@ -367,14 +367,14 @@ let test_failover_money_conservation () =
   in
   check_bool "throughput resumed after failover" true (post_crash <> [])
 
-(* Regression for the per-txn seal-probe memo: single-transaction entries
-   with a long watermark interval leave several entries per stream beyond
-   the running watermark when the leader dies. After promotion seals the
+(* Straddling entries after a seal: single-transaction entries with a
+   long watermark interval leave several entries per stream beyond the
+   running watermark when the leader dies. After promotion seals the
    epoch, each of those entries must probe the final watermark and drain;
-   memoizing a *successful* probe left every straddler after the first
-   waiting on a durability event that never comes (no replica serves
-   while promotion waits on replay), so replay stalled, the replay epoch
-   never advanced, and the cluster stayed leaderless. *)
+   a replay loop that waits on a durability event for every straddler
+   after the first waits forever (no replica serves while promotion
+   waits on replay), so replay stalls, the replay epoch never advances,
+   and the cluster stays leaderless. *)
 let test_failover_straddler_backlog () =
   let cfg =
     {
@@ -511,13 +511,13 @@ let test_disable_replay_mode () =
   check_bool "follower data untouched" true !all_zero
 
 let test_bulk_replay_convergence () =
-  (* The event-driven bulk fast path must be a pure performance change:
-     followers drain to the leader's exact state and every replica still
-     conserves money — the transfer workload tears immediately if the
-     sorted sweep merges, truncates, or re-applies anything wrongly. *)
+  (* Event-driven entry-at-a-time replay: followers drain to the
+     leader's exact state and every replica still conserves money — the
+     transfer workload tears immediately if the sorted sweep merges,
+     truncates, or re-applies anything wrongly. *)
   let stopped = ref false in
   let accounts = 50 in
-  let cfg = { (test_cfg ()) with Rolis.Config.replay_batch = Rolis.Config.Bulk } in
+  let cfg = test_cfg () in
   let cluster =
     Rolis.Cluster.create cfg (transfer_app ~accounts ~initial:1_000 ~stopped)
   in
@@ -567,8 +567,7 @@ let test_parallel_hash_replay_convergence () =
   let cfg =
     {
       (test_cfg ()) with
-      Rolis.Config.replay_batch = Rolis.Config.Bulk;
-      replay_parallel = 4;
+      Rolis.Config.replay_parallel = 4;
       hash_tables = [ "accounts" ];
     }
   in
@@ -972,16 +971,7 @@ let test_config_validate_replay () =
   expect_invalid "replay fan-out zero" { ok with Rolis.Config.replay_parallel = 0 };
   expect_invalid "negative replay fan-out"
     { ok with Rolis.Config.replay_parallel = -2 };
-  (* Fan-out only exists on the bulk path: PerTxn has no sorted run to
-     slice, so asking for both is a configuration contradiction. *)
-  expect_invalid "parallel replay without bulk batching"
-    { ok with Rolis.Config.replay_parallel = 4 };
-  Rolis.Config.validate
-    {
-      ok with
-      Rolis.Config.replay_parallel = 4;
-      replay_batch = Rolis.Config.Bulk;
-    };
+  Rolis.Config.validate { ok with Rolis.Config.replay_parallel = 4 };
   Rolis.Config.validate { ok with Rolis.Config.hash_tables = [ "item"; "usertable" ] };
   expect_invalid "duplicate hash table"
     { ok with Rolis.Config.hash_tables = [ "item"; "usertable"; "item" ] }

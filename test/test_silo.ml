@@ -185,10 +185,10 @@ let test_replay_cas_semantics () =
           check_int "stamped epoch" 2 r.Store.Record.epoch
       | None -> Alcotest.fail "record should exist as tombstone")
 
-(* The bulk path merges an entry's write-sets (per-key last-writer-wins)
-   and installs them through one sorted cursor sweep. Its semantics must
-   be exactly those of per-txn [apply_replay]: idempotent, CAS-guarded,
-   and truncatable at a timestamp. *)
+(* Entry replay sorts an entry's write-sets by key and installs them
+   through one sorted cursor sweep. Its semantics must be exactly those
+   of per-txn [apply_replay]: idempotent, CAS-guarded, and truncatable at
+   a timestamp. *)
 let test_bulk_replay_entry () =
   with_db ~physical_deletes:false (fun eng _cpu db ->
       let t = Silo.Db.create_table db "t" in
@@ -207,7 +207,8 @@ let test_bulk_replay_entry () =
             let r = Silo.Db.apply_replay_entry db entry ~upto:max_int () in
             check_int "all txns merged" 3 r.Silo.Db.re_txns;
             check_int "all logged writes counted" 4 r.Silo.Db.re_writes;
-            (* Two distinct keys survive the merge; both CAS in. *)
+            (* Two distinct keys, each counted once however many of its
+               versions CAS in. *)
             check_int "deduped installs" 2 r.Silo.Db.re_installed;
             check_bool "bulk work charged" true
               (r.Silo.Db.re_seeks >= 1
@@ -274,17 +275,52 @@ let test_bulk_replay_upto_truncation () =
   in
   check_bool "truncated+catch-up = one pass" true (two_pass = one_pass);
   (* And both agree with the per-txn replay path. *)
-  let per_txn =
-    final_state (fun db ->
-        let applied = ref 0 in
-        List.iter
-          (fun txn ->
-            Silo.Db.apply_replay db txn ~epoch:1
-              ~writes:(List.length txn.Store.Wire.writes)
-              ~applied)
-          entry.Store.Wire.txns)
+  let per_txn_apply db =
+    let applied = ref 0 in
+    List.iter
+      (fun txn ->
+        Silo.Db.apply_replay db txn ~epoch:1
+          ~writes:(List.length txn.Store.Wire.writes)
+          ~applied)
+      entry.Store.Wire.txns
   in
-  check_bool "bulk = per-txn" true (one_pass = per_txn)
+  let bulk_apply db = ignore (Silo.Db.apply_replay_entry db entry ~upto:max_int ()) in
+  check_bool "bulk = per-txn" true (one_pass = final_state per_txn_apply);
+  (* Version-exact: with a read floor set, a reader pinned anywhere
+     between the entry's timestamps sees what per-txn replay leaves
+     behind. "b" is written at ts 10 and ts 40 in this one entry, so pins
+     10..39 must still find its ts-10 version in the prior-version slot;
+     a last-writer-wins merge installs only ts 40 and misses it. *)
+  let snapshot_reads apply =
+    with_db ~physical_deletes:false (fun eng _cpu db ->
+        let t = Silo.Db.create_table db "t" in
+        Silo.Db.set_read_floor db (Some (fun () -> 10));
+        let seen = ref [] in
+        let _p =
+          Sim.Engine.spawn eng (fun () ->
+              apply db;
+              for pin = 10 to 40 do
+                List.iter
+                  (fun key ->
+                    let r =
+                      match
+                        Silo.Db.read_at db ~pin (fun s -> Silo.Db.snap_get s t key)
+                      with
+                      | v, _ -> `Seen v
+                      | exception Silo.Db.Snapshot_miss -> `Miss
+                    in
+                    seen := (pin, key, r) :: !seen)
+                  [ "a"; "b"; "c" ]
+              done)
+        in
+        Sim.Engine.run eng;
+        List.rev !seen)
+  in
+  let per_txn_reads = snapshot_reads per_txn_apply in
+  check_bool "per-txn keeps b's ts-10 version below pin 40" true
+    (List.mem (39, "b", `Seen (Some "1")) per_txn_reads);
+  check_bool "bulk = per-txn at every pin" true
+    (snapshot_reads bulk_apply = per_txn_reads)
 
 (* Intra-entry parallel replay: slicing the sorted run into [ways]
    key-disjoint pieces applied by concurrent processes must land on

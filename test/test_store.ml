@@ -342,6 +342,19 @@ let test_btree_cursor_walk () =
   Store.Btree.seek c "9999";
   check_bool "past the end" true (Store.Btree.current c = None)
 
+(* The sorted sweeps address their run by index; these adapt a
+   (key, payload) list to that form. *)
+let on_run kvs g =
+  let a = Array.of_list kvs in
+  g ~key:(fun i -> fst a.(i)) ~lo:0 ~hi:(Array.length a) (fun i -> snd a.(i))
+
+let apply_run t kvs ~f =
+  on_run kvs (fun ~key ~lo ~hi payload ->
+      Store.Btree.apply_sorted t ~key ~lo ~hi ~f:(fun i e -> f (key i) (payload i) e))
+
+let count_run t kvs =
+  on_run kvs (fun ~key ~lo ~hi _ -> Store.Btree.count_sorted t ~key ~lo ~hi)
+
 (* Reference semantics for apply_sorted: a sequential find/insert loop. *)
 let apply_seq t kvs ~f =
   List.iter
@@ -390,7 +403,7 @@ let btree_apply_sorted_qcheck =
           ignore (Store.Btree.insert t k v);
           ignore (Store.Btree.insert r k v))
         seed;
-      let counts = Store.Btree.apply_sorted t run ~f in
+      let counts = apply_run t run ~f in
       apply_seq r run ~f;
       Store.Btree.check_invariants t;
       Store.Btree.to_list t = Store.Btree.to_list r
@@ -415,7 +428,7 @@ let btree_apply_sorted_decline_qcheck =
           ignore (Store.Btree.insert t k v);
           ignore (Store.Btree.insert r k v))
         seed;
-      ignore (Store.Btree.apply_sorted t run ~f);
+      ignore (apply_run t run ~f);
       apply_seq r run ~f;
       Store.Btree.check_invariants t;
       Store.Btree.to_list t = Store.Btree.to_list r)
@@ -428,7 +441,7 @@ let btree_apply_sorted_cursor_qcheck =
       let t = Store.Btree.create () in
       List.iter (fun (k, v) -> ignore (Store.Btree.insert t k v)) seed;
       ignore
-        (Store.Btree.apply_sorted t (sorted_run batch) ~f:(fun _k x _ -> Some x));
+        (apply_run t (sorted_run batch) ~f:(fun _k x _ -> Some x));
       let c = Store.Btree.cursor t in
       Store.Btree.seek c "";
       let walked = ref [] in
@@ -456,15 +469,15 @@ let btree_count_sorted_qcheck =
       List.iter (fun (k, v) -> ignore (Store.Btree.insert t k v)) seed;
       let run = sorted_run batch in
       let before = Store.Btree.to_list t in
-      let predicted = Store.Btree.count_sorted t run in
+      let predicted = count_run t run in
       let read_only = Store.Btree.to_list t = before in
       (* Updates only (no structural change): the prediction must equal
          the live sweep's charges, key for key. *)
       let updates =
         List.filter (fun (k, _) -> Store.Btree.mem t k) run
       in
-      let predicted_upd = Store.Btree.count_sorted t updates in
-      let live_upd = Store.Btree.apply_sorted t updates ~f:replay_f in
+      let predicted_upd = count_run t updates in
+      let live_upd = apply_run t updates ~f:replay_f in
       read_only
       && predicted_upd = live_upd
       && predicted.Store.Btree.descents + predicted.Store.Btree.steps
@@ -481,8 +494,8 @@ let btree_count_sorted_splits_qcheck =
          reproduce the live sweep's split descents exactly. *)
       let run = List.init n (fun i -> (Printf.sprintf "%04d" i, i)) in
       let t = Store.Btree.create () in
-      let predicted = Store.Btree.count_sorted t run in
-      let live = Store.Btree.apply_sorted t run ~f:replay_f in
+      let predicted = count_run t run in
+      let live = apply_run t run ~f:replay_f in
       Store.Btree.check_invariants t;
       predicted = live)
 
@@ -492,14 +505,14 @@ let test_btree_apply_sorted_validation () =
     (Invalid_argument "Btree.apply_sorted: keys must be strictly ascending")
     (fun () ->
       ignore
-        (Store.Btree.apply_sorted t
+        (apply_run t
            [ ("b", 1); ("a", 2) ]
            ~f:(fun _ x _ -> Some x)));
   Alcotest.check_raises "duplicates rejected too"
     (Invalid_argument "Btree.apply_sorted: keys must be strictly ascending")
     (fun () ->
       ignore
-        (Store.Btree.apply_sorted t
+        (apply_run t
            [ ("a", 1); ("a", 2) ]
            ~f:(fun _ x _ -> Some x)))
 
@@ -717,16 +730,19 @@ let test_hash_apply_sorted_run () =
   let t = Store.Table.create ~repr:Store.Table.Hash ~id:0 ~name:"h" () in
   Store.Table.insert t "b" (Store.Record.make "old");
   let run = [ ("a", "1"); ("b", "2"); ("c", "3") ] in
-  let counts = Store.Table.count_sorted_run t run in
+  let counts =
+    on_run run (fun ~key ~lo ~hi _ -> Store.Table.count_sorted_run t ~key ~lo ~hi)
+  in
   check_int "one descent per key" 3 counts.Store.Btree.descents;
   check_int "no steps on hash" 0 counts.Store.Btree.steps;
   let applied =
-    Store.Table.apply_sorted_run t run ~f:(fun _key payload existing ->
-        match existing with
-        | Some r ->
-            r.Store.Record.value <- payload;
-            None
-        | None -> Some (Store.Record.make payload))
+    on_run run (fun ~key ~lo ~hi payload ->
+        Store.Table.apply_sorted_run t ~key ~lo ~hi ~f:(fun i existing ->
+            match existing with
+            | Some r ->
+                r.Store.Record.value <- payload i;
+                None
+            | None -> Some (Store.Record.make (payload i))))
   in
   check_int "applied descents" 3 applied.Store.Btree.descents;
   check_int "all present" 3 (Store.Table.count t);
@@ -737,8 +753,8 @@ let test_hash_apply_sorted_run () =
     (Invalid_argument "Table.apply_sorted_run: keys not strictly ascending")
     (fun () ->
       ignore
-        (Store.Table.apply_sorted_run t [ ("z", "1"); ("a", "2") ]
-           ~f:(fun _ _ _ -> None)))
+        (on_run [ ("z", "1"); ("a", "2") ] (fun ~key ~lo ~hi _ ->
+             Store.Table.apply_sorted_run t ~key ~lo ~hi ~f:(fun _ _ -> None))))
 
 (* Model-based equivalence: the same random point-op trace against a
    B-tree table and a hash table must be observationally identical —
