@@ -15,7 +15,7 @@
    The penalty curve holds 4 shards fixed and dials the fraction of
    cross-shard transactions (remote NewOrder / remote Payment pairs
    committed through replicated 2PC) through 0/1/5/15%: each cross
-   transaction costs five sequential replicated rounds instead of one,
+   transaction costs three sequential replicated rounds instead of one,
    so aggregate throughput degrades smoothly — and monotonically — with
    the cross fraction. *)
 

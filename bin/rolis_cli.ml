@@ -79,7 +79,7 @@ let run_sharded workload workers cores batch batch_policy shards cross_pct
     workload shards workers (100.0 *. cross_pct) drivers;
   Printf.printf "throughput:      %s TPS aggregate (logical transactions)\n"
     (fmt_tps (Rolis.Shard.throughput dep));
-  Printf.printf "committed:       %d (aborted %d); cross-shard %d committed / %d aborted, %d prepares\n"
+  Printf.printf "committed:       %d (aborted %d); cross-shard %d committed / %d aborted, %d remote prepares\n"
     (Rolis.Shard.committed dep) (Rolis.Shard.aborted dep)
     (Rolis.Shard.cross_committed dep) (Rolis.Shard.cross_aborted dep)
     (Rolis.Shard.prepares dep);

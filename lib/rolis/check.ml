@@ -366,9 +366,11 @@ let snapshot_reads cluster =
      must have deduplicated the driver's apply retries);
    - an Applied mark with an Aborted decision — or a Canceled mark with
      a Committed decision — is an atomicity violation;
-   - a Committed decision names its participants, and each must carry an
-     Applied mark: a shard that failed over between prepare and apply
-     must have recovered the staged intent from its journal;
+   - a Committed decision names the cohort that staged intents (the
+     coordinator applies its own sub inside the decision entry, so it is
+     not listed), and each must carry an Applied mark: a shard that
+     failed over between prepare and apply must have recovered the
+     staged intent from its journal;
    - an Applied mark with no Committed decision anywhere means a
      participant applied state no coordinator decided.
 

@@ -15,11 +15,16 @@ let k_decision xid = Store.Keycodec.encode [ Store.Keycodec.S "d"; Store.Keycode
    step inherits replication, exactly-once session dedup and failover
    recovery for free:
 
-     "!p <xid> <sub>"    prepare: stage [sub] as the intent row
-     "!c <xid> <parts>"  coordinator decision: commit
-     "!a <xid> <parts>"  coordinator decision: abort
-     "!x <xid>"          apply the staged intent, consume it
-     "!r <xid>"          cancel: discard the staged intent
+     "!p <xid> <sub>"          remote prepare: stage [sub] as the intent row
+     "!c <xid> <parts> <sub>"  coordinator: run its own [sub] and record
+                               the commit decision, in one transaction
+     "!a <xid> <parts>"        coordinator decision: abort
+     "!x <xid>"                apply the staged intent, consume it
+     "!r <xid>"                cancel: discard the staged intent
+
+   [parts] names the remote participants, the cohort that staged intents
+   and must still apply or cancel. The coordinator never stages: its
+   sub-transaction commits atomically with the decision row.
 
    Each writes ordinary rows in the [__2pc] table *and* stamps the
    transaction's wire record with a {!Store.Wire.decision} mark, so the
@@ -30,14 +35,18 @@ let mark txn ~xid phase parts =
   Silo.Txn.set_decision txn
     { Store.Wire.d_xid = xid; d_phase = phase; d_parts = parts }
 
+(* "a b c" -> ("a", "b c");  "a" -> ("a", "") *)
+let split_word s =
+  match String.index_opt s ' ' with
+  | None -> (s, "")
+  | Some sp ->
+      (String.sub s 0 sp, String.sub s (sp + 1) (String.length s - sp - 1))
+
 let split_control payload =
   (* "!p 123 rest..." -> (123, "rest...");  "!x 123" -> (123, "") *)
   let body = String.sub payload 3 (String.length payload - 3) in
-  match String.index_opt body ' ' with
-  | None -> (int_of_string body, "")
-  | Some sp ->
-      ( int_of_string (String.sub body 0 sp),
-        String.sub body (sp + 1) (String.length body - sp - 1) )
+  let xid, rest = split_word body in
+  (int_of_string xid, rest)
 
 let parse_parts s =
   if s = "" then []
@@ -56,14 +65,19 @@ let wrap_app ?(veto = fun ~payload:_ -> false) base =
       match payload.[1] with
       | 'p' ->
           (* A vetoed sub-transaction surfaces its abort at prepare time,
-             before anything is staged anywhere — the coordinator turns
-             the vote into a global abort. *)
+             before anything is staged here — the driver turns the no
+             vote into a global abort. *)
           if veto ~payload:rest then Silo.Txn.abort ();
           Silo.Txn.put txn t2 (k_intent xid) rest;
           mark txn ~xid Store.Wire.Prepared []
       | 'c' ->
+          (* The commit point. The veto is checked again here: the
+             driver's early check is an optimisation, not the guard. *)
+          let parts, sub = split_word rest in
+          if veto ~payload:sub then Silo.Txn.abort ();
+          base_op db ~payload:sub txn;
           Silo.Txn.put txn t2 (k_decision xid) "C";
-          mark txn ~xid Store.Wire.Committed (parse_parts rest)
+          mark txn ~xid Store.Wire.Committed (parse_parts parts)
       | 'a' ->
           Silo.Txn.put txn t2 (k_decision xid) "A";
           mark txn ~xid Store.Wire.Aborted (parse_parts rest)
@@ -104,7 +118,7 @@ type op =
   | Multi of (int * string) list
       (** cross-shard: [(participant shard, sub-payload)] list; the first
           participant hosts the coordinator (its log carries the
-          decision). *)
+          decision and its own sub). *)
 
 type gen = unit -> op
 
@@ -129,6 +143,7 @@ type t = {
   clusters : Cluster.t array;
   drivers : driver array;
   stopped : bool ref;
+  veto : payload:string -> bool;
 }
 
 let engine t = t.eng
@@ -149,19 +164,31 @@ let req d s fmt =
    client request with session dedup, so the whole protocol is idempotent
    under retry and survives any participant's failover:
 
-     1. prepare on each participant (sequential; first abort wins);
-     2. all yes -> "!c" on the coordinator shard — once acked, the
-        decision is release-committed in its replicated log and the
-        transaction is atomically durable;
-     3. "!x" on every participant applies its staged intent.
+     1. "!p" on each remote participant (sequential; first no wins);
+     2. all yes -> the folded "!c" on the coordinator shard runs the
+        coordinator's own sub-transaction and records the decision in
+        one entry — once acked, the transaction is atomically durable;
+     3. "!x" on every remote applies its staged intent.
 
-   On any no vote: "!a" on the coordinator records the abort decision,
-   then "!r" cancels the staged intents of the shards that voted yes. *)
-let run_2pc d parts =
+   A coordinator sub the [veto] rejects aborts before any remote is
+   asked: only the "!a" round is paid. On a no vote, or if "!c" itself
+   aborts, "!a" on the coordinator records the abort decision, then "!r"
+   cancels the staged intents of the remotes that voted yes. *)
+let run_2pc ~veto d parts =
   let xid = fresh_xid d in
-  let ids = List.map fst parts in
-  let coord = List.hd ids in
-  let pstr = String.concat "," (List.map string_of_int ids) in
+  let coord, csub, remotes =
+    match parts with
+    | (coord, csub) :: remotes -> (coord, csub, remotes)
+    | [] -> invalid_arg "Shard: a Multi needs at least one participant"
+  in
+  let rstr =
+    String.concat "," (List.map (fun (s, _) -> string_of_int s) remotes)
+  in
+  let abort yes =
+    ignore (req d coord "!a %d %s" xid rstr);
+    List.iter (fun s -> ignore (req d s "!r %d" xid)) yes;
+    false
+  in
   let rec prepare yes = function
     | [] -> Ok (List.rev yes)
     | (s, sub) :: rest -> (
@@ -171,15 +198,27 @@ let run_2pc d parts =
             prepare (s :: yes) rest
         | `Aborted | `Stopped -> Error (List.rev yes))
   in
-  match prepare [] parts with
-  | Ok _ ->
-      ignore (req d coord "!c %d %s" xid pstr);
-      List.iter (fun s -> ignore (req d s "!x %d" xid)) ids;
-      true
-  | Error yes ->
-      ignore (req d coord "!a %d %s" xid pstr);
-      List.iter (fun s -> ignore (req d s "!r %d" xid)) yes;
-      false
+  if veto ~payload:csub then abort []
+  else
+    match prepare [] remotes with
+    | Error yes -> abort yes
+    | Ok yes -> (
+        match req d coord "!c %d %s %s" xid rstr csub with
+        | `Ok ->
+            List.iter
+              (fun s ->
+                match req d s "!x %d" xid with
+                | `Ok -> ()
+                | `Aborted | `Stopped ->
+                    failwith
+                      (Printf.sprintf
+                         "2pc: committed xid %d lost its apply on shard %d" xid
+                         s))
+              yes;
+            true
+        | `Aborted -> abort yes
+        | `Stopped ->
+            failwith (Printf.sprintf "2pc: xid %d left in doubt" xid))
 
 let run_driver t d gen () =
   while true do
@@ -199,7 +238,7 @@ let run_driver t d gen () =
           | `Aborted -> d.aborted <- d.aborted + 1
           | `Stopped -> ())
       | Multi parts ->
-          if run_2pc d parts then begin
+          if run_2pc ~veto:t.veto d parts then begin
             d.committed <- d.committed + 1;
             d.cross_committed <- d.cross_committed + 1;
             let l = Sim.Engine.time () - t0 in
@@ -213,7 +252,7 @@ let run_driver t d gen () =
     end
   done
 
-let create ?on_durable ?veto cfg router app ~gen =
+let create ?on_durable ?(veto = fun ~payload:_ -> false) cfg router app ~gen =
   if cfg.Config.shards <> Router.shards router then
     invalid_arg "Shard.create: Config.shards disagrees with the router";
   if cfg.Config.shards < 1 then
@@ -231,7 +270,7 @@ let create ?on_durable ?veto cfg router app ~gen =
     Array.init cfg.Config.shards (fun s ->
         let on_durable = Option.map (fun f -> f ~shard:s) on_durable in
         Cluster.create ~eng ?on_durable shard_cfg
-          (wrap_app ?veto (app ~shard:s)))
+          (wrap_app ~veto (app ~shard:s)))
   in
   let stopped = ref false in
   (* Drivers replace the per-cluster client fleet: driver [j] holds one
@@ -265,7 +304,7 @@ let create ?on_durable ?veto cfg router app ~gen =
           cross_lat = Sim.Metrics.Hist.create ();
         })
   in
-  let t = { eng; cfg; router; clusters; drivers; stopped } in
+  let t = { eng; cfg; router; clusters; drivers; stopped; veto } in
   Array.iter
     (fun d ->
       let drng = Sim.Rng.split (Sim.Engine.rng eng) in

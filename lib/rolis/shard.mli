@@ -25,13 +25,23 @@ val table_2pc : string
     rows keyed [("d", xid)] holding ["C"] or ["A"]. *)
 
 val wrap_app : ?veto:(payload:string -> bool) -> App.t -> App.t
-(** Overlay the 2PC control surface on an app's [client_op]. Control
-    payloads ["!p"/"!c"/"!a"/"!x"/"!r"] stage, decide, apply or cancel;
-    anything else dispatches to the base [client_op] unchanged (the
-    zero-cost single-shard path). [veto ~payload] lets the workload
-    surface a deterministic user abort at {e prepare} time (e.g. TPC-C's
-    1% NewOrder rollback), turning it into a clean global abort before
-    anything is staged.
+(** Overlay the 2PC control surface on an app's [client_op]. The control
+    verbs, with [parts] the comma-separated remote participants:
+    - ["!p <xid> <sub>"]: a remote participant stages [sub] as its
+      intent row and votes yes (a vetoed [sub] votes no);
+    - ["!c <xid> <parts> <sub>"]: the coordinator runs its own [sub]
+      through the base op, writes the commit decision row and stamps one
+      [Committed] mark whose [d_parts] lists [parts] — the commit point,
+      one replicated entry, aborting if [veto] rejects [sub] or the base
+      op aborts;
+    - ["!a <xid> <parts>"]: the coordinator records an abort decision;
+    - ["!x <xid>"] / ["!r <xid>"]: a remote applies (and consumes) or
+      cancels its staged intent.
+
+    Anything else dispatches to the base [client_op] unchanged (the
+    zero-cost single-shard path). [veto ~payload] surfaces a
+    deterministic user abort (e.g. TPC-C's 1% NewOrder rollback) before
+    anything commits.
     @raise Invalid_argument if the base app has no [client_op]. *)
 
 (** {2 Deployment} *)
@@ -41,7 +51,7 @@ type op =
       (** [(shard, payload)]: issued directly, routes unchanged. *)
   | Multi of (int * string) list
       (** Cross-shard: participants with their sub-payloads; the first
-          participant hosts the coordinator. *)
+          participant hosts the coordinator, the rest are remotes. *)
 
 type gen = unit -> op
 
@@ -66,7 +76,13 @@ val create :
     [j] holds one write session per shard (cid [j] everywhere), pulls
     logical transactions from [gen] (called once per driver with a split
     of the engine RNG) and either routes a [Single] directly or runs the
-    2PC protocol for a [Multi]. [app ~shard] supplies each shard's base
+    2PC protocol for a [Multi]: ["!p"] on each remote, the folded ["!c"]
+    on the coordinator, ["!x"] on each remote — three replicated rounds
+    for a two-shard transaction. [veto] is installed in every shard's
+    {!wrap_app} and also checked by the driver against the coordinator's
+    sub before any remote prepares, so a vetoed transaction costs only
+    the ["!a"] round. A driver fails the run if a remote apply of a
+    committed transaction aborts. [app ~shard] supplies each shard's base
     application — constant for a replicated-everywhere schema, or
     range-restricted when each shard loads only its own partition.
     [shards = 1] is the degenerate single-group deployment — everything
@@ -106,7 +122,8 @@ val cross_committed : t -> int
 val cross_aborted : t -> int
 
 val prepares : t -> int
-(** Successful prepare votes recorded across all 2PC rounds. *)
+(** Successful remote prepare votes recorded across all 2PC rounds (the
+    coordinator never prepares). *)
 
 val released : t -> int
 (** Release-committed {e sub}-transactions summed over every shard

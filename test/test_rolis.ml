@@ -1684,18 +1684,16 @@ let test_router_partitioning () =
   done;
   check_int "ycsb ranges tile the space" keys !ycovered
 
-(* The satellite e2e: crash the coordinator shard's leader after a
-   prepare is durable but (with overwhelming likelihood) before the
-   decision lands — the classic 2PC in-doubt window. Every transaction
-   is cross-shard (cross_pct = 1), so the crash interrupts live 2PC
-   rounds; the freshly elected leader must recover the staged intents,
-   the session table and any already-replicated decision from its
-   journal, and the drivers' retries must drive every round to one
-   atomic outcome. Afterwards: cross-shard atomicity, per-shard
-   exactly-once, and global money conservation. *)
-let test_shard_coordinator_crash_recovers_decision () =
-  let shards = 2 and drivers = 4 and accounts_per_shard = 16 in
-  let accounts = shards * accounts_per_shard in
+(* A two-shard bank where every logical transaction is cross-shard: a
+   withdraw on one shard (the coordinator's sub) paired with a credit on
+   the other. [abort_sub] makes the base op abort on matching payloads:
+   a coordinator sub then aborts its folded "!c", a remote sub its
+   "!x". *)
+let cross_bank_shards = 2
+let cross_bank_accounts = 32
+
+let cross_bank ?on_durable ?veto ?(abort_sub = fun _ -> false) ~seed () =
+  let shards = cross_bank_shards and accounts = cross_bank_accounts in
   let router = Rolis.Router.ycsb ~keys:accounts ~shards in
   let cfg =
     {
@@ -1708,20 +1706,223 @@ let test_shard_coordinator_crash_recovers_decision () =
       archive_entries = true;
       heartbeat_interval = 50 * ms;
       election_timeout = 300 * ms;
-      clients = drivers;
-      seed = 7L;
+      clients = 4;
+      seed;
       shards;
       cross_pct = 1.0;
     }
   in
-  let stopped = ref false in
+  Rolis.Shard.create ?on_durable ?veto cfg router
+    (fun ~shard ->
+      let app =
+        Rolis.Chaos.bank_app
+          ~range:(Rolis.Router.ycsb_key_range router ~keys:accounts shard)
+          ~accounts ~stopped:(ref false) ()
+      in
+      let op = Option.get app.Rolis.App.client_op in
+      {
+        app with
+        Rolis.App.client_op =
+          Some
+            (fun db ~payload txn ->
+              if abort_sub payload then Silo.Txn.abort ();
+              op db ~payload txn);
+      })
+    ~gen:(fun ~rng ~driver:_ () ->
+      let sa = Sim.Rng.int rng shards in
+      let sb = (sa + 1) mod shards in
+      let alo, ahi = Rolis.Router.ycsb_key_range router ~keys:accounts sa in
+      let blo, bhi = Rolis.Router.ycsb_key_range router ~keys:accounts sb in
+      let a = alo + Sim.Rng.int rng (ahi - alo + 1) in
+      let b = blo + Sim.Rng.int rng (bhi - blo + 1) in
+      let amount = 1 + Sim.Rng.int rng 10 in
+      Rolis.Shard.Multi
+        [
+          (sa, Printf.sprintf "w %d %d" a amount);
+          (sb, Printf.sprintf "c %d %d" b amount);
+        ])
+
+(* Every decision mark, keyed by xid, as [(shard, phase, parts)], from
+   the first durable report of each (shard, stream, idx) — sound for a
+   run without faults, where no slot is ever reused. *)
+let mark_collector () =
+  let seen = Hashtbl.create 1024 and marks = Hashtbl.create 256 in
+  let on_durable ~shard ~replica:_ ~stream ~idx (e : Store.Wire.entry) =
+    if not (Hashtbl.mem seen (shard, stream, idx)) then begin
+      Hashtbl.replace seen (shard, stream, idx) ();
+      List.iter
+        (fun (t : Store.Wire.txn_log) ->
+          match t.Store.Wire.decision with
+          | Some d ->
+              let xid = d.Store.Wire.d_xid in
+              let cur = Option.value ~default:[] (Hashtbl.find_opt marks xid) in
+              Hashtbl.replace marks xid
+                ((shard, d.Store.Wire.d_phase, d.Store.Wire.d_parts) :: cur)
+          | None -> ())
+        e.Store.Wire.txns
+    end
+  in
+  (on_durable, marks)
+
+(* Live intent rows left in the control table of every alive replica. *)
+let intent_rows dep =
+  Array.fold_left
+    (fun acc c ->
+      Array.fold_left
+        (fun acc r ->
+          if not (Rolis.Replica.is_alive r) then acc
+          else begin
+            let n = ref 0 in
+            Store.Table.iter
+              (Silo.Db.table (Rolis.Replica.db r) Rolis.Shard.table_2pc)
+              (fun k rec_ ->
+                if not rec_.Store.Record.deleted then
+                  match Store.Keycodec.decode k with
+                  | Store.Keycodec.S "i" :: _ -> incr n
+                  | _ -> ());
+            acc + !n
+          end)
+        acc (Rolis.Cluster.replicas c))
+    0 (Rolis.Shard.clusters dep)
+
+let sharded_bank_violations dep =
+  let clusters = Rolis.Shard.clusters dep in
+  (Array.to_list clusters
+  |> List.concat_map (fun c ->
+         Rolis.Check.agreement c @ Rolis.Check.convergence c))
+  @ (List.init cross_bank_shards (fun sh ->
+         Rolis.Check.exactly_once clusters.(sh)
+           ~acked:(Rolis.Shard.acked_seqs dep sh))
+    |> List.concat)
+  @ Rolis.Check.cross_shard clusters
+  @ Rolis.Check.money_sharded clusters ~table:Rolis.Chaos.bank_table
+      ~expected:(cross_bank_accounts * Rolis.Chaos.initial_balance)
+
+let fail_on_violations what = function
+  | [] -> ()
+  | viols ->
+      Alcotest.failf "%s violated invariants: %s" what
+        (String.concat "; "
+           (List.map
+              (fun v ->
+                Printf.sprintf "%s: %s" v.Rolis.Check.check
+                  v.Rolis.Check.detail)
+              viols))
+
+(* The folded commit's journal shape: the coordinator stages nothing and
+   applies inside its decision, so a committed transaction leaves exactly
+   three marks — Prepared and Applied on the remote, and one Committed on
+   the coordinator whose parts name only the remote. *)
+let test_shard_folded_commit_marks () =
+  let on_durable, marks = mark_collector () in
+  let dep = cross_bank ~on_durable ~seed:11L () in
+  Rolis.Shard.run dep ~duration:(1 * s) ();
+  check_bool "drivers quiesced" true (Rolis.Shard.quiesce dep);
+  Rolis.Shard.run dep ~duration:(200 * ms) ();
+  let committed = ref 0 in
+  Hashtbl.iter
+    (fun xid got ->
+      match
+        List.find_opt (fun (_, ph, _) -> ph = Store.Wire.Committed) got
+      with
+      | None -> ()
+      | Some (coord, _, _) ->
+          incr committed;
+          let remote = 1 - coord in
+          let expect =
+            [
+              (coord, Store.Wire.Committed, [ remote ]);
+              (remote, Store.Wire.Prepared, []);
+              (remote, Store.Wire.Applied, []);
+            ]
+          in
+          if List.sort compare got <> List.sort compare expect then
+            Alcotest.failf "xid %d: unexpected marks (%d of them)" xid
+              (List.length got))
+    marks;
+  check_bool "cross-shard transactions committed" true (!committed > 0);
+  check_int "one Committed mark per committed transaction"
+    (Rolis.Shard.cross_committed dep) !committed;
+  check_int "prepares count remote votes only" !committed
+    (Rolis.Shard.prepares dep);
+  check_int "no intent rows left on any shard" 0 (intent_rows dep);
+  fail_on_violations "folded commit" (sharded_bank_violations dep)
+
+(* Both abort paths of the folded commit: a coordinator sub the veto
+   rejects aborts before any remote prepares (one "!a" round), and one
+   that aborts inside the folded "!c" — after the remote staged its
+   intent — is cancelled there by "!a" + "!r". *)
+let test_shard_veto_aborts_cleanly () =
+  let amount payload =
+    match String.split_on_char ' ' payload with
+    | [ "w"; _; amt ] -> Some (int_of_string amt)
+    | _ -> None
+  in
+  let on_durable, marks = mark_collector () in
+  let dep =
+    cross_bank ~on_durable ~seed:13L
+      ~veto:(fun ~payload ->
+        match amount payload with Some a -> a mod 3 = 0 | None -> false)
+      ~abort_sub:(fun payload -> amount payload = Some 7)
+      ()
+  in
+  Rolis.Shard.run dep ~duration:(1 * s) ();
+  check_bool "drivers quiesced" true (Rolis.Shard.quiesce dep);
+  Rolis.Shard.run dep ~duration:(200 * ms) ();
+  check_bool "some cross-shard transactions aborted" true
+    (Rolis.Shard.cross_aborted dep > 0);
+  check_bool "the rest committed" true (Rolis.Shard.cross_committed dep > 0);
+  let has ph got = List.exists (fun (_, p, _) -> p = ph) got in
+  let early = ref 0 and canceled = ref 0 in
+  Hashtbl.iter
+    (fun _ got ->
+      if has Store.Wire.Aborted got then
+        if has Store.Wire.Canceled got then incr canceled
+        else if not (has Store.Wire.Prepared got) then incr early)
+    marks;
+  check_bool "vetoed subs aborted before any remote prepare" true (!early > 0);
+  check_bool "a folded decision that aborted cancelled the remote intent" true
+    (!canceled > 0);
+  check_int "no intent rows left on any shard" 0 (intent_rows dep);
+  fail_on_violations "veto aborts" (sharded_bank_violations dep)
+
+(* A committed transaction whose remote apply aborts has lost part of
+   its effect: the driver must fail loudly, naming the xid and shard,
+   rather than leave it to an end-of-run audit. *)
+let test_shard_failed_apply_is_loud () =
+  let dep =
+    cross_bank ~seed:17L
+      ~abort_sub:(fun payload -> String.starts_with ~prefix:"c " payload)
+      ()
+  in
+  match Rolis.Shard.run dep ~duration:(1 * s) () with
+  | () -> Alcotest.fail "an aborted apply went unnoticed"
+  | exception Sim.Engine.Process_failure (_, Failure msg) -> (
+      match
+        Scanf.sscanf_opt msg
+          "2pc: committed xid %d lost its apply on shard %d%!"
+          (fun _ shard -> shard)
+      with
+      | Some shard ->
+          check_bool "names a participant shard" true (shard = 0 || shard = 1)
+      | None -> Alcotest.failf "unexpected failure: %s" msg)
+
+(* End to end: crash the coordinator shard's leader between the
+   remote's vote and the folded decision — the classic 2PC in-doubt
+   window. Every transaction is cross-shard (cross_pct = 1), so the crash
+   interrupts live 2PC rounds; the freshly elected leader must recover
+   the session table and any already-replicated decision from its
+   journal, and the drivers' retries must drive every round to one
+   atomic outcome. Afterwards: cross-shard atomicity, per-shard
+   exactly-once, and global money conservation. *)
+let test_shard_coordinator_crash_recovers_decision () =
   let dep_ref = ref None in
   let crashed = ref false in
-  (* Fires on every durability commit on shard 0; the first Prepared mark
-     schedules a leader crash 1 ms later — inside the in-doubt window of
-     whatever rounds are then in flight. *)
+  (* The first durable Prepared mark on shard 1 is a vote for a
+     transaction shard 0 coordinates: crash shard 0's leader 1 ms later,
+     while that round's folded decision is in flight. *)
   let on_durable ~shard ~replica:_ ~stream:_ ~idx:_ (e : Store.Wire.entry) =
-    if shard = 0 && not !crashed then
+    if shard = 1 && not !crashed then
       let has_prepare =
         List.exists
           (fun (t : Store.Wire.txn_log) ->
@@ -1746,32 +1947,13 @@ let test_shard_coordinator_crash_recovers_decision () =
                 | None -> ())
       end
   in
-  let dep =
-    Rolis.Shard.create ~on_durable cfg router
-      (fun ~shard ->
-        Rolis.Chaos.bank_app
-          ~range:(Rolis.Router.ycsb_key_range router ~keys:accounts shard)
-          ~accounts ~stopped ())
-      ~gen:(fun ~rng ~driver:_ () ->
-        (* Always cross-shard: a withdraw on one shard paired with a
-           credit on the other. *)
-        let sa = Sim.Rng.int rng shards in
-        let sb = (sa + 1) mod shards in
-        let alo, ahi = Rolis.Router.ycsb_key_range router ~keys:accounts sa in
-        let blo, bhi = Rolis.Router.ycsb_key_range router ~keys:accounts sb in
-        let a = alo + Sim.Rng.int rng (ahi - alo + 1) in
-        let b = blo + Sim.Rng.int rng (bhi - blo + 1) in
-        let amount = 1 + Sim.Rng.int rng 10 in
-        Rolis.Shard.Multi
-          [
-            (sa, Printf.sprintf "w %d %d" a amount);
-            (sb, Printf.sprintf "c %d %d" b amount);
-          ])
-  in
+  let dep = cross_bank ~on_durable ~seed:7L () in
   dep_ref := Some dep;
   Rolis.Shard.run dep ~duration:(2 * s) ();
-  check_bool "a prepare was observed and the coordinator leader crashed" true
-    !crashed;
+  check_bool "a remote vote was observed and the coordinator leader crashed"
+    true !crashed;
+  check_bool "the crash interrupted in-flight requests" true
+    (Rolis.Shard.client_retries dep > 0);
   (* Quiesce, restart the dead replica, drain replay, then audit. *)
   check_bool "drivers quiesced" true (Rolis.Shard.quiesce dep);
   Array.iter
@@ -1785,26 +1967,7 @@ let test_shard_coordinator_crash_recovers_decision () =
   Rolis.Shard.run dep ~duration:(2 * s) ();
   check_bool "cross-shard transactions committed through the crash" true
     (Rolis.Shard.cross_committed dep > 0);
-  let clusters = Rolis.Shard.clusters dep in
-  let viols =
-    (Array.to_list clusters
-    |> List.concat_map (fun c ->
-           Rolis.Check.agreement c @ Rolis.Check.convergence c))
-    @ (List.init shards (fun sh ->
-           Rolis.Check.exactly_once clusters.(sh)
-             ~acked:(Rolis.Shard.acked_seqs dep sh))
-      |> List.concat)
-    @ Rolis.Check.cross_shard clusters
-    @ Rolis.Check.money_sharded clusters ~table:Rolis.Chaos.bank_table
-        ~expected:(accounts * Rolis.Chaos.initial_balance)
-  in
-  if viols <> [] then
-    Alcotest.failf "coordinator crash violated invariants: %s"
-      (String.concat "; "
-         (List.map
-            (fun v ->
-              Printf.sprintf "%s: %s" v.Rolis.Check.check v.Rolis.Check.detail)
-            viols))
+  fail_on_violations "coordinator crash" (sharded_bank_violations dep)
 
 (* One deterministic sharded chaos seed end-to-end through the harness:
    independent per-shard nemeses, cross-shard 2PC under fire, and the
@@ -2090,6 +2253,12 @@ let () =
           Alcotest.test_case "router partitioning" `Quick test_router_partitioning;
           Alcotest.test_case "coordinator crash recovers decision" `Quick
             test_shard_coordinator_crash_recovers_decision;
+          Alcotest.test_case "folded commit marks" `Quick
+            test_shard_folded_commit_marks;
+          Alcotest.test_case "veto aborts cleanly" `Quick
+            test_shard_veto_aborts_cleanly;
+          Alcotest.test_case "failed apply is loud" `Quick
+            test_shard_failed_apply_is_loud;
           Alcotest.test_case "sharded chaos seed" `Quick test_sharded_chaos_seed;
         ] );
       ( "trace",
