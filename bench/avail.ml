@@ -58,7 +58,7 @@ let scenario ~spares ~duration op =
   let stopped = ref false in
   let cfg = cluster_cfg ~spares in
   let cluster =
-    Rolis.Cluster.create cfg (Rolis.Chaos.bank_app ~accounts ~stopped ())
+    Rolis.Cluster.create cfg (Rolis.Chaos.bank_app ~accounts ())
   in
   let eng = Rolis.Cluster.engine cluster in
   let net = Rolis.Cluster.network cluster in

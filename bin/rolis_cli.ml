@@ -417,7 +417,7 @@ let run_cmd =
    makes the re-run identical to the original failure. *)
 let dump_nemesis_log ~path ~replicas ~workers ~clients ~accounts ~duration
     ~checkpoint_interval ~history_warmup ~ops ~spares ~follower_reads
-    ~read_lease ~wan_profile ~seed =
+    ~read_lease ~wan_profile ~shards ~cross_pct ~seed =
   let oc = open_out path in
   let fmt = Format.formatter_of_out_channel oc in
   let reporter =
@@ -441,73 +441,28 @@ let dump_nemesis_log ~path ~replicas ~workers ~clients ~accounts ~duration
   let o =
     Rolis.Chaos.run_seed ~replicas ~workers ~clients ~accounts ~duration
       ~checkpoint_interval ~history_warmup ~ops ~spares ~follower_reads
-      ?read_lease ~wan_profile ~seed ()
+      ?read_lease ~wan_profile ~shards ~cross_pct ~seed ()
   in
   Format.fprintf fmt "%a@." Rolis.Chaos.pp_outcome o;
   Logs.set_reporter saved_reporter;
   Logs.set_level saved_level;
   close_out oc
 
-(* Sharded chaos: per-shard nemesis plans against a Shard deployment of
-   bank partitions; checks add cross-shard atomicity and global
-   conservation. Incompatible with the single-group-only extras. *)
-let run_sharded_chaos seeds seed0 shards cross_pct replicas workers drivers
-    accounts duration_ms verbose =
-  if verbose then begin
-    Logs.set_reporter (Logs.format_reporter ());
-    Logs.set_level (Some Logs.Debug)
-  end;
-  let accounts_per_shard = max 8 (accounts / shards) in
-  Printf.printf
-    "chaos: %d sharded seed(s) starting at %d — %d shards (%.0f%% cross), \
-     %d replicas, %d workers, %d drivers, %d accounts/shard, %d ms of \
-     faults per seed\n\
-     %!"
-    seeds seed0 shards (100.0 *. cross_pct) replicas workers drivers
-    accounts_per_shard duration_ms;
-  let _, first_failure =
-    try
-      Rolis.Chaos.run_sharded_seeds ~shards ~cross_pct ~replicas ~workers
-        ~drivers ~accounts_per_shard ~duration:(duration_ms * ms) ~seed0 ~seeds
-        ~on_outcome:(fun o -> Format.printf "%a@." Rolis.Chaos.pp_outcome o)
-        ()
-    with Invalid_argument msg ->
-      Printf.eprintf "chaos: invalid parameters: %s\n" msg;
-      exit 2
-  in
-  match first_failure with
-  | None -> Printf.printf "chaos: all %d sharded seed(s) passed\n" seeds
-  | Some o ->
-      Printf.printf
-        "chaos: FIRST FAILING SEED = %d (reproduce with --shards %d --seeds 1 \
-         --seed0 %d)\n"
-        o.Rolis.Chaos.seed shards o.Rolis.Chaos.seed;
-      exit 1
-
 let run_chaos seeds seed0 replicas workers clients accounts duration_ms
     ckpt_interval_ms history_warmup_ms ops spares follower_reads read_lease_us
     wan_profile shards cross_pct verbose nemesis_log =
-  if shards > 1 then begin
-    if ops || follower_reads || ckpt_interval_ms > 0 then begin
-      Printf.eprintf
-        "chaos: --shards is incompatible with --ops, --follower-reads and \
-         --checkpoint-interval (checkpoint truncation would drop \
-         decision-carrying slots the cross-shard oracle needs)\n";
-      exit 2
-    end;
-    run_sharded_chaos seeds seed0 shards cross_pct replicas workers clients
-      accounts duration_ms verbose;
-    exit 0
-  end;
   if verbose then begin
     Logs.set_reporter (Logs.format_reporter ());
     Logs.set_level (Some Logs.Debug)
   end;
   Printf.printf
     "chaos: %d seed(s) starting at %d — %d replicas, %d workers, %d clients, \
-     %d accounts, %d ms of faults per seed%s%s\n\
+     %d accounts, %d ms of faults per seed%s%s%s\n\
      %!"
     seeds seed0 replicas workers clients accounts duration_ms
+    (if shards > 1 then
+       Printf.sprintf ", %d shards (%.0f%% cross)" shards (100.0 *. cross_pct)
+     else "")
     (if ckpt_interval_ms > 0 then
        Printf.sprintf ", checkpoints every %d ms (+%d ms history warm-up)"
          ckpt_interval_ms history_warmup_ms
@@ -531,7 +486,7 @@ let run_chaos seeds seed0 replicas workers clients accounts duration_ms
     try
       Rolis.Chaos.run_seeds ~replicas ~workers ~clients ~accounts ~duration
         ~checkpoint_interval ~history_warmup ~ops ~spares ~follower_reads
-        ?read_lease ~wan_profile ~seed0 ~seeds
+        ?read_lease ~wan_profile ~shards ~cross_pct ~seed0 ~seeds
         ~on_outcome:(fun o -> Format.printf "%a@." Rolis.Chaos.pp_outcome o)
         ()
     with Invalid_argument msg ->
@@ -548,7 +503,7 @@ let run_chaos seeds seed0 replicas workers clients accounts duration_ms
       | Some path ->
           dump_nemesis_log ~path ~replicas ~workers ~clients ~accounts ~duration
             ~checkpoint_interval ~history_warmup ~ops ~spares ~follower_reads
-            ~read_lease ~wan_profile ~seed;
+            ~read_lease ~wan_profile ~shards ~cross_pct ~seed;
           Printf.printf "chaos: nemesis log for seed %d written to %s\n" seed path
       | None -> ());
       exit 1
@@ -567,9 +522,10 @@ let clients_arg =
     value & opt int 8
     & info [ "clients" ]
         ~doc:
-          "Retrying client sessions driving the bank end-to-end (timeouts, \
-           leader redirects, exactly-once dedup across failover). 0 falls \
-           back to the embedded per-worker generator.")
+          "Retrying client sessions (drivers) issuing bank transfers \
+           end-to-end (timeouts, leader redirects, exactly-once dedup across \
+           failover); each holds one session per shard and runs cross-shard \
+           transfers through 2PC. Must be at least 1.")
 
 let accounts_arg =
   Arg.(value & opt int 48 & info [ "accounts" ] ~doc:"Bank accounts in the workload.")
@@ -659,19 +615,20 @@ let chaos_shards_arg =
     value & opt int 1
     & info [ "shards" ]
         ~doc:
-          "Run the sharded chaos harness instead: this many bank shard \
-           groups under independent per-shard nemesis plans, with \
-           cross-shard transfers committed through replicated 2PC. The \
-           $(b,--clients) sessions become cross-shard drivers and \
-           $(b,--accounts) is split across the shards. Adds the \
-           cross-shard atomicity and global-conservation checks.")
+          "Bank shard groups, each under its own independent nemesis plan, \
+           with cross-shard transfers committed through replicated 2PC; \
+           $(b,--accounts) is split across the shards. Composes with \
+           $(b,--follower-reads) and $(b,--wan-profile) (read sessions per \
+           shard); rejected together with $(b,--checkpoint-interval) or \
+           $(b,--ops), because truncation would drop the decision marks the \
+           cross-shard oracle audits.")
 
 let chaos_cross_pct_arg =
   Arg.(
     value & opt float 0.2
     & info [ "cross-pct" ]
         ~doc:
-          "Fraction of transfers spanning two shards (sharded mode only).")
+          "Fraction of transfers spanning two shards (ignored with one shard).")
 
 let chaos_cmd =
   let term =

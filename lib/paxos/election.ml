@@ -245,7 +245,19 @@ let set_view t view ~gen =
 let view t = t.view
 let mgen t = t.mgen
 let failed_candidacies t = t.failed_candidacies
-let set_eligible t b = t.eligible <- b
+(* A leader made ineligible (a tainted ex-leader: it stopped serving on
+   losing its quorum) also gives up the role. Still heartbeating, it
+   would keep every follower from timing out, and since it can never
+   serve again the group would have no leader until someone rebuilt it. *)
+let set_eligible t b =
+  t.eligible <- b;
+  if (not b) && t.role = Leader then begin
+    Log.debug (fun m -> m "replica %d resigns epoch %d (ineligible)" t.me t.cur_epoch);
+    t.role <- Follower;
+    t.leader <- None;
+    t.on_new_epoch ~epoch:t.cur_epoch ~leader:None
+  end
+
 let eligible t = t.eligible
 let role t = t.role
 let is_leader t = t.role = Leader

@@ -83,7 +83,10 @@ val set_eligible : t -> bool -> unit
 (** An ineligible replica never stands for election (it still votes and
     follows). Used for {e tainted} ex-leaders whose local database holds
     speculative writes that were never released: they must not lead again
-    until rebuilt, or they would serve diverged state. *)
+    until rebuilt, or they would serve diverged state. A current leader
+    made ineligible resigns at once (stops heartbeating, fires
+    [on_new_epoch] with no leader), so the followers time out and elect
+    a successor. *)
 
 val eligible : t -> bool
 

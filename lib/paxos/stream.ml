@@ -603,16 +603,17 @@ let handle t msg ~from =
                   { s_epoch = s.a_epoch; s_entry = s.a_entry; s_acks = [] };
                 note_config t s.a_entry)
         entries;
-      (* These came from a replica that had them committed: trust up to
-         its commit index as long as we hold contiguous entries. *)
-      let continue = ref true in
-      while !continue && t.commit_idx < commit_idx do
-        match Hashtbl.find_opt t.slots (t.commit_idx + 1) with
-        | Some _ ->
-            t.commit_idx <- t.commit_idx + 1;
-            deliver t t.commit_idx
-        | None -> continue := false
-      done;
+      (* The reply's slots were committed at the donor: advance through
+         them in order, but only through slots it carried. A slot we hold
+         that the donor compacted away may be a deposed leader's stale
+         accept, never chosen — committing it would break agreement. *)
+      List.iter
+        (fun (s : Msg.accepted_slot) ->
+          if s.a_idx = t.commit_idx + 1 then begin
+            t.commit_idx <- s.a_idx;
+            deliver t s.a_idx
+          end)
+        entries;
       (* The donor is ahead yet compacted the very slot we need next: the
          gap can never be filled from the log. Flag for a checkpoint
          rebuild instead of refetching forever. *)

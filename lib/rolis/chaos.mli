@@ -1,35 +1,44 @@
-(** Seeded chaos harness: a bank-transfer cluster under a random fault
-    plan, checked against the {!Check} invariants.
+(** Seeded chaos harness: bank-transfer clusters under random fault
+    plans, checked against the {!Check} invariants.
 
     One seed determines everything — engine schedule, workload, client
-    sessions, and nemesis plan — so [run_seed ~seed] is a pure function
+    sessions, and nemesis plans — so [run_seed ~seed] is a pure function
     of [seed] and a failing seed reproduces exactly (then bisect with the
     oracle's first-divergence report and the nemesis debug log).
 
-    Each run: 300 ms steady state; [duration] of faults (crashes and
-    restarts of any replica including the leader, symmetric and one-way
-    partitions, loss/dup/reorder bursts); then quiesce — stop the
-    workload, heal the network, restart dead and tainted replicas — and
-    drain until replay converges. Final checks: Paxos agreement (oracle +
-    journal prefixes), sealed-watermark agreement, cross-replica state
-    convergence, money conservation, and — when [clients > 0] — the
-    end-to-end exactly-once audit of every client ack against the union
-    durable log.
+    Every run deploys through {!Shard.create}: [shards] bank clusters
+    (default 1, the classic single group), each loading its own slice of
+    the accounts, driven by [clients] retrying {!Client} sessions riding
+    the cluster networks. Drivers time out, back off, chase leader
+    redirects and retry across failover — which is precisely what
+    exercises the replicated session-dedup path on freshly promoted
+    leaders — and commit cross-shard transfers through replicated 2PC.
 
-    With [clients > 0] (the default), the bank is driven by real
-    {!Client} sessions riding the cluster network as extra nodes: they
-    time out, back off, chase leader redirects and retry across failover,
-    which is precisely what exercises the replicated session-dedup path
-    on freshly promoted leaders. [clients = 0] falls back to the embedded
-    per-worker generator. *)
+    Each run: 300 ms steady state (plus any history warm-up); [duration]
+    of faults from one independent nemesis per shard (crashes and
+    restarts of any replica including the leader, symmetric and one-way
+    partitions, loss/dup/reorder bursts — or rolling operations); then
+    quiesce — stop the drivers, heal the networks, restart dead replicas,
+    rebuild tainted ex-leaders, let each driver finish its in-flight
+    transaction — and drain until replay converges.
+
+    Feature matrix. Per cluster, always: Paxos agreement (oracle +
+    journal prefixes), sealed-watermark agreement (periodic and final),
+    membership agreement, cross-replica state convergence and the
+    end-to-end exactly-once audit of every driver ack against the union
+    durable log; {!Check.snapshot_reads} when [follower_reads]; and
+    {!Check.money} when [shards = 1]. Deployment-wide, always:
+    {!Check.cross_shard} and {!Check.money_sharded}. Follower reads, WAN
+    profiles and cross-shard transfers compose with any shard count;
+    checkpoints and rolling operations need [shards = 1] (see
+    {!run_seed}). *)
 
 val bank_table : string
 val initial_balance : int
 
-val bank_app : ?range:int * int -> accounts:int -> stopped:bool ref -> unit -> App.t
+val bank_app : ?range:int * int -> accounts:int -> unit -> App.t
 (** Random transfers between [accounts] accounts; conserves total money.
-    Setting [stopped] freezes generation so the cluster can quiesce. The
-    app also carries a [client_op] parsing ["a b amount"] (transfer),
+    The app also carries a [client_op] parsing ["a b amount"] (transfer),
     ["w a amount"] (withdraw) and ["c a amount"] (credit) payloads, so it
     can be driven by {!Client} sessions — the one-sided forms are the
     cross-shard 2PC halves. [range] restricts setup to loading only the
@@ -92,11 +101,20 @@ val run_seed :
   ?read_clients:int ->
   ?read_lease:int ->
   ?wan_profile:string ->
+  ?shards:int ->
+  ?cross_pct:float ->
   seed:int ->
   unit ->
   outcome
-(** Defaults: 3 replicas, 4 workers, 8 client sessions, 48 accounts,
-    3 virtual seconds of fault injection, checkpointing off.
+(** Defaults: 1 shard of 3 replicas, 4 workers, 8 client sessions
+    (drivers), 48 accounts, 3 virtual seconds of fault injection,
+    checkpointing off.
+
+    [shards > 1] splits [accounts] evenly across that many clusters;
+    [cross_pct] (default 0.2, ignored at one shard) of the transfers
+    span two shards as one-sided withdraw/credit halves committed
+    through 2PC, so coordinator and participant shards fail over
+    mid-protocol.
 
     [checkpoint_interval > 0] turns on the checkpoint subsystem with a
     retention equal to the election timeout (the minimum Config allows),
@@ -111,19 +129,23 @@ val run_seed :
     slots, default 2), remove-replica, planned leader handoff, and
     rolling restarts, while the client sessions keep committing.
     Checkpointing defaults on in ops mode (joining learners bootstrap
-    from the newest image + tail) and the final checks additionally
-    assert {!Check.membership_agreement}; the exactly-once audit covers
-    removed nodes through the evidence harvested at decommission.
+    from the newest image + tail); the exactly-once audit covers removed
+    nodes through the evidence harvested at decommission.
 
     [follower_reads] turns on the watermark-snapshot read path and adds
-    [read_clients] (default 4) read-only {!Client} sessions driving
-    balance reads at the replica pool, with a freshness lease of
-    [read_lease] (default 150 ms — the chaos election timeout is 300 ms
-    and Config requires lease < timeout). The final checks then also run
-    {!Check.snapshot_reads} over every replica's audited read sample; the
-    read sessions' acks are excluded from the exactly-once audit (reads
-    are idempotent). [wan_profile] applies a named {!Sim.Net.wan_profile}
-    latency matrix to the whole deployment ([""] = uniform). *)
+    [read_clients] (default 4) read-only sessions per shard driving
+    balance reads of that shard's accounts at its replica pool, with a
+    freshness lease of [read_lease] (default 150 ms — the chaos election
+    timeout is 300 ms and Config requires lease < timeout). Their acks
+    are excluded from the exactly-once audit (reads are idempotent).
+    [wan_profile] applies a named {!Sim.Net.wan_profile} latency matrix
+    to every cluster ([""] = uniform).
+
+    @raise Invalid_argument for [shards > 1] with checkpoints (and so
+    with [ops], which turns them on): truncation would drop the decision
+    marks {!Check.cross_shard} audits, and no decommission-style harvest
+    of that evidence exists yet; also for fewer than two accounts per
+    shard, [clients < 1], or any configuration {!Config} rejects. *)
 
 val run_seeds :
   ?replicas:int ->
@@ -139,6 +161,8 @@ val run_seeds :
   ?read_clients:int ->
   ?read_lease:int ->
   ?wan_profile:string ->
+  ?shards:int ->
+  ?cross_pct:float ->
   ?seed0:int ->
   ?on_outcome:(outcome -> unit) ->
   seeds:int ->
@@ -147,45 +171,3 @@ val run_seeds :
 (** Run seeds [seed0 .. seed0 + seeds - 1] (default [seed0 = 1]);
     returns all outcomes and the first failing one, if any.
     [on_outcome] fires after each seed (progress reporting). *)
-
-val run_sharded_seed :
-  ?shards:int ->
-  ?cross_pct:float ->
-  ?replicas:int ->
-  ?workers:int ->
-  ?drivers:int ->
-  ?accounts_per_shard:int ->
-  ?duration:int ->
-  seed:int ->
-  unit ->
-  outcome
-(** Sharded chaos: a {!Shard} deployment of [shards] (default 2) bank
-    clusters, each loading its own account partition, driven by
-    [drivers] (default 6) cross-session drivers issuing transfers —
-    one-sided withdraw/credit halves committed through 2PC at
-    [cross_pct] (default 0.2). Every shard gets its own independent
-    nemesis plan, so coordinator and participant shards crash,
-    partition and fail over at uncorrelated moments — including between
-    a prepare and its decision, and between a decision and its applies.
-    Final checks: every per-shard invariant (oracle, agreement,
-    watermarks, convergence, exactly-once) plus {!Check.cross_shard}
-    atomicity/exactly-once over the decision marks and
-    {!Check.money_sharded} global conservation. Checkpointing stays off
-    (truncation could drop decision-carrying slots the cross-shard
-    oracle needs). *)
-
-val run_sharded_seeds :
-  ?shards:int ->
-  ?cross_pct:float ->
-  ?replicas:int ->
-  ?workers:int ->
-  ?drivers:int ->
-  ?accounts_per_shard:int ->
-  ?duration:int ->
-  ?seed0:int ->
-  ?on_outcome:(outcome -> unit) ->
-  seeds:int ->
-  unit ->
-  outcome list * outcome option
-(** {!run_sharded_seed} over [seed0 .. seed0 + seeds - 1]; same contract
-    as {!run_seeds}. *)

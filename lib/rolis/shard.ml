@@ -142,6 +142,7 @@ type t = {
   router : Router.t;
   clusters : Cluster.t array;
   drivers : driver array;
+  readers : Client.t array; (* read-only sessions, every shard's *)
   stopped : bool ref;
   veto : payload:string -> bool;
 }
@@ -252,20 +253,29 @@ let run_driver t d gen () =
     end
   done
 
-let create ?on_durable ?(veto = fun ~payload:_ -> false) cfg router app ~gen =
+let create ?on_durable ?(veto = fun ~payload:_ -> false) ?readers cfg router
+    app ~gen =
   if cfg.Config.shards <> Router.shards router then
     invalid_arg "Shard.create: Config.shards disagrees with the router";
   if cfg.Config.shards < 1 then
     invalid_arg "Shard.create: shards must be positive";
   if cfg.Config.clients < 1 then
     invalid_arg "Shard.create: a sharded deployment needs drivers";
+  let nreaders = match readers with Some (n, _) -> n | None -> 0 in
   let eng = Sim.Engine.create ~seed:cfg.Config.seed () in
   (* Each shard is a complete, unmodified Rolis cluster — replicas, its
      own network, its own leader and per-worker streams — co-hosted on
      the one virtual clock. The per-shard config is the deployment config
      with the sharding knobs stripped (a cluster never knows it is a
-     shard). *)
-  let shard_cfg = { cfg with Config.shards = 1; cross_pct = 0.0 } in
+     shard) and room for the read sessions above the drivers. *)
+  let shard_cfg =
+    {
+      cfg with
+      Config.shards = 1;
+      cross_pct = 0.0;
+      clients = cfg.Config.clients + nreaders;
+    }
+  in
   let clusters =
     Array.init cfg.Config.shards (fun s ->
         let on_durable = Option.map (fun f -> f ~shard:s) on_durable in
@@ -304,7 +314,25 @@ let create ?on_durable ?(veto = fun ~payload:_ -> false) cfg router app ~gen =
           cross_lat = Sim.Metrics.Hist.create ();
         })
   in
-  let t = { eng; cfg; router; clusters; drivers; stopped; veto } in
+  (* Read-only sessions: a single-shard snapshot read needs no
+     coordination, so each is an ordinary closed-loop session on one
+     shard's network, stopped with the drivers. *)
+  let readers =
+    match readers with
+    | None -> [||]
+    | Some (n, read_gen) ->
+        Array.init (cfg.Config.shards * n) (fun i ->
+            let s = i / n in
+            let rrng = Sim.Rng.split (Sim.Engine.rng eng) in
+            Client.spawn
+              (Cluster.network clusters.(s))
+              ~cfg:shard_cfg ~cid:(cfg.Config.clients + (i mod n)) ~stopped
+              ~ro:true
+              ~stats:(Cluster.client_read_stats clusters.(s))
+              ~gen:(fun () -> read_gen ~shard:s rrng)
+              ())
+  in
+  let t = { eng; cfg; router; clusters; drivers; readers; stopped; veto } in
   Array.iter
     (fun d ->
       let drng = Sim.Rng.split (Sim.Engine.rng eng) in
@@ -387,6 +415,10 @@ let cross_latency t =
 let acked_seqs t s =
   Array.to_list t.drivers
   |> List.concat_map (fun d -> Client.acked_seqs d.sessions.(s))
+
+let sessions t =
+  (Array.to_list t.drivers |> List.concat_map (fun d -> Array.to_list d.sessions))
+  @ Array.to_list t.readers
 
 let client_retries t =
   Array.fold_left

@@ -66,6 +66,7 @@ val create :
     Store.Wire.entry ->
     unit) ->
   ?veto:(payload:string -> bool) ->
+  ?readers:int * (shard:int -> Sim.Rng.t -> string) ->
   Config.t ->
   Router.t ->
   (shard:int -> App.t) ->
@@ -88,6 +89,12 @@ val create :
     [shards = 1] is the degenerate single-group deployment — everything
     routes to shard 0 — kept legal so scaling benchmarks measure their
     baseline arm through the identical driver machinery.
+
+    [readers = (n, read_gen)] adds [n] read-only {!Client} sessions per
+    shard (cids [cfg.clients .. cfg.clients + n - 1], each with its own
+    split of the engine RNG), issuing [read_gen ~shard rng] payloads
+    against that shard's [read_op]; they stop with the drivers. Needs
+    [cfg.follower_reads]. Omitted, nothing extra is spawned or drawn.
     @raise Invalid_argument if [cfg.shards <> Router.shards router] or
     [cfg.clients < 1]. *)
 
@@ -142,5 +149,9 @@ val cross_latency : t -> Sim.Metrics.Hist.t
 val acked_seqs : t -> int -> (int * int) list
 (** [(cid, seq)] acks of every driver session on shard [s] — the input
     to that shard's {!Check.exactly_once}. *)
+
+val sessions : t -> Client.t list
+(** Every session: each driver's write session on every shard, then the
+    read-only ones ({!Client.is_ro}). *)
 
 val client_retries : t -> int

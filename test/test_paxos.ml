@@ -221,6 +221,23 @@ let test_old_leader_steps_down () =
   in
   check_int "exactly one leader after heal" 1 nleaders
 
+(* A leader that stops serving (a tainted ex-leader) is made ineligible.
+   If it kept heartbeating, no follower would ever time out and the group
+   would stay leaderless for good; it must resign so a successor is
+   elected. *)
+let test_ineligible_leader_resigns () =
+  let c = make_cluster () in
+  Sim.Engine.schedule c.eng (50 * ms) (fun () ->
+      Paxos.Election.set_eligible c.replicas.(0).election false);
+  Sim.Engine.run ~until:(600 * ms) c.eng;
+  check_bool "ineligible leader resigned" false
+    (Paxos.Election.is_leader c.replicas.(0).election);
+  match current_leader c with
+  | Some r ->
+      check_bool "a successor leads a later epoch" true
+        (r.id <> 0 && Paxos.Election.epoch r.election >= 2)
+  | None -> Alcotest.fail "no successor elected"
+
 let test_candidacy_backoff_bounded () =
   (* Livelock hardening: an isolated replica can never win an election, so
      without backoff it would start a candidacy (and bump its epoch) every
@@ -490,6 +507,26 @@ let test_trunc_floor_monotone () =
   Alcotest.(check int) "floor never regresses" 5 (Paxos.Stream.trunc_floor s);
   Alcotest.(check bool) "fresh stream not stalled" false (Paxos.Stream.trunc_stalled s)
 
+(* A deposed epoch-1 leader still holds its own accepts at slots 0-1 that
+   epoch 2 overwrote and committed. Catching up from a donor that has
+   since compacted below slot 2, the reply carries only 2-5: the follower
+   must not promote its stale 0-1 to committed on the donor's word (that
+   broke agreement under checkpoint chaos); the gap needs a rebuild. *)
+let test_fetch_skips_compacted_slots () =
+  let eng = Sim.Engine.create () in
+  let s, committed = mk_bare_stream eng in
+  let slot ~epoch i = { Paxos.Msg.a_idx = i; a_epoch = epoch; a_entry = test_entry i } in
+  for i = 0 to 1 do
+    Paxos.Stream.handle s ~from:0
+      (Paxos.Msg.Accept { epoch = 1; idx = i; commit_idx = -1; entry = test_entry i })
+  done;
+  Paxos.Stream.handle s ~from:2
+    (Paxos.Msg.Fetch_rep
+       { commit_idx = 5; truncated_below = 2; entries = List.init 4 (fun i -> slot ~epoch:2 (i + 2)) });
+  Alcotest.(check int) "stale slots stay uncommitted" (-1) (Paxos.Stream.commit_index s);
+  Alcotest.(check int) "no on_commit" 0 (List.length !committed);
+  Alcotest.(check bool) "gap flagged for rebuild" true (Paxos.Stream.trunc_stalled s)
+
 (* ---------- membership: quorum rules, vote persistence, Timeout_now ---------- *)
 
 let test_member_quorum () =
@@ -631,6 +668,8 @@ let () =
           Alcotest.test_case "proposal coalescing" `Quick test_proposal_coalescing;
           Alcotest.test_case "checkpoint bootstrap floor" `Quick test_bootstrap_floor;
           Alcotest.test_case "trunc floor monotone" `Quick test_trunc_floor_monotone;
+          Alcotest.test_case "fetch skips compacted slots" `Quick
+            test_fetch_skips_compacted_slots;
         ] );
       ( "election",
         [
@@ -640,6 +679,8 @@ let () =
           Alcotest.test_case "old leader steps down" `Quick test_old_leader_steps_down;
           Alcotest.test_case "candidacy backoff bounded" `Quick
             test_candidacy_backoff_bounded;
+          Alcotest.test_case "ineligible leader resigns" `Quick
+            test_ineligible_leader_resigns;
         ] );
       ( "membership",
         [

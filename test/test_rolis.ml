@@ -1717,7 +1717,7 @@ let cross_bank ?on_durable ?veto ?(abort_sub = fun _ -> false) ~seed () =
       let app =
         Rolis.Chaos.bank_app
           ~range:(Rolis.Router.ycsb_key_range router ~keys:accounts shard)
-          ~accounts ~stopped:(ref false) ()
+          ~accounts ()
       in
       let op = Option.get app.Rolis.App.client_op in
       {
@@ -1974,7 +1974,7 @@ let test_shard_coordinator_crash_recovers_decision () =
    full final audit (including the cross-shard oracle and global
    conservation). *)
 let test_sharded_chaos_seed () =
-  let o = Rolis.Chaos.run_sharded_seed ~duration:(2 * s) ~seed:3 () in
+  let o = Rolis.Chaos.run_seed ~shards:2 ~duration:(2 * s) ~seed:3 () in
   if not (Rolis.Chaos.ok o) then
     Alcotest.failf "sharded chaos seed failed: %s"
       (Format.asprintf "%a" Rolis.Chaos.pp_outcome o);
@@ -1982,6 +1982,36 @@ let test_sharded_chaos_seed () =
   check_bool "cross-shard transactions committed under chaos" true
     (o.Rolis.Chaos.cross_committed > 0);
   check_bool "faults actually fired" true (o.Rolis.Chaos.crashes > 0)
+
+(* Follower reads inside a sharded deployment: per-shard read sessions
+   race lease grants and elections on both shards while cross-shard 2PC
+   runs, and the snapshot-read oracle holds on every cluster. *)
+let test_sharded_follower_reads_chaos_seed () =
+  let o =
+    Rolis.Chaos.run_seed ~shards:2 ~follower_reads:true ~duration:(2 * s)
+      ~seed:5 ()
+  in
+  if not (Rolis.Chaos.ok o) then
+    Alcotest.failf "sharded follower-reads chaos seed failed: %s"
+      (Format.asprintf "%a" Rolis.Chaos.pp_outcome o);
+  check_bool "reads answered" true (o.Rolis.Chaos.reads_acked > 0);
+  check_bool "cross-shard transactions committed" true
+    (o.Rolis.Chaos.cross_committed > 0)
+
+(* Checkpoint truncation would drop the decision marks the cross-shard
+   oracle audits, so the combination is refused up front. *)
+let test_sharded_chaos_rejects_checkpoints () =
+  List.iter
+    (fun (what, run) ->
+      match run () with
+      | _ -> Alcotest.failf "expected Invalid_argument for shards > 1 with %s" what
+      | exception Invalid_argument _ -> ())
+    [
+      ( "checkpoints",
+        fun () ->
+          Rolis.Chaos.run_seed ~shards:2 ~checkpoint_interval:(150 * ms) ~seed:1 () );
+      ("ops", fun () -> Rolis.Chaos.run_seed ~shards:2 ~ops:true ~seed:1 ());
+    ]
 
 (* ---------- Trace ---------- *)
 
@@ -2260,6 +2290,10 @@ let () =
           Alcotest.test_case "failed apply is loud" `Quick
             test_shard_failed_apply_is_loud;
           Alcotest.test_case "sharded chaos seed" `Quick test_sharded_chaos_seed;
+          Alcotest.test_case "sharded follower-reads chaos seed" `Quick
+            test_sharded_follower_reads_chaos_seed;
+          Alcotest.test_case "sharded chaos rejects checkpoints" `Quick
+            test_sharded_chaos_rejects_checkpoints;
         ] );
       ( "trace",
         [
