@@ -29,7 +29,8 @@ let measured_point ~x (tput, p50, stages) =
   point ~series:"rolis" ~x ~stages
     [ ("tput", tput); ("p50_ms", float_of_int p50 /. 1e6) ]
 
-let base_cfg workers = { Rolis.Config.default with Rolis.Config.workers; cores = 32 }
+let base_cfg workers =
+  static_batching { Rolis.Config.default with Rolis.Config.workers; cores = 32 }
 
 let run ~quick =
   header "Ablation A1: number of Paxos streams (16 workers, TPC-C)"

@@ -20,12 +20,27 @@ let ycsb_params = { Workload.Ycsb.default with Workload.Ycsb.keys = 200_000 }
 let tpcc_params ~workers =
   Workload.Tpcc.with_warehouses Workload.Tpcc.default (max 1 workers)
 
+(* The paper's static batch-size point (§3.2, Fig. 16): a latency budget
+   that never binds at the figures' loads (the original pipeline's 50 ms
+   flush timer let a batch age up to 100 ms) and a byte cap that holds at
+   least [batch_size] maximum-size transactions, so batches fill to
+   [batch_size] instead of flushing on the deadline. *)
+let static_delay = 100 * ms
+
+let static_batching (cfg : Rolis.Config.t) =
+  {
+    cfg with
+    Rolis.Config.target_batch_delay_ns = static_delay;
+    max_batch_bytes =
+      max cfg.Rolis.Config.max_batch_bytes
+        (cfg.Rolis.Config.batch_size * Rolis.Config.max_txn_bytes);
+  }
+
 (* A standard Rolis cluster run; returns the cluster after the
-   measurement window. *)
+   measurement window. Without [target_delay] it runs the static point;
+   with it, that budget binds and the default byte cap applies. *)
 let run_rolis ?(stream_mode = Rolis.Config.Per_worker) ?(batch = 1000)
-    ?(batch_policy = Rolis.Config.Fixed)
-    ?(target_delay = Rolis.Config.default.Rolis.Config.target_batch_delay_ns)
-    ?(networked = false) ?(disable_replay = false) ?(cores = 32)
+    ?target_delay ?(networked = false) ?(disable_replay = false) ?(cores = 32)
     ?(warmup = 300 * ms) ~workers ~duration ~app () =
   (* The release pipeline takes ~2 batch-fill times to reach steady state;
      never measure before it has. (TPC-C callers keep this short: the
@@ -38,11 +53,14 @@ let run_rolis ?(stream_mode = Rolis.Config.Per_worker) ?(batch = 1000)
       cores;
       stream_mode;
       batch_size = batch;
-      batch_policy;
-      target_batch_delay_ns = target_delay;
       networked_clients = networked;
       disable_replay;
     }
+  in
+  let cfg =
+    match target_delay with
+    | Some d -> { cfg with Rolis.Config.target_batch_delay_ns = d }
+    | None -> static_batching cfg
   in
   let cluster = Rolis.Cluster.create cfg app in
   Rolis.Cluster.run cluster ~warmup ~duration ();

@@ -23,15 +23,15 @@ let run ~quick =
   List.iter
     (fun workers ->
       let cfg =
-        {
-          Rolis.Config.default with
-          Rolis.Config.workers;
-          cores = 32;
-          batch_size = 50;
-          batch_flush_interval = 20 * ms;
-          costs = Silo.Costs.scale cost_scale Silo.Costs.default;
-          election_timeout = 1 * s;
-        }
+        static_batching
+          {
+            Rolis.Config.default with
+            Rolis.Config.workers;
+            cores = 32;
+            batch_size = 50;
+            costs = Silo.Costs.scale cost_scale Silo.Costs.default;
+            election_timeout = 1 * s;
+          }
       in
       let cluster =
         Rolis.Cluster.create cfg (Workload.Tpcc.app (tpcc_params ~workers))

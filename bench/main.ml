@@ -26,7 +26,7 @@ let experiments : (string * string * (quick:bool -> unit)) list =
     ("fig14", "failover timeline", Fig14.run);
     ("fig15", "Silo vs replay-only", Fig15.run);
     ("fig16", "batch size vs throughput/latency", Fig16.run);
-    ("adaptive", "fixed vs adaptive batching (TPC-C)", Adaptive.run);
+    ("adaptive", "2 ms budget vs static batching (TPC-C)", Adaptive.run);
     ("fig17", "skewed workload", Fig17.run);
     ("fig18", "factor analysis", Fig18.run);
     ("lat68", "median latency: 2PL / Rolis / Calvin", Lat68.run);

@@ -35,7 +35,6 @@ let deploy ~shards ~cross_pct =
       Rolis.Config.workers;
       cores = 2 * workers;
       batch_size = 64;
-      batch_policy = Rolis.Config.Adaptive;
       costs =
         { Silo.Costs.default with Silo.Costs.txn_begin_ns = 250_000 };
       physical_serialization = true;

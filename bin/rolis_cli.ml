@@ -20,18 +20,10 @@ let fmt_tps v =
 
 (* ---- run: a Rolis cluster ---- *)
 
-let batch_policy_of_string s =
-  match String.lowercase_ascii s with
-  | "fixed" -> Rolis.Config.Fixed
-  | "adaptive" -> Rolis.Config.Adaptive
-  | other ->
-      Printf.eprintf "unknown batch policy %S (fixed|adaptive)\n" other;
-      exit 2
-
 (* Sharded deployment: each shard is a full cluster; drivers route
    single-shard transactions directly and commit cross-shard ones with
    the replicated-2PC protocol (see Rolis.Shard). *)
-let run_sharded workload workers cores batch batch_policy shards cross_pct
+let run_sharded workload workers cores batch target_delay_us shards cross_pct
     drivers duration_ms warmup_ms seed =
   let cfg =
     {
@@ -39,7 +31,7 @@ let run_sharded workload workers cores batch batch_policy shards cross_pct
       Rolis.Config.workers;
       cores;
       batch_size = batch;
-      batch_policy = batch_policy_of_string batch_policy;
+      target_batch_delay_ns = target_delay_us * Sim.Engine.us;
       clients = drivers;
       seed = Int64.of_int seed;
       shards;
@@ -105,12 +97,12 @@ let run_sharded workload workers cores batch batch_policy shards cross_pct
       | None -> Printf.printf "shard %d leader:  none!\n" s)
     (Rolis.Shard.clusters dep)
 
-let run_cluster workload workers cores batch batch_policy replay_parallel
+let run_cluster workload workers cores batch replay_parallel
     hash_tables target_delay_us duration_ms warmup_ms networked single_stream
     crash_at_ms ckpt_interval_ms no_truncate follower_reads
     read_lease_us wan_profile shards cross_pct drivers seed =
   if shards > 1 then
-    run_sharded workload workers cores batch batch_policy shards cross_pct
+    run_sharded workload workers cores batch target_delay_us shards cross_pct
       drivers duration_ms warmup_ms seed
   else begin
   let ycsb_params = { Workload.Ycsb.default with Workload.Ycsb.keys = 200_000 } in
@@ -127,14 +119,12 @@ let run_cluster workload workers cores batch batch_policy replay_parallel
     Printf.eprintf "--follower-reads needs a workload with a read_op (use --workload ycsb)\n";
     exit 2
   end;
-  let policy = batch_policy_of_string batch_policy in
   let cfg =
     {
       Rolis.Config.default with
       Rolis.Config.workers;
       cores;
       batch_size = batch;
-      batch_policy = policy;
       replay_parallel;
       hash_tables;
       target_batch_delay_ns = target_delay_us * Sim.Engine.us;
@@ -176,9 +166,8 @@ let run_cluster workload workers cores batch batch_policy replay_parallel
   | None -> ());
   Rolis.Cluster.run cluster ~warmup:(warmup_ms * ms) ~duration:(duration_ms * ms) ();
   let lat = Rolis.Cluster.latency cluster in
-  Printf.printf "workload:        %s, %d workers, batch %d (%s policy)%s%s\n" workload
-    workers batch
-    (match policy with Rolis.Config.Fixed -> "fixed" | Rolis.Config.Adaptive -> "adaptive")
+  Printf.printf "workload:        %s, %d workers, batch %d (%d us budget)%s%s\n"
+    workload workers batch target_delay_us
     (if networked then ", networked clients" else "")
     (if single_stream then ", SINGLE shared stream (strawman)" else "");
   Printf.printf "throughput:      %s TPS (release-committed)\n"
@@ -186,12 +175,11 @@ let run_cluster workload workers cores batch batch_policy replay_parallel
   Printf.printf "latency:         p50 %.1f ms, p95 %.1f ms\n"
     (float_of_int (Sim.Metrics.Hist.quantile lat 0.5) /. 1e6)
     (float_of_int (Sim.Metrics.Hist.quantile lat 0.95) /. 1e6);
-  if policy = Rolis.Config.Adaptive then
-    Printf.printf
-      "adaptive:        %d deadline flushes, %d event releases, %d coalesced proposals\n"
-      (Rolis.Cluster.deadline_flushes cluster)
-      (Rolis.Cluster.event_releases cluster)
-      (Rolis.Cluster.coalesced_proposals cluster);
+  Printf.printf
+    "batching:        %d deadline flushes, %d event releases, %d coalesced proposals\n"
+    (Rolis.Cluster.deadline_flushes cluster)
+    (Rolis.Cluster.event_releases cluster)
+    (Rolis.Cluster.coalesced_proposals cluster);
   Printf.printf "replay:          %d txns replayed%s%s\n"
     (Rolis.Cluster.replayed_txns cluster)
     (if replay_parallel > 1 then Printf.sprintf " (x%d fan-out)" replay_parallel
@@ -271,15 +259,6 @@ let workers_arg = Arg.(value & opt int 8 & info [ "workers" ] ~doc:"Database wor
 let cores_arg = Arg.(value & opt int 32 & info [ "cores" ] ~doc:"CPU cores per machine.")
 let batch_arg = Arg.(value & opt int 1000 & info [ "batch" ] ~doc:"Transactions per log entry.")
 
-let batch_policy_arg =
-  Arg.(
-    value & opt string "fixed"
-    & info [ "batch-policy" ]
-        ~doc:
-          "Batching policy: $(b,fixed) (static batch size + flush timer) or \
-           $(b,adaptive) (latency-targeted sizing, deadline flush, \
-           event-driven release, proposal coalescing).")
-
 let replay_parallel_arg =
   Arg.(
     value & opt int 1
@@ -304,7 +283,10 @@ let target_delay_arg =
     value
     & opt int (Rolis.Config.default.Rolis.Config.target_batch_delay_ns / Sim.Engine.us)
     & info [ "target-delay-us" ]
-        ~doc:"Adaptive policy: per-batch latency budget in microseconds.")
+        ~doc:
+          "Per-batch latency budget in microseconds: batches are sized from \
+           the arrival rate to meet it and flushed by its deadline. A budget \
+           above the fill time gives the paper's static batch-size point.")
 
 let duration_arg =
   Arg.(value & opt int 500 & info [ "duration-ms" ] ~doc:"Measured virtual time (ms).")
@@ -402,7 +384,7 @@ let run_cmd =
   let term =
     Term.(
       const run_cluster $ workload_arg $ workers_arg $ cores_arg $ batch_arg
-      $ batch_policy_arg $ replay_parallel_arg
+      $ replay_parallel_arg
       $ hash_tables_arg $ target_delay_arg $ duration_arg $ warmup_arg
       $ networked_arg $ single_arg $ crash_arg $ ckpt_interval_arg
       $ no_truncate_arg $ follower_reads_arg $ read_lease_arg $ wan_profile_arg
@@ -649,7 +631,7 @@ let chaos_cmd =
 
 (* ---- trace: stage-span dump (JSONL) ---- *)
 
-let run_trace workload workers cores batch batch_policy duration_ms warmup_ms
+let run_trace workload workers cores batch duration_ms warmup_ms
     sample_interval capacity seed out =
   let app =
     match workload with
@@ -667,7 +649,6 @@ let run_trace workload workers cores batch batch_policy duration_ms warmup_ms
       Rolis.Config.workers;
       cores;
       batch_size = batch;
-      batch_policy = batch_policy_of_string batch_policy;
       trace_sample_interval = sample_interval;
       trace_buffer_capacity = capacity;
       seed = Int64.of_int seed;
@@ -736,7 +717,7 @@ let trace_cmd =
   let term =
     Term.(
       const run_trace $ workload_arg $ workers_arg $ cores_arg $ batch_arg
-      $ batch_policy_arg $ duration_arg $ warmup_arg $ sample_interval_arg
+      $ duration_arg $ warmup_arg $ sample_interval_arg
       $ capacity_arg $ seed_arg $ out_arg)
   in
   Cmd.v

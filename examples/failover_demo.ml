@@ -18,7 +18,6 @@ let () =
          laptop-sized; recovery timing is cost-independent. *)
       costs = Silo.Costs.scale 25.0 Silo.Costs.default;
       batch_size = 50;
-      batch_flush_interval = 20 * Sim.Engine.ms;
     }
   in
   let cluster = Rolis.Cluster.create cfg (Workload.Tpcc.app params) in

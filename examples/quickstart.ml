@@ -7,7 +7,6 @@
 
    Run with: dune exec examples/quickstart.exe *)
 
-let ms = Sim.Engine.ms
 let accounts = 100
 let initial_balance = 1_000
 
@@ -56,7 +55,6 @@ let () =
       Rolis.Config.workers = 4;
       cores = 8;
       batch_size = 100;
-      batch_flush_interval = 10 * ms;
       (* Slow the cost model down so the example prints small round
          numbers instead of simulating millions of transfers. *)
       costs = { Silo.Costs.default with Silo.Costs.txn_begin_ns = 20_000 };

@@ -44,13 +44,12 @@ type t = {
   mutable recovery_target : int; (* leader: last index adopted during Prepare *)
   mutable promise_slots : Msg.accepted_slot list list; (* gathered during Prepare *)
   pending : Store.Wire.entry Queue.t;
-  (* Proposal coalescing (adaptive-batching mode): while a previous
-     quorum round is still in flight, newly proposed entries accumulate
-     here and go out as ONE merged entry once the pipeline drains —
-     bursts of small adaptive batches then pay the fixed per-entry
-     consensus cost once instead of per batch. Same-epoch entries only;
-     order (and hence per-stream timestamp monotonicity) is preserved. *)
-  coalesce : bool;
+  (* Proposal coalescing: while a previous quorum round is still in
+     flight, newly proposed entries accumulate here and go out as ONE
+     merged entry once the pipeline drains — bursts of small batches then
+     pay the fixed per-entry consensus cost once instead of per batch.
+     Same-epoch entries only; order (and hence per-stream timestamp
+     monotonicity) is preserved. *)
   coalesce_max_bytes : int;
   cbuf : Store.Wire.entry Queue.t;
   mutable cbuf_bytes : int;
@@ -92,7 +91,7 @@ type t = {
 }
 
 let create net ?peers ?view ?(fetch_timeout = default_fetch_timeout)
-    ?(coalesce = false) ?(coalesce_max_bytes = 1024 * 1024) ~id ~me ~on_commit
+    ?(coalesce_max_bytes = 1024 * 1024) ~id ~me ~on_commit
     ~on_higher_epoch ?(on_config = fun _ -> ()) () =
   (* [peers] bounds the replica slots: the net may carry extra
      non-replica nodes (client sessions) beyond the first [peers]. *)
@@ -117,7 +116,6 @@ let create net ?peers ?view ?(fetch_timeout = default_fetch_timeout)
     recovery_target = -1;
     promise_slots = [];
     pending = Queue.create ();
-    coalesce;
     coalesce_max_bytes;
     cbuf = Queue.create ();
     cbuf_bytes = 0;
@@ -246,8 +244,8 @@ let merge_entries entries =
 
 (* Leader: commit successive slots once a majority has accepted them under
    the current ballot, then tell the followers where commit now stands.
-   With coalescing on, a drained pipeline also releases the buffered
-   proposals as one merged round. *)
+   A drained pipeline also releases the buffered proposals as one merged
+   round. *)
 let rec try_commit t =
   let rec advance () =
     match t.lstate with
@@ -272,7 +270,7 @@ let rec try_commit t =
       (Msg.Commit { epoch = t.leader_epoch; commit_idx = t.commit_idx; trunc_upto = bound })
   end;
   match t.lstate with
-  | Active when t.coalesce && t.next_idx = t.commit_idx + 1 -> flush_coalesced t
+  | Active when t.next_idx = t.commit_idx + 1 -> flush_coalesced t
   | Active | Preparing _ | Idle -> ()
 
 and do_propose t entry =
@@ -385,7 +383,7 @@ let step_down t =
 let propose t entry =
   match t.lstate with
   | Active ->
-      if t.coalesce && t.next_idx > t.commit_idx + 1 then begin
+      if t.next_idx > t.commit_idx + 1 then begin
         (* A round is in flight: buffer, to go out merged once the
            pipeline drains. An epoch change or the byte cap forces the
            buffer out immediately (still one merged round). *)
@@ -398,7 +396,7 @@ let propose t entry =
         if t.cbuf_bytes >= t.coalesce_max_bytes then flush_coalesced t
       end
       else begin
-        if t.coalesce then note_round t 1;
+        note_round t 1;
         do_propose t entry
       end
   | Preparing _ -> Queue.add entry t.pending

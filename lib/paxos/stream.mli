@@ -26,9 +26,9 @@ type stats = {
   truncated : int;  (** slots reclaimed by log compaction *)
   retransmits : int;  (** leader re-sends of Prepare/Accept on heartbeat *)
   coalesced : int;
-      (** proposals merged away into an earlier entry's quorum round
-          (coalescing mode): [k] buffered proposals going out as one
-          merged entry count [k - 1] here *)
+      (** proposals merged away into an earlier entry's quorum round:
+          [k] buffered proposals going out as one merged entry count
+          [k - 1] here *)
 }
 
 val default_fetch_timeout : int
@@ -38,7 +38,6 @@ val create :
   ?peers:int ->
   ?view:Member.view ->
   ?fetch_timeout:int ->
-  ?coalesce:bool ->
   ?coalesce_max_bytes:int ->
   id:int ->
   me:int ->
@@ -62,11 +61,10 @@ val create :
     before re-issuing the fetch (lost fetches would otherwise wedge
     catch-up forever).
 
-    [coalesce] (default false, used by the adaptive batching policy):
-    while a quorum round is in flight, further proposals are buffered and
-    go out as {e one} merged same-epoch entry when the pipeline drains —
-    bursts of small batches then pay the fixed per-entry consensus cost
-    once. Proposal order, per-stream timestamp monotonicity, and commit
+    Proposal coalescing: while a quorum round is in flight, further
+    proposals are buffered and go out as {e one} merged same-epoch entry
+    when the pipeline drains — bursts of small batches then pay the fixed
+    per-entry consensus cost once. Proposal order, per-stream timestamp monotonicity, and commit
     order are unchanged; an epoch change or the [coalesce_max_bytes] cap
     (default 1 MiB) forces the buffer out immediately. *)
 
@@ -190,6 +188,7 @@ val trunc_stalled : t -> bool
 val coalesce_factor : t -> float
 (** EWMA (alpha 1/8) of proposals carried per proposed quorum round,
     >= 1.0. The batcher's closed loop folds it into the amortisation of
-    [entry_overhead_ns]; stays 1.0 when coalescing is off. *)
+    [entry_overhead_ns]; stays 1.0 while no round carries more than one
+    proposal. *)
 
 val stats : t -> stats

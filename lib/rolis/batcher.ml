@@ -8,23 +8,20 @@ type t = {
   propose : Store.Wire.entry -> unit;
   mutex : Sim.Sync.Mutex.t option;
   (* Closed-loop feedback from the replication layer: average number of
-     flushed entries the stream coalesces into one quorum round (>= 1).
-     Adaptive mode folds it into the per-transaction amortization of
-     [entry_overhead_ns]. *)
+     flushed entries the stream coalesces into one quorum round (>= 1),
+     folded into the per-transaction amortization of [entry_overhead_ns]. *)
   coalesce_factor : unit -> float;
-  adaptive : bool;
   mutable txns : Store.Wire.txn_log list; (* reverse order *)
   mutable count : int;
   mutable bytes : int;
-  mutable oldest : int; (* submit time of the first pending txn *)
-  (* Adaptive state: smoothed inter-arrival gap (EWMA over virtual time,
-     alpha = 1/8; 0 = fewer than two submits seen) and the batch-size
-     target derived from it. *)
+  (* Smoothed inter-arrival gap (EWMA over virtual time, alpha = 1/8;
+     0 = fewer than two submits seen) and the batch-size target derived
+     from it. *)
   mutable last_arrival : int;
   mutable iat_ewma : int;
   mutable target : int;
   (* Generation guard for the scheduled per-batch deadline flush: any
-     flush (full, byte-cap, timer, heartbeat) bumps it, so a stale
+     flush (full, byte-cap, heartbeat) bumps it, so a stale
      deadline event finds a different generation and does nothing. *)
   mutable deadline_gen : int;
 }
@@ -42,11 +39,9 @@ let create cfg ?(coalesce_factor = fun () -> 1.0) ~cpu ~stats ~trace ~epoch
     propose;
     mutex = (if shared then Some (Sim.Sync.Mutex.create eng) else None);
     coalesce_factor;
-    adaptive = cfg.Config.batch_policy = Config.Adaptive;
     txns = [];
     count = 0;
     bytes = 0;
-    oldest = 0;
     last_arrival = 0;
     iat_ewma = 0;
     target = 1;
@@ -54,7 +49,6 @@ let create cfg ?(coalesce_factor = fun () -> 1.0) ~cpu ~stats ~trace ~epoch
   }
 
 let pending t = t.count
-let batch_target t = if t.adaptive then t.target else t.cfg.Config.batch_size
 
 (* Build and propose the pending batch. Atomic: no yields, so no
    transaction can slip in between this flush and a subsequent no-op.
@@ -79,9 +73,9 @@ let flush t =
   end
 
 (* The deadline event: flush whatever the batch holds once the oldest
-   pending transaction has waited [target_batch_delay_ns]. This is what
-   lets an idle or slow stream release early instead of waiting out the
-   coarse [batch_flush_interval] timer. *)
+   pending transaction has waited [target_batch_delay_ns]. Every
+   non-empty batch has one, so no batch outlives the budget whatever the
+   stream's rate. *)
 let schedule_deadline t ~now =
   let gen = t.deadline_gen in
   Sim.Engine.schedule t.eng
@@ -93,7 +87,7 @@ let schedule_deadline t ~now =
         flush t
       end)
 
-(* Adaptive sizing: expected arrivals inside the delay budget, clamped to
+(* Sizing: expected arrivals inside the delay budget, clamped to
    [1, batch_size]. With no rate estimate yet (fewer than two submits
    observed) the target stays at 1 — latency-first until the stream shows
    a rate worth batching for. *)
@@ -105,49 +99,34 @@ let retarget t =
            (t.cfg.Config.target_batch_delay_ns / t.iat_ewma))
 
 let submit t txn =
-  if t.adaptive then begin
-    let now = Sim.Engine.now t.eng in
-    if t.count = 0 then begin
-      t.oldest <- now;
-      schedule_deadline t ~now
-    end;
-    if t.last_arrival > 0 then begin
-      let gap = now - t.last_arrival in
-      t.iat_ewma <- (if t.iat_ewma = 0 then gap else ((7 * t.iat_ewma) + gap) / 8);
-      retarget t
-    end;
-    t.last_arrival <- now;
-    t.txns <- txn :: t.txns;
-    t.count <- t.count + 1;
-    t.bytes <- t.bytes + Store.Wire.txn_byte_size txn;
-    if
-      t.count >= t.cfg.Config.batch_size
-      || t.count >= t.target
-      || t.bytes >= t.cfg.Config.max_batch_bytes
-    then flush t
-  end
-  else begin
-    if t.count = 0 then t.oldest <- Sim.Engine.now t.eng;
-    t.txns <- txn :: t.txns;
-    t.count <- t.count + 1;
-    t.bytes <- t.bytes + Store.Wire.txn_byte_size txn;
-    if t.count >= t.cfg.Config.batch_size then flush t
-  end
+  let now = Sim.Engine.now t.eng in
+  if t.count = 0 then schedule_deadline t ~now;
+  if t.last_arrival > 0 then begin
+    let gap = now - t.last_arrival in
+    t.iat_ewma <- (if t.iat_ewma = 0 then gap else ((7 * t.iat_ewma) + gap) / 8);
+    retarget t
+  end;
+  t.last_arrival <- now;
+  t.txns <- txn :: t.txns;
+  t.count <- t.count + 1;
+  t.bytes <- t.bytes + Store.Wire.txn_byte_size txn;
+  if
+    t.count >= t.cfg.Config.batch_size
+    || t.count >= t.target
+    || t.bytes >= t.cfg.Config.max_batch_bytes
+  then flush t
 
 let charge_submit_cost t ~bytes =
   (* Serialization (building the log entry) plus the replication layer's
      copy of it into the stream's log list + consensus CPU (Fig. 18's
      "+Serialization" and "+Replication" factors). *)
   let serialize = Silo.Costs.serialize_cost t.cfg.Config.costs ~bytes in
-  (* Fixed per-entry replication cost, amortised over the batch: the
-     reason small batches hurt throughput (Fig. 16). Fixed policy uses
-     the static batch size; Adaptive amortises over what the closed loop
-     actually achieves — the current batch-size target times the
-     replication layer's entry-coalescing factor. *)
+  (* Per-entry replication cost, amortised over the batch: the reason
+     small batches hurt throughput (Fig. 16). It is spread over what the
+     closed loop actually achieves — the current batch-size target times
+     the replication layer's entry-coalescing factor. *)
   let amortize =
-    if t.adaptive then
-      max 1 (int_of_float (float_of_int t.target *. t.coalesce_factor ()))
-    else t.cfg.Config.batch_size
+    max 1 (int_of_float (float_of_int t.target *. t.coalesce_factor ()))
   in
   let replicate =
     Silo.Costs.replicate_cost t.cfg.Config.costs ~bytes
@@ -164,9 +143,6 @@ let charge_submit_cost t ~bytes =
       Sim.Sync.Mutex.lock mu;
       Sim.Cpu.consume t.cpu t.cfg.Config.enqueue_cs_ns;
       Sim.Sync.Mutex.unlock mu
-
-let maybe_flush t ~max_age =
-  if t.count > 0 && Sim.Engine.now t.eng - t.oldest >= max_age then flush t
 
 let clear t =
   t.deadline_gen <- t.deadline_gen + 1;

@@ -2,9 +2,10 @@
 
     Workers hand their committed write-sets to a batcher right after
     execution commit (atomically — still inside the commit event — so the
-    stream's entry timestamps stay monotone). When the batch reaches
-    [batch_size], or a flush timer / heartbeat tick forces it, the batch
-    becomes one {!Store.Wire.entry} and is proposed on the stream.
+    stream's entry timestamps stay monotone). When the batch reaches its
+    target, its byte cap or its deadline, or a heartbeat tick forces it,
+    the batch becomes one {!Store.Wire.entry} and is proposed on the
+    stream.
 
     Cost accounting: the per-transaction serialization (memcpy) cost is
     charged to the submitting worker via {!charge_submit_cost}; the flush
@@ -15,22 +16,21 @@
     guarded by a mutex whose critical section costs [enqueue_cs_ns] — this
     is the strawman's scalability bottleneck (§2.2).
 
-    {2 Batch policies}
+    {2 Latency-budget batching}
 
-    [Fixed] (the paper's static point) flushes on [batch_size]-fill or the
-    external [batch_flush_interval] timer, exactly as the original
-    pipeline did — bit-identical simulated results.
-
-    [Adaptive] closes the loop on latency: each stream tracks its arrival
-    rate (an EWMA of inter-submit gaps in virtual time) and sizes batches
-    to the number of transactions expected within
-    [target_batch_delay_ns]; the first transaction of every batch also
-    schedules a deadline event at [oldest + target_batch_delay_ns] which
-    flushes whatever is pending, so an idle or slowing stream releases
-    early instead of waiting out the coarse flush timer. Batches are
-    additionally capped at [max_batch_bytes] wire bytes and (always) at
-    [batch_size] transactions. Entry timestamps stay monotone per stream
-    and every flush remains yield-free, whichever path triggers it. *)
+    Each stream tracks its arrival rate (an EWMA of inter-submit gaps in
+    virtual time) and sizes batches to the number of transactions
+    expected within [target_batch_delay_ns]; the first transaction of
+    every batch also schedules a deadline event at
+    [oldest + target_batch_delay_ns] which flushes whatever is pending, so
+    no batch outlives the budget. Batches are additionally capped at
+    [max_batch_bytes] wire bytes and at [batch_size] transactions. With a
+    budget at or above the fill time and a byte cap that does not bind,
+    every batch after the stream's first (flushed alone, before there is
+    a rate estimate) fills to exactly [batch_size]: the paper's static
+    point.
+    Entry timestamps stay monotone per stream and every flush remains
+    yield-free, whichever path triggers it. *)
 
 type t
 
@@ -47,18 +47,14 @@ val create :
   t
 (** [trace] observes batch flushes: a flush stamps the [Batch_submit]
     span end of every sampled pending transaction in the batch.
-    [coalesce_factor] (Adaptive only) reports the replication layer's
+    [coalesce_factor] reports the replication layer's
     average entries-per-quorum-round so the per-entry overhead charge can
     be amortised over what the wire actually carries; defaults to 1. *)
 
 val submit : t -> Store.Wire.txn_log -> unit
 (** Append one committed transaction (no yield). If the batch is full
-    (policy-dependent: static size, adaptive target, or byte cap) it is
-    proposed immediately (still no yield). *)
-
-val batch_target : t -> int
-(** Current flush threshold in transactions: [batch_size] under [Fixed];
-    the rate-derived target under [Adaptive]. *)
+    (rate-derived target, [batch_size] or byte cap) it is proposed
+    immediately (still no yield). *)
 
 val charge_submit_cost : t -> bytes:int -> unit
 (** Charge the serialization cost for one submitted transaction; yields.
@@ -68,9 +64,6 @@ val charge_submit_cost : t -> bytes:int -> unit
 
 val flush : t -> unit
 (** Propose any pending partial batch (no yield). *)
-
-val maybe_flush : t -> max_age:int -> unit
-(** Flush if the oldest pending transaction is older than [max_age]. *)
 
 val clear : t -> unit
 (** Drop pending transactions (failover: speculative work is abandoned). *)

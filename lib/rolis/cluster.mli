@@ -168,16 +168,16 @@ val entries_flushed : t -> int
     [released / entries_flushed] is the realized average batch size. *)
 
 val deadline_flushes : t -> int
-(** Batches flushed by the adaptive [target_batch_delay_ns] deadline
-    event (0 under the [Fixed] policy). *)
+(** Batches flushed by the [target_batch_delay_ns] deadline event
+    rather than by filling. *)
 
 val event_releases : t -> int
 (** Release passes triggered directly by a durability notification
-    advancing the watermark (0 under the [Fixed] policy). *)
+    advancing the watermark. *)
 
 val coalesced_proposals : t -> int
 (** Proposals merged into an earlier entry's quorum round by the
-    replication layer (0 under the [Fixed] policy). *)
+    replication layer. *)
 
 val replayed_txns : t -> int
 (** Transactions applied through follower replay over the window, all

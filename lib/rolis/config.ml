@@ -1,5 +1,7 @@
 type stream_mode = Per_worker | Single | Sharded of int
-type batch_policy = Fixed | Adaptive
+(* One constructor: batching is always the latency-budget path. The type
+   stays only because the perf/ harness still names it. *)
+type batch_policy = Adaptive
 
 (* Conservative upper bound on one TPC-C transaction's wire footprint: a
    Delivery touches ~130 rows; at ~120 wire bytes per write that is under
@@ -18,7 +20,6 @@ type t = {
   stream_mode : stream_mode;
   batch_policy : batch_policy;
   batch_size : int;
-  batch_flush_interval : int;
   target_batch_delay_ns : int;
   max_batch_bytes : int;
   watermark_interval : int;
@@ -72,9 +73,8 @@ let default =
     workers = 16;
     cores = 32;
     stream_mode = Per_worker;
-    batch_policy = Fixed;
+    batch_policy = Adaptive;
     batch_size = 1000;
-    batch_flush_interval = 50 * Sim.Engine.ms;
     target_batch_delay_ns = 2 * Sim.Engine.ms;
     max_batch_bytes = 1024 * 1024;
     watermark_interval = Sim.Engine.ms / 2;
@@ -168,13 +168,12 @@ let validate t =
   | Sharded n when n < 1 -> invalid_arg "Config: Sharded needs at least one stream"
   | Sharded _ | Per_worker | Single -> ());
   if t.watermark_interval <= 0 then invalid_arg "Config: watermark interval must be positive";
-  if t.batch_flush_interval <= 0 then
-    invalid_arg "Config: batch_flush_interval must be positive";
   if t.target_batch_delay_ns <= 0 then
     invalid_arg
-      "Config: target_batch_delay_ns must be positive (the adaptive batcher \
-       sizes batches to meet this latency budget; use batch_policy = Fixed to \
-       disable adaptive sizing instead)";
+      "Config: target_batch_delay_ns must be positive (the batcher sizes \
+       batches to meet this latency budget and flushes every batch by \
+       its deadline; raise it, with max_batch_bytes, for the paper's static \
+       batch-size point)";
   if t.max_batch_bytes < max_txn_bytes then
     invalid_arg
       (Printf.sprintf
@@ -182,14 +181,6 @@ let validate t =
           one maximum-size TPC-C transaction; smaller caps would wedge the \
           batcher on the first large transaction"
          t.max_batch_bytes max_txn_bytes);
-  if t.batch_policy = Adaptive && t.batch_flush_interval < t.watermark_interval
-  then
-    invalid_arg
-      "Config: adaptive batching needs batch_flush_interval >= \
-       watermark_interval — the flush timer is only the idle-stream backstop \
-       under Adaptive policy, so a timer finer than the watermark tick burns \
-       cycles without improving release latency; raise batch_flush_interval or \
-       lower watermark_interval";
   if t.heartbeat_interval <= 0 then invalid_arg "Config: heartbeat_interval must be positive";
   if t.heartbeat_interval >= t.election_timeout then
     invalid_arg "Config: heartbeat_interval must be smaller than election_timeout";

@@ -14,17 +14,16 @@ type stream_mode =
           between the strawman and Rolis) *)
 
 type batch_policy =
-  | Fixed
-      (** the paper's static operating point: flush on [batch_size]-fill
-          or the [batch_flush_interval] timer, release on the periodic
-          watermark tick — bit-identical to the original pipeline *)
   | Adaptive
-      (** closed-loop latency targeting: batches are sized from the
-          stream's observed arrival rate to meet [target_batch_delay_ns],
-          a per-batch deadline event flushes idle streams early, batches
-          are additionally capped at [max_batch_bytes], and durability
-          notifications drive the release pass directly instead of
-          waiting for the watermark tick *)
+      (** the only batching path: batches are sized from the stream's
+          observed arrival rate to meet [target_batch_delay_ns], a
+          per-batch deadline event flushes them at that budget, batches
+          are capped at [batch_size] transactions and [max_batch_bytes]
+          wire bytes, durability notifications drive the release pass,
+          and Paxos coalesces proposals made while a round is in flight.
+          The paper's static batch-size point (Fig. 16) is this path with
+          a budget and byte cap that never bind. One constructor: it is
+          not a setting, the type stays for callers that still name it *)
 
 val max_txn_bytes : int
 (** Conservative wire-size bound on the largest TPC-C transaction;
@@ -52,15 +51,17 @@ type t = {
   workers : int;  (** database worker threads per replica *)
   cores : int;  (** CPU cores per machine *)
   stream_mode : stream_mode;
-  batch_policy : batch_policy;  (** static vs load-adaptive batching *)
-  batch_size : int;  (** transactions per log entry (Adaptive: hard cap) *)
-  batch_flush_interval : int;  (** ns; flush partially filled batches *)
+  batch_policy : batch_policy;  (** always [Adaptive] *)
+  batch_size : int;  (** hard cap on transactions per log entry *)
   target_batch_delay_ns : int;
-      (** ns; Adaptive policy's latency budget for time spent waiting in
-          a batch — the knob the paper leaves static in Fig. 16 *)
+      (** ns; latency budget for time spent waiting in a batch: sizes
+          batches from the arrival rate and bounds every batch's age
+          through its deadline flush — the knob the paper leaves static
+          in Fig. 16 *)
   max_batch_bytes : int;
-      (** Adaptive policy: flush once the pending batch reaches this many
-          wire bytes, whatever its transaction count *)
+      (** flush once the pending batch reaches this many wire bytes,
+          whatever its transaction count; also caps one coalesced Paxos
+          proposal *)
   watermark_interval : int;  (** ns; the 0.5 ms periodic calculation *)
   heartbeat_interval : int;
   election_timeout : int;

@@ -64,10 +64,10 @@ type t = {
      These move only after [apply_entry] returns. *)
   safe_ts : int array;
   safe_idx : int array;
-  (* Event-driven release (Adaptive policy): last watermark a release
-     pass ran for, so a durability notification that does not advance the
-     cluster minimum skips the pass. Watermarks ride the global timestamp
-     counter, hence monotone across epochs — never reset. *)
+  (* Event-driven release: last watermark a release pass ran for, so a
+     durability notification that does not advance the cluster minimum
+     skips the pass. Watermarks ride the global timestamp counter, hence
+     monotone across epochs — never reset. *)
   mutable last_rel_wm : int;
   release_queues : meta Queue.t array; (* one per worker, ts-ordered *)
   mutable procs : Sim.Engine.proc list;
@@ -837,12 +837,9 @@ let controller_loop t () =
        backstop for entries straddling the final watermark, whose apply
        decision changes without the replay watermark moving. *)
     if rwm_advanced || epoch_advanced || sealed then signal_replay_all t;
-    (* Under the Adaptive policy release is event-driven — durability
-       notifications that advance the watermark run the pass directly
-       (see [on_commit]) — and the controller tick keeps only its
-       lease/seal/epoch duties above. *)
-    if t.serving && t.cfg.Config.batch_policy <> Config.Adaptive then
-      release_pass t;
+    (* Release is event-driven — durability notifications that advance
+       the watermark run the pass directly (see [on_commit]) — so the
+       controller tick keeps only its lease/seal/epoch duties above. *)
     (* Checkpoint duty (followers only — a leader's database holds
        speculative above-watermark writes that must never reach disk):
        arm the checkpointer on cadence; a scan spanning several ticks is
@@ -908,15 +905,6 @@ let checkpoint_loop t () =
       end
     end;
     t.ckpt_inprogress <- false
-  done
-
-let flush_timer_loop t () =
-  while true do
-    Sim.Engine.sleep t.cfg.Config.batch_flush_interval;
-    if t.serving then
-      Array.iter
-        (fun b -> Batcher.maybe_flush b ~max_age:t.cfg.Config.batch_flush_interval)
-        t.batchers
   done
 
 (* ---- membership (joint consensus) ---- *)
@@ -1309,9 +1297,7 @@ let create cfg eng net ~id:rid ~app ?initial_leader ?membership ?(learner = fals
        waiting out the controller tick. The whole pass is yield-free
        (queue pops, stats, client acks via [Net.send]), so it is safe in
        the dispatcher's message-handling context. *)
-    if cfg.Config.batch_policy = Config.Adaptive && t.serving
-       && entry.Store.Wire.epoch = t.srv_epoch
-    then
+    if t.serving && entry.Store.Wire.epoch = t.srv_epoch then
       match Watermark.compute t.wm ~epoch:t.srv_epoch with
       | Some w when w > t.last_rel_wm ->
           t.last_rel_wm <- w;
@@ -1323,7 +1309,6 @@ let create cfg eng net ~id:rid ~app ?initial_leader ?membership ?(learner = fals
   let streams =
     Array.init nstreams (fun s ->
         Paxos.Stream.create net ~peers:(Config.pool cfg) ~view:view0
-          ~coalesce:(cfg.Config.batch_policy = Config.Adaptive)
           ~coalesce_max_bytes:cfg.Config.max_batch_bytes ~id:s ~me:rid
           ~on_commit:(on_commit s) ~on_higher_epoch
           ~on_config:(fun c -> adopt_config t c)
@@ -1397,7 +1382,6 @@ let create cfg eng net ~id:rid ~app ?initial_leader ?membership ?(learner = fals
       done);
   t.procs <- Paxos.Election.start el :: t.procs;
   spawn t "controller" (controller_loop t);
-  spawn t "flush-timer" (flush_timer_loop t);
   for w = 0 to cfg.Config.workers - 1 do
     match client_op with
     | Some op -> spawn t (Printf.sprintf "worker%d" w) (client_worker_loop t w op)

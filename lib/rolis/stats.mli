@@ -25,12 +25,12 @@ val note_replicated : t -> bytes:int -> unit
     also counts the entry for the average-batch-size gauge. *)
 
 val note_deadline_flush : t -> unit
-(** Adaptive batching: a batch was flushed by its
+(** A batch was flushed by its
     [target_batch_delay_ns] deadline event rather than by filling. *)
 
 val note_event_release : t -> unit
 (** A durability notification advanced the watermark and drove a release
-    pass directly (event-driven release, Adaptive policy). *)
+    pass directly (event-driven release). *)
 
 val note_released : t -> start:int -> latency:int -> bytes:int -> unit
 (** Release commit: count it, record client latency, release its bytes.

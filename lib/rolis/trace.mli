@@ -56,7 +56,7 @@ type stage =
   | Busy
   | Cached
   | Deadline_flush
-      (** adaptive batching: a batch hit its [target_batch_delay_ns]
+      (** a batch hit its [target_batch_delay_ns]
           deadline and was flushed by the scheduled deadline event rather
           than by filling up (zero-width disposition event) *)
   | Replay_lag

@@ -693,85 +693,96 @@ let test_restart_rejoin_convergence () =
   check_int "money conserved on restarted replica" (accounts * 300)
     (total_money (Rolis.Replica.db r2) ~accounts)
 
-(* ---------- adaptive batching ---------- *)
+(* ---------- batching ---------- *)
 
-(* The adaptive batcher, driven standalone over random arrival schedules:
-   every submitted transaction is flushed exactly once and in order
-   (entry timestamps monotone per stream), and no transaction waits in a
-   batch longer than target_batch_delay_ns — the per-batch deadline
-   event guarantees it even without the coarse flush timer, which runs
-   here too as the controller's backstop. *)
+(* Drive a standalone batcher over a schedule of inter-submit gaps (ts is
+   the submit index) to quiescence. Returns the flushed entries in
+   chronological order with their flush times, the submit time of every
+   ts, and whether the concatenated ts run is exactly 1..n — lossless and
+   monotone per stream. *)
+let drive_batcher cfg gaps =
+  let eng = Sim.Engine.create () in
+  let cpu = Sim.Cpu.create eng ~cores:2 () in
+  let stats = Rolis.Stats.create eng in
+  let trace = Rolis.Trace.create eng ~stats ~workers:1 ~sample_interval:0 ~capacity:8 in
+  let flushed = ref [] in
+  (* (flush time, entry), newest first *)
+  let b =
+    Rolis.Batcher.create cfg ~cpu ~stats ~trace
+      ~epoch:(fun () -> 1)
+      ~propose:(fun e -> flushed := (Sim.Engine.now eng, e) :: !flushed)
+      ~shared:false ()
+  in
+  let submit_at = Hashtbl.create 64 in
+  let last = ref 0 in
+  List.iteri
+    (fun i gap ->
+      last := !last + gap;
+      let at = !last and ts = i + 1 in
+      Hashtbl.replace submit_at ts at;
+      Sim.Engine.schedule eng at (fun () ->
+          Rolis.Batcher.submit b { Store.Wire.ts; req = None; decision = None; writes = [] }))
+    gaps;
+  Sim.Engine.run eng;
+  let entries = List.rev !flushed in
+  let ts_order =
+    List.concat_map
+      (fun (_, e) ->
+        List.map (fun (t : Store.Wire.txn_log) -> t.Store.Wire.ts) e.Store.Wire.txns)
+      entries
+  in
+  (entries, submit_at, ts_order = List.init (List.length gaps) (fun i -> i + 1))
+
+(* Over random arrival schedules every submitted transaction is flushed
+   exactly once and in order, and none waits in a batch longer than
+   target_batch_delay_ns: the per-batch deadline event guarantees it. *)
 let batcher_adaptive_qcheck =
   QCheck.Test.make ~name:"adaptive batching: bounded delay, monotone, lossless"
     ~count:60
     QCheck.(list_of_size Gen.(int_range 1 60) (int_range 0 (3 * ms)))
     (fun gaps ->
-      let cfg =
-        {
-          (test_cfg ~workers:1 ~batch:100 ()) with
-          Rolis.Config.batch_policy = Rolis.Config.Adaptive;
-        }
-      in
+      let cfg = test_cfg ~workers:1 ~batch:100 () in
       let target = cfg.Rolis.Config.target_batch_delay_ns in
-      let flush_iv = cfg.Rolis.Config.batch_flush_interval in
-      let eng = Sim.Engine.create () in
-      let cpu = Sim.Cpu.create eng ~cores:2 () in
-      let stats = Rolis.Stats.create eng in
-      let trace =
-        Rolis.Trace.create eng ~stats ~workers:1 ~sample_interval:0 ~capacity:8
-      in
-      let flushed = ref [] in
-      (* (flush time, entry), newest first *)
-      let b =
-        Rolis.Batcher.create cfg ~cpu ~stats ~trace
-          ~epoch:(fun () -> 1)
-          ~propose:(fun e -> flushed := (Sim.Engine.now eng, e) :: !flushed)
-          ~shared:false ()
-      in
-      (* Submit times are cumulative random gaps; ts is the submit index. *)
-      let submit_at = Hashtbl.create 64 in
-      let last = ref 0 in
-      List.iteri
-        (fun i gap ->
-          last := !last + gap;
-          let at = !last and ts = i + 1 in
-          Hashtbl.replace submit_at ts at;
-          Sim.Engine.schedule eng at (fun () ->
-              Rolis.Batcher.submit b { Store.Wire.ts; req = None; decision = None; writes = [] }))
-        gaps;
-      let horizon = !last + target + (2 * flush_iv) in
-      let ticks = (horizon / flush_iv) + 1 in
-      for i = 1 to ticks do
-        Sim.Engine.schedule eng (i * flush_iv) (fun () ->
-            Rolis.Batcher.maybe_flush b ~max_age:flush_iv)
-      done;
-      Sim.Engine.run eng;
-      let n = List.length gaps in
-      (* Chronological flush order; concatenated ts must be exactly
-         1..n — lossless and monotone per stream. *)
-      let entries = List.rev !flushed in
-      let ts_order =
-        List.concat_map
-          (fun (_, e) ->
-            List.map (fun (t : Store.Wire.txn_log) -> t.Store.Wire.ts)
-              e.Store.Wire.txns)
-          entries
-      in
-      ts_order = List.init n (fun i -> i + 1)
+      let entries, submit_at, lossless = drive_batcher cfg gaps in
+      lossless
       && List.for_all
            (fun (at, e) ->
              List.for_all
                (fun (t : Store.Wire.txn_log) ->
-                 at - Hashtbl.find submit_at t.Store.Wire.ts <= target + flush_iv)
+                 at - Hashtbl.find submit_at t.Store.Wire.ts <= target)
                e.Store.Wire.txns)
            entries)
 
-(* The Fixed policy must stay bit-identical to the pre-adaptive pipeline:
-   the counts and latency quantiles below were captured on the tree just
-   before the adaptive batching work landed. Any virtual-time drift in
-   the Fixed path — which is every default configuration — shows up here
-   as an exact mismatch. *)
-let check_fixed_golden name cfg app ~duration ~golden =
+(* The paper's static point is the same batcher with a budget at or
+   above the fill time and a byte cap that does not bind: once the stream
+   has a rate estimate (the first entry goes out alone), every entry but
+   the last carries exactly [batch_size] transactions. *)
+let batcher_static_qcheck =
+  QCheck.Test.make ~name:"static budget: every full entry carries batch_size"
+    ~count:60
+    QCheck.(
+      pair (int_range 1 20) (list_of_size Gen.(int_range 1 60) (int_range 1 (3 * ms))))
+    (fun (batch, gaps) ->
+      let cfg =
+        {
+          (test_cfg ~workers:1 ~batch ()) with
+          Rolis.Config.target_batch_delay_ns = batch * 3 * ms;
+        }
+      in
+      let entries, _, lossless = drive_batcher cfg gaps in
+      let sizes = List.map (fun (_, e) -> List.length e.Store.Wire.txns) entries in
+      let rec full = function
+        | [] -> true
+        | [ last ] -> last >= 1 && last <= batch
+        | n :: rest -> n = batch && full rest
+      in
+      lossless && match sizes with first :: rest -> first = 1 && full rest | [] -> false)
+
+(* Goldens of the one batching path: released/executed counts and
+   latency quantiles captured when the latency-budget batcher became the
+   only path. Any virtual-time drift in batching, release or coalescing
+   shows up here as an exact mismatch. *)
+let check_golden name cfg app ~duration ~golden =
   let g_released, g_executed, g_p50, g_p95 = golden in
   let cluster = Rolis.Cluster.create cfg app in
   Rolis.Cluster.run cluster ~duration ();
@@ -781,37 +792,35 @@ let check_fixed_golden name cfg app ~duration ~golden =
   check_int (name ^ ": p50") g_p50 (Sim.Metrics.Hist.quantile lat 0.5);
   check_int (name ^ ": p95") g_p95 (Sim.Metrics.Hist.quantile lat 0.95)
 
-let test_fixed_golden_counter () =
-  check_fixed_golden "counter" (test_cfg ())
+let test_golden_counter () =
+  check_golden "counter" (test_cfg ())
     (Rolis.App.counter_app ~keys:100)
     ~duration:(1 * s)
-    ~golden:(60245, 60287, 2405678, 3685286)
+    ~golden:(57174, 57239, 1452614, 2064449)
 
-let test_fixed_golden_tpcc () =
+let test_golden_tpcc () =
   let workers = 4 in
   let app =
     Workload.Tpcc.app (Workload.Tpcc.with_warehouses Workload.Tpcc.default workers)
   in
   let cfg = { Rolis.Config.default with Rolis.Config.workers; cores = 8 } in
-  (* Recaptured when the embedded generator moved onto the payload op:
-     bodies now derive their parameters from a payload seed, NewOrder
-     lost its 1% remote supply lines, and history rows use the fixed
-     payload slot. *)
-  check_fixed_golden "tpcc" cfg app ~duration:(200 * ms)
-    ~golden:(41882, 45769, 12435456, 17107780)
+  check_golden "tpcc" cfg app ~duration:(200 * ms)
+    ~golden:(40535, 40809, 1397270, 1923524)
 
-(* The acceptance criterion: at low/medium load the adaptive policy must
-   cut TPC-C release latency at least 2x against the fixed default batch
-   (the bench sweep shows 4-7x; assert the contractual bound). *)
-let test_adaptive_p50_win () =
-  let run policy =
+(* The acceptance criterion: at low/medium load a 2 ms budget must cut
+   TPC-C release latency at least 2x against the static point — fixed-size
+   batches, from a budget and byte cap that never bind at the default
+   batch size. *)
+let test_budget_p50_win () =
+  let run ~target ~max_bytes =
     let workers = 2 in
     let cfg =
       {
         Rolis.Config.default with
         Rolis.Config.workers;
         cores = 8;
-        batch_policy = policy;
+        target_batch_delay_ns = target;
+        max_batch_bytes = max_bytes;
       }
     in
     let app =
@@ -822,29 +831,33 @@ let test_adaptive_p50_win () =
     Rolis.Cluster.run cluster ~warmup:(150 * ms) ~duration:(100 * ms) ();
     cluster
   in
-  let fixed = run Rolis.Config.Fixed in
-  let adaptive = run Rolis.Config.Adaptive in
+  let default = Rolis.Config.default in
+  let static =
+    run ~target:(100 * ms)
+      ~max_bytes:(default.Rolis.Config.batch_size * Rolis.Config.max_txn_bytes)
+  in
+  let budget = run ~target:(2 * ms) ~max_bytes:default.Rolis.Config.max_batch_bytes in
   let p50 c = Sim.Metrics.Hist.quantile (Rolis.Cluster.latency c) 0.5 in
   check_bool "both made progress" true
-    (Rolis.Cluster.released fixed > 500 && Rolis.Cluster.released adaptive > 500);
+    (Rolis.Cluster.released static > 500 && Rolis.Cluster.released budget > 500);
   check_bool
-    (Printf.sprintf "adaptive p50 (%d ns) at least 2x below fixed (%d ns)"
-       (p50 adaptive) (p50 fixed))
+    (Printf.sprintf "2 ms budget p50 (%d ns) at least 2x below static (%d ns)"
+       (p50 budget) (p50 static))
     true
-    (2 * p50 adaptive <= p50 fixed);
+    (2 * p50 budget <= p50 static);
   (* The event-driven machinery actually carried the run. *)
-  let st = Rolis.Replica.stats (Rolis.Cluster.replica adaptive 0) in
+  let st = Rolis.Replica.stats (Rolis.Cluster.replica budget 0) in
   check_bool "deadline flushes observed" true (Rolis.Stats.deadline_flushes st > 0);
   check_bool "event-driven releases observed" true (Rolis.Stats.event_releases st > 0)
 
-(* End-to-end safety under the Adaptive policy: leader crash mid-run,
+(* End-to-end safety of the batching path: leader crash mid-run,
    then drain — money conserved on every survivor, and the incremental
    backlog counter still agrees with the reference fold after the
    failover churn (clear/step-down paths included). *)
 let test_adaptive_failover_conservation () =
   let stopped = ref false in
   let accounts = 40 in
-  let cfg = { (test_cfg ()) with Rolis.Config.batch_policy = Rolis.Config.Adaptive } in
+  let cfg = test_cfg () in
   let app = transfer_app ~accounts ~initial:500 ~stopped in
   let cluster = Rolis.Cluster.create cfg app in
   let eng = Rolis.Cluster.engine cluster in
@@ -885,9 +898,6 @@ let test_config_validate_timing () =
   expect_invalid "heartbeat > election timeout"
     { ok with Rolis.Config.heartbeat_interval = 2 * ok.Rolis.Config.election_timeout };
   expect_invalid "heartbeat zero" { ok with Rolis.Config.heartbeat_interval = 0 };
-  expect_invalid "flush interval zero" { ok with Rolis.Config.batch_flush_interval = 0 };
-  expect_invalid "negative flush interval"
-    { ok with Rolis.Config.batch_flush_interval = -ms };
   expect_invalid "negative client rtt" { ok with Rolis.Config.client_rtt = -1 };
   expect_invalid "negative client rpc overhead"
     { ok with Rolis.Config.client_rpc_overhead = -1 }
@@ -921,17 +931,7 @@ let test_config_validate_batching () =
   expect_invalid "byte cap below one max-size transaction"
     { ok with Rolis.Config.max_batch_bytes = Rolis.Config.max_txn_bytes - 1 };
   Rolis.Config.validate
-    { ok with Rolis.Config.max_batch_bytes = Rolis.Config.max_txn_bytes };
-  (* The flush timer is only the idle-stream backstop under Adaptive:
-     finer than the watermark tick is rejected there, accepted under
-     Fixed (where it is the sole latency bound). *)
-  let fine =
-    { ok with Rolis.Config.batch_flush_interval = ok.Rolis.Config.watermark_interval - 1 }
-  in
-  Rolis.Config.validate fine;
-  expect_invalid "adaptive flush timer finer than watermark tick"
-    { fine with Rolis.Config.batch_policy = Rolis.Config.Adaptive };
-  Rolis.Config.validate { ok with Rolis.Config.batch_policy = Rolis.Config.Adaptive }
+    { ok with Rolis.Config.max_batch_bytes = Rolis.Config.max_txn_bytes }
 
 let test_config_validate_checkpoint () =
   let ok = test_cfg () in
@@ -2216,12 +2216,11 @@ let () =
       ( "batching",
         [
           QCheck_alcotest.to_alcotest batcher_adaptive_qcheck;
-          Alcotest.test_case "fixed policy golden (counter)" `Quick
-            test_fixed_golden_counter;
-          Alcotest.test_case "fixed policy golden (tpcc)" `Quick
-            test_fixed_golden_tpcc;
+          QCheck_alcotest.to_alcotest batcher_static_qcheck;
+          Alcotest.test_case "golden (counter)" `Quick test_golden_counter;
+          Alcotest.test_case "golden (tpcc)" `Quick test_golden_tpcc;
           Alcotest.test_case "adaptive p50 at least 2x below fixed" `Quick
-            test_adaptive_p50_win;
+            test_budget_p50_win;
           Alcotest.test_case "adaptive failover conservation" `Quick
             test_adaptive_failover_conservation;
         ] );
