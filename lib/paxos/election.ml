@@ -197,17 +197,24 @@ let start t =
       randomize_timeout t;
       t.last_heartbeat <- Sim.Engine.now eng;
       if t.role = Leader then t.on_leader_elected ~epoch:t.cur_epoch;
+      let stands () = t.role <> Leader && t.eligible && Member.mem t.view t.me in
       while true do
         if t.role = Leader then begin
           broadcast t (Msg.Elect (Msg.Heartbeat { epoch = t.cur_epoch; leader = t.me }));
           t.on_heartbeat_tick ()
         end
-        else if
-          t.eligible
-          && Member.mem t.view t.me
-          && Sim.Engine.time () - t.last_heartbeat > t.my_timeout
-        then start_election t;
-        Sim.Engine.sleep t.hb_interval
+        else if stands () && Sim.Engine.time () - t.last_heartbeat > t.my_timeout then
+          start_election t;
+        (* A follower that may stand wakes at its own timer's deadline
+           (the first instant the check above passes), not on the next
+           tick: every replica's tick has the same phase, so survivors
+           whose timeouts fall in one tick interval would otherwise stand
+           together and split the vote. Everyone else — leader, learner,
+           ineligible replica — keeps the tick, never a past deadline. *)
+        let deadline = t.last_heartbeat + t.my_timeout + 1 in
+        Sim.Engine.sleep
+          (if stands () then min t.hb_interval (deadline - Sim.Engine.time ())
+           else t.hb_interval)
       done)
 
 type vote = { v_epoch : int; v_voted_epoch : int; v_voted_for : int option }

@@ -58,8 +58,16 @@ val failed_candidacies : t -> int
     heartbeat or winning resets it. *)
 
 val start : t -> Sim.Engine.proc
-(** Spawn the ticker process (heartbeats when leader, timeout checks when
-    follower). Returns the process so a crash can kill it. *)
+(** Spawn the ticker process. A leader heartbeats every
+    [heartbeat_interval]. A follower that may stand (eligible and a
+    voter) sleeps [min heartbeat_interval (last_heartbeat + timeout + 1 -
+    now)], so its candidacy starts at its own randomized timer's
+    deadline — the first instant of more than [timeout] silence — rather
+    than on the next heartbeat tick, which every replica shares and
+    which made survivors with nearby timeouts stand together and split
+    the vote. A replica that may not stand (ineligible, or a non-voting
+    learner) keeps the plain tick however long it has been silent.
+    Returns the process so a crash can kill it. *)
 
 val handle : t -> Msg.elect -> from:int -> unit
 (** Feed an election message from the dispatcher. *)

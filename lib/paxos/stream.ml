@@ -81,6 +81,7 @@ type t = {
   on_commit : idx:int -> Store.Wire.entry -> unit;
   on_higher_epoch : int -> unit;
   on_config : Store.Wire.member_change -> unit;
+  on_caught_up : unit -> unit;
   mutable s_proposals : int;
   mutable s_commits : int;
   mutable s_nacks : int;
@@ -92,7 +93,7 @@ type t = {
 
 let create net ?peers ?view ?(fetch_timeout = default_fetch_timeout)
     ?(coalesce_max_bytes = 1024 * 1024) ~id ~me ~on_commit
-    ~on_higher_epoch ?(on_config = fun _ -> ()) () =
+    ~on_higher_epoch ?(on_config = fun _ -> ()) ?(on_caught_up = fun () -> ()) () =
   (* [peers] bounds the replica slots: the net may carry extra
      non-replica nodes (client sessions) beyond the first [peers]. *)
   let pool = match peers with Some p -> p | None -> Sim.Net.nodes net in
@@ -131,6 +132,7 @@ let create net ?peers ?view ?(fetch_timeout = default_fetch_timeout)
     on_commit;
     on_higher_epoch;
     on_config;
+    on_caught_up;
     s_proposals = 0;
     s_commits = 0;
     s_nacks = 0;
@@ -267,7 +269,9 @@ let rec try_commit t =
     let bound = safe_trunc_bound t in
     truncate_below t bound;
     broadcast t
-      (Msg.Commit { epoch = t.leader_epoch; commit_idx = t.commit_idx; trunc_upto = bound })
+      (Msg.Commit { epoch = t.leader_epoch; commit_idx = t.commit_idx; trunc_upto = bound });
+    if t.lstate = Active && before < t.recovery_target && t.commit_idx >= t.recovery_target
+    then t.on_caught_up ()
   end;
   match t.lstate with
   | Active when t.next_idx = t.commit_idx + 1 -> flush_coalesced t
@@ -344,6 +348,7 @@ let finish_prepare t =
   t.promise_slots <- [];
   t.recovery_target <- !max_idx;
   t.lstate <- Active;
+  if !max_idx <= t.commit_idx then t.on_caught_up ();
   for idx = t.commit_idx + 1 to !max_idx do
     let entry =
       match Hashtbl.find_opt best idx with

@@ -44,6 +44,7 @@ val create :
   on_commit:(idx:int -> Store.Wire.entry -> unit) ->
   on_higher_epoch:(int -> unit) ->
   ?on_config:(Store.Wire.member_change -> unit) ->
+  ?on_caught_up:(unit -> unit) ->
   unit ->
   t
 (** [peers] is the replica-slot count — nodes [0 .. peers-1] of the net;
@@ -57,6 +58,9 @@ val create :
     is stored or learned (accept-time adoption — the replica routes it to
     every stream and the election); it may fire repeatedly for the same
     change, so receivers must adopt monotonically by generation.
+    [on_caught_up] fires once per leadership, at the moment {!is_caught_up}
+    turns true (Prepare finished and every adopted slot committed), so a
+    promotion can wait on the event instead of polling.
     [fetch_timeout] bounds how long a follower waits for a [Fetch_rep]
     before re-issuing the fetch (lost fetches would otherwise wedge
     catch-up forever).

@@ -30,6 +30,8 @@ type t = {
   mutable parked : int;
   mutable req_parked_ns : int; (* parked time of the in-flight request *)
   mutable req_redirects : int; (* redirects of the in-flight request *)
+  mutable led_epoch : int; (* newest leader announcement adopted *)
+  stash : Paxos.Msg.t Queue.t; (* arrived during a nap, for the reply loop *)
   lat : Sim.Metrics.Hist.t;
 }
 
@@ -64,14 +66,51 @@ let send_req t payload =
   let m = { Paxos.Msg.from = t.node; body } in
   Sim.Net.send t.net ~size:(Paxos.Msg.size m) ~src:t.node ~dst:t.hint m
 
-(* Exponential backoff with seeded jitter: attempt [a] sleeps a uniform
+(* A new leader announces itself to every session it knows of (see
+   [Replica.promote]). A write session adopts the newest announcement as
+   its hint; a read session keeps its preference list. *)
+let adopt_leader t (m : Paxos.Msg.t) =
+  match m.Paxos.Msg.body with
+  | Paxos.Msg.Elect (Paxos.Msg.Heartbeat { epoch; leader })
+    when (not t.ro) && epoch > t.led_epoch ->
+      t.led_epoch <- epoch;
+      t.hint <- leader;
+      true
+  | _ -> false
+
+(* Next message for the reply loop: whatever a nap stashed first. *)
+let recv t left =
+  match Queue.take_opt t.stash with
+  | Some _ as m -> m
+  | None -> Sim.Net.recv_timeout t.net t.node left
+
+(* Sleep [d], ending early when a leader announcement is adopted; any
+   other message is stashed for the reply loop, so a late ack is never
+   lost. Returns the time actually slept. *)
+let nap t d =
+  let t0 = Sim.Engine.time () in
+  let until = t0 + d in
+  let rec go () =
+    let left = until - Sim.Engine.time () in
+    if left > 0 then
+      match Sim.Net.recv_timeout t.net t.node left with
+      | None -> ()
+      | Some m when adopt_leader t m -> ()
+      | Some m ->
+          Queue.add m t.stash;
+          go ()
+  in
+  go ();
+  Sim.Engine.time () - t0
+
+(* Exponential backoff with seeded jitter: attempt [a] naps a uniform
    draw from (b/2, b] where b = min(max, base * 2^a). *)
-let backoff_sleep t ~attempt =
+let backoff_nap t ~attempt =
   let b =
     min t.cfg.Config.client_backoff_max
       (t.cfg.Config.client_backoff_base * (1 lsl min attempt 16))
   in
-  Sim.Engine.sleep (b - Sim.Rng.int t.rng (max 1 (b / 2)))
+  ignore (nap t (b - Sim.Rng.int t.rng (max 1 (b / 2))))
 
 (* Fold the in-flight request's parked time and redirect count into the
    shared stats once it resolves — availability seen from the client. *)
@@ -127,12 +166,11 @@ let drive t payload =
       t.parked <- t.parked + 1;
       attempts := 0;
       Log.debug (fun m -> m "client %d parks seq %d" t.cid t.seq);
-      let nap =
+      let d =
         t.cfg.Config.client_park_interval
         + Sim.Rng.int t.rng (max 1 (t.cfg.Config.client_park_interval / 2))
       in
-      t.req_parked_ns <- t.req_parked_ns + nap;
-      Sim.Engine.sleep nap;
+      t.req_parked_ns <- t.req_parked_ns + nap t d;
       if t.ro then begin
         record_resolution t;
         t.completed <- t.seq;
@@ -151,10 +189,11 @@ let drive t payload =
           t.timeouts <- t.timeouts + 1;
           rotate_hint t;
           waiting := false;
-          backoff_sleep t ~attempt:!attempts
+          backoff_nap t ~attempt:!attempts
         end
         else
-          match Sim.Net.recv_timeout t.net t.node left with
+          let hint = t.hint in
+          match recv t left with
           | Some
               { Paxos.Msg.from; body = Paxos.Msg.Client_rep { cid; seq; reply } }
             when cid = t.cid && seq = t.seq -> (
@@ -175,7 +214,7 @@ let drive t payload =
                      for a while; a write session re-tries the same leader. *)
                   if t.ro then rotate_hint t;
                   waiting := false;
-                  backoff_sleep t ~attempt:!attempts
+                  backoff_nap t ~attempt:!attempts
               | Paxos.Msg.Not_leader { hint } ->
                   t.redirects <- t.redirects + 1;
                   t.req_redirects <- t.req_redirects + 1;
@@ -192,10 +231,14 @@ let drive t payload =
                   waiting := false;
                   (* Short pause, not full backoff: an election may be in
                      progress and the hint goes stale quickly. *)
-                  Sim.Engine.sleep
-                    (t.cfg.Config.client_backoff_base
-                    + Sim.Rng.int t.rng (max 1 t.cfg.Config.client_backoff_base)
-                    ))
+                  ignore
+                    (nap t
+                       (t.cfg.Config.client_backoff_base
+                       + Sim.Rng.int t.rng (max 1 t.cfg.Config.client_backoff_base))))
+          | Some m when adopt_leader t m ->
+              (* A new leader serves: stop waiting on the one we sent to,
+                 which may be dead, and resend there at once. *)
+              if t.hint <> hint then waiting := false
           | Some _ -> () (* stale reply for an older attempt or seq *)
           | None -> () (* next iteration observes the elapsed deadline *)
       done
@@ -222,7 +265,7 @@ let run t () =
       (* Passive drain: stop issuing, but a late ack for the in-flight
          request still counts — the cluster may release it after the
          workload stops. *)
-      match Sim.Net.recv_timeout t.net t.node (50 * Sim.Engine.ms) with
+      match recv t (50 * Sim.Engine.ms) with
       | Some
           {
             Paxos.Msg.from;
@@ -282,6 +325,8 @@ let create net ~cfg ~cid ?(stopped = ref false) ?stats ?(ro = false) ?prefer
     parked = 0;
     req_parked_ns = 0;
     req_redirects = 0;
+    led_epoch = 0;
+    stash = Queue.create ();
     lat = Sim.Metrics.Hist.create ();
   }
 

@@ -16,6 +16,15 @@
       instead abandons the request after the park — reads are idempotent
       and must not head-of-line block the session on a permanently
       unservable key);
+    - a {e leader announcement} ([Elect (Heartbeat {epoch; leader})],
+      sent by a newly promoted leader to every session in its replicated
+      session table) ends a write session's backoff, park or
+      [Not_leader] pause early and becomes its leader hint, newest epoch
+      first; a write session waiting on a reply from another replica —
+      possibly the dead leader — resends to the announced one at once.
+      Any other message arriving during such a nap is kept for the reply
+      loop, so a late [Ok_released] still acks the request. Read-only
+      sessions ignore announcements;
     - [Ok_released] → the result was released below the watermark: the
       exactly-once ack. [Aborted] → user abort, no effect anywhere.
 

@@ -51,6 +51,10 @@ type t = {
      loop re-drains while the generation moves and only then parks. *)
   r_gen : int array;
   r_wake : unit Sim.Sync.Mailbox.t array;
+  (* Event-driven promotion: poked when a stream finishes recovery, when
+     the replay epoch advances and on every step-down, so a promotion
+     waits on the event that ends each of its stages. *)
+  p_wake : unit Sim.Sync.Mailbox.t;
   (* Follower-lag telemetry: per-stream replayed frontier (last consumed
      entry timestamp) and the cluster-wide durable frontier, both on the
      transaction-timestamp axis. Lag = durable - min(frontier). *)
@@ -488,6 +492,9 @@ let signal_replay t s =
   if Sim.Sync.Mailbox.length t.r_wake.(s) = 0 then
     Sim.Sync.Mailbox.send t.r_wake.(s) ()
 
+let signal_promotion t =
+  if Sim.Sync.Mailbox.length t.p_wake = 0 then Sim.Sync.Mailbox.send t.p_wake ()
+
 let signal_replay_all t =
   for s = 0 to Array.length t.r_gen - 1 do
     signal_replay t s
@@ -828,7 +835,8 @@ let controller_loop t () =
       if drained then begin
         t.repoch <- t.repoch + 1;
         t.rwm <-
-          (match Watermark.compute t.wm ~epoch:t.repoch with Some w -> w | None -> 0)
+          (match Watermark.compute t.wm ~epoch:t.repoch with Some w -> w | None -> 0);
+        signal_promotion t
       end;
       drained
     in
@@ -1052,6 +1060,22 @@ let seal_old_epoch t ~epoch =
         (Store.Wire.noop ~epoch ~ts:(Silo.Db.next_ts t.db)))
     t.streams
 
+(* Failover wake-up: a new leader tells every session in its replicated
+   session table that it serves, so a session napping through a backoff
+   or park, or waiting on the dead leader, resends here at once. *)
+let announce_leader t ~epoch =
+  let m =
+    {
+      Paxos.Msg.from = t.rid;
+      body = Paxos.Msg.Elect (Paxos.Msg.Heartbeat { epoch; leader = t.rid });
+    }
+  in
+  Hashtbl.iter
+    (fun cid _ ->
+      Sim.Net.send t.net ~size:(Paxos.Msg.size m) ~src:t.rid
+        ~dst:(Config.pool t.cfg + cid) m)
+    t.sessions
+
 let promote t ~epoch =
   spawn t "promote" (fun () ->
       let still_leading () =
@@ -1059,17 +1083,20 @@ let promote t ~epoch =
         && Paxos.Election.is_leader (election t)
         && Paxos.Election.epoch (election t) = epoch
       in
+      (* Nothing yields between a check and the wait, so a poke is never
+         lost; a step-down pokes too, so a deposed promotion exits. *)
+      let await ready =
+        while still_leading () && not (ready ()) do
+          Sim.Sync.Mailbox.recv t.p_wake
+        done
+      in
       (* 1. Every stream finishes Prepare and recommits its tail. *)
-      while still_leading () && not (Array.for_all Paxos.Stream.is_caught_up t.streams) do
-        Sim.Engine.sleep (5 * Sim.Engine.ms)
-      done;
+      await (fun () -> Array.for_all Paxos.Stream.is_caught_up t.streams);
       if still_leading () then begin
         (* 2. Seal the old epoch with a no-op per stream. *)
         seal_old_epoch t ~epoch;
         (* 3. Wait until local replay drains every older epoch. *)
-        while still_leading () && t.repoch < epoch do
-          Sim.Engine.sleep (5 * Sim.Engine.ms)
-        done;
+        await (fun () -> t.repoch >= epoch);
         if still_leading () then begin
           (* 4. Become the execution leader. *)
           Silo.Db.set_epoch t.db epoch;
@@ -1088,6 +1115,7 @@ let promote t ~epoch =
               propose_config t
                 { Store.Wire.m_gen = t.mgen + 1; m_old = []; m_new = new_ }
           | Paxos.Member.Stable _ -> t.reconfig_inflight <- false);
+          announce_leader t ~epoch;
           Log.debug (fun m ->
               m "replica %d serving epoch %d (promotion complete)" t.rid epoch)
         end
@@ -1157,6 +1185,7 @@ let create cfg eng net ~id:rid ~app ?initial_leader ?membership ?(learner = fals
       backlog = 0;
       r_gen = Array.make nstreams 0;
       r_wake = Array.init nstreams (fun _ -> Sim.Sync.Mailbox.create eng);
+      p_wake = Sim.Sync.Mailbox.create eng;
       applied_ts = Array.make nstreams 0;
       durable_max = 0;
       safe_ts = Array.make nstreams 0;
@@ -1312,6 +1341,7 @@ let create cfg eng net ~id:rid ~app ?initial_leader ?membership ?(learner = fals
           ~coalesce_max_bytes:cfg.Config.max_batch_bytes ~id:s ~me:rid
           ~on_commit:(on_commit s) ~on_higher_epoch
           ~on_config:(fun c -> adopt_config t c)
+          ~on_caught_up:(fun () -> signal_promotion t)
           ())
   in
   let el =
@@ -1322,6 +1352,7 @@ let create cfg eng net ~id:rid ~app ?initial_leader ?membership ?(learner = fals
         Array.iter (fun s -> Paxos.Stream.become_leader s ~epoch) streams;
         promote t ~epoch)
       ~on_new_epoch:(fun ~epoch:_ ~leader ->
+        signal_promotion t;
         if leader <> Some rid then begin
           Array.iter Paxos.Stream.step_down streams;
           stop_serving t;

@@ -19,7 +19,11 @@
     - {b promotion}: on winning an election the replica recovers all
       streams, seals the old epoch with per-stream no-ops, waits until its
       own replay drains the old epochs, compacts tombstones, and only then
-      serves (paper §4.1). *)
+      serves (paper §4.1). Each wait wakes on the event that ends it (a
+      stream finishing recovery, the replay epoch advancing, a
+      step-down), not on a timer. Once serving, the new leader announces
+      itself to every session in its replicated session table, ending
+      those sessions' backoff and park naps ({!Client}). *)
 
 type t
 

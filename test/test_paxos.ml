@@ -667,6 +667,61 @@ let test_timeout_now_handoff () =
   check_bool "non-member grant refused" false
     (Paxos.Election.is_leader c.replicas.(2).election)
 
+(* Each survivor's election timer fires at its own deadline. At these
+   seeds both survivors' randomized timeouts fall in one heartbeat
+   interval after the leader dies; a timer checked only on the shared
+   tick made them stand together and split the vote (a leader at epoch
+   3 or 4, 335-775 ms after the crash). Now the earlier deadline wins
+   alone: one new epoch, no failed candidacy, a leader within the
+   longest timeout. *)
+let test_timer_fires_at_deadline () =
+  let timeout = 100 * ms in
+  List.iter
+    (fun seed ->
+      let c = make_cluster ~seed ~timeout () in
+      let crash_at = 205 * ms in
+      Sim.Engine.run ~until:crash_at c.eng;
+      crash c 0;
+      Sim.Engine.run ~until:(crash_at + (timeout * 3 / 2) + (1 * ms)) c.eng;
+      let name what = Printf.sprintf "seed %Ld: %s" seed what in
+      (match current_leader c with
+      | Some r -> check_bool (name "a survivor leads") true (r.id <> 0)
+      | None -> Alcotest.failf "seed %Ld: no leader within 1.5 x timeout" seed);
+      for id = 1 to 2 do
+        let el = c.replicas.(id).election in
+        check_int (name "exactly one new epoch") 2 (Paxos.Election.epoch el);
+        check_int (name "no failed candidacy") 0 (Paxos.Election.failed_candidacies el)
+      done)
+    [ 2L; 10L; 25L ]
+
+(* Hazard pin: only a replica that may stand sleeps toward its deadline.
+   An ineligible replica and a non-member learner sit past theirs for
+   good (no leader heartbeats here) and must keep the plain tick — a
+   past deadline clamped to a tiny sleep would spin the engine. Every
+   event in this simulation is one of their two tickers' wakeups. *)
+let test_no_busy_wait_past_deadline () =
+  let hb = 100 * ms in
+  let eng = Sim.Engine.create ~seed:3L () in
+  let net = Sim.Net.create eng ~nodes:4 ~latency:(Sim.Net.Fixed (50 * Sim.Engine.us)) in
+  let elect me =
+    Paxos.Election.create net ~me ~peers:4
+      ~view:(Paxos.Member.stable [ 0; 1; 2 ])
+      ~heartbeat_interval:hb ~election_timeout:(1_000 * ms) ~initial_leader:0
+      ~on_leader_elected:(fun ~epoch:_ -> ())
+      ~on_new_epoch:(fun ~epoch:_ ~leader:_ -> ())
+      ()
+  in
+  let ineligible = elect 1 and learner = elect 3 in
+  Paxos.Election.set_eligible ineligible false;
+  ignore (Paxos.Election.start ineligible);
+  ignore (Paxos.Election.start learner);
+  let horizon = 10_000 * ms in
+  Sim.Engine.run ~max_events:(2 * ((horizon / hb) + 1)) eng;
+  check_bool "two tickers wake once per heartbeat interval" true
+    (Sim.Engine.now eng >= horizon);
+  check_int "the ineligible replica never stood" 1 (Paxos.Election.epoch ineligible);
+  check_int "the learner never stood" 1 (Paxos.Election.epoch learner)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "paxos"
@@ -698,6 +753,10 @@ let () =
             test_candidacy_backoff_bounded;
           Alcotest.test_case "ineligible leader resigns" `Quick
             test_ineligible_leader_resigns;
+          Alcotest.test_case "timer fires at its deadline" `Quick
+            test_timer_fires_at_deadline;
+          Alcotest.test_case "no busy-wait past a deadline" `Quick
+            test_no_busy_wait_past_deadline;
         ] );
       ( "membership",
         [

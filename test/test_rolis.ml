@@ -780,7 +780,10 @@ let batcher_static_qcheck =
 
 (* Goldens of the one batching path: released/executed counts and
    latency quantiles captured when the latency-budget batcher became the
-   only path. Any virtual-time drift in batching, release or coalescing
+   only path, and re-captured when promotion became event-driven (the
+   initial leader now serves once its Prepare round completes instead of
+   at a 5 ms poll; pinning that poll back reproduces the old values
+   exactly). Any virtual-time drift in batching, release or coalescing
    shows up here as an exact mismatch. *)
 let check_golden name cfg app ~duration ~golden =
   let g_released, g_executed, g_p50, g_p95 = golden in
@@ -796,7 +799,7 @@ let test_golden_counter () =
   check_golden "counter" (test_cfg ())
     (Rolis.App.counter_app ~keys:100)
     ~duration:(1 * s)
-    ~golden:(57174, 57239, 1452614, 2064449)
+    ~golden:(57417, 57485, 1523149, 2067312)
 
 let test_golden_tpcc () =
   let workers = 4 in
@@ -805,7 +808,7 @@ let test_golden_tpcc () =
   in
   let cfg = { Rolis.Config.default with Rolis.Config.workers; cores = 8 } in
   check_golden "tpcc" cfg app ~duration:(200 * ms)
-    ~golden:(40535, 40809, 1397270, 1923524)
+    ~golden:(41853, 41922, 1374894, 1926006)
 
 (* The acceptance criterion: at low/medium load a 2 ms budget must cut
    TPC-C release latency at least 2x against the static point — fixed-size
@@ -1065,6 +1068,161 @@ let test_release_visibility_across_crash () =
     (match Rolis.Cluster.leader c with
     | Some r -> total_money (Rolis.Replica.db r) ~accounts = accounts * 1_000
     | None -> false)
+
+(* A leader announcement ends a write session's wait. Scripted replicas
+   stand in for the cluster so every resend time is exact: each scenario
+   names the replica the session first targets (node 0, hinted from its
+   cid), what that replica answers, and when replica [leader] announces
+   itself. The session must resend to the announced leader at once —
+   whether it was napping through a Busy backoff, a park, or waiting on
+   a leader that died — and an ack that lands during a nap must still
+   complete the request, exactly once. *)
+let test_announcement_ends_nap () =
+  let lat = 50 * Sim.Engine.us in
+  let scenario name ?(retry_limit = 10) ~first ~announce_at ~leader ~expect_by () =
+    let cfg =
+      { (test_cfg ()) with Rolis.Config.clients = 1; client_retry_limit = retry_limit }
+    in
+    let eng = Sim.Engine.create ~seed:5L () in
+    let pool = Rolis.Config.pool cfg in
+    let net = Sim.Net.create eng ~nodes:(pool + 1) ~latency:(Sim.Net.Fixed lat) in
+    let reqs = ref [] in
+    for node = 0 to pool - 1 do
+      ignore
+        (Sim.Engine.spawn eng (fun () ->
+             while true do
+               match (Sim.Net.recv net node).Paxos.Msg.body with
+               | Paxos.Msg.Client_req { cid; seq; _ } ->
+                   reqs := (Sim.Engine.time (), node) :: !reqs;
+                   let reply r =
+                     Sim.Net.send net ~src:node ~dst:(pool + cid)
+                       { Paxos.Msg.from = node; body = Paxos.Msg.Client_rep { cid; seq; reply = r } }
+                   in
+                   if node = leader then reply Paxos.Msg.Ok_released
+                   else if List.length !reqs = 1 then List.iter reply first
+               | _ -> ()
+             done))
+    done;
+    Sim.Engine.schedule eng announce_at (fun () ->
+        Sim.Net.send net ~src:leader ~dst:pool
+          {
+            Paxos.Msg.from = leader;
+            body = Paxos.Msg.Elect (Paxos.Msg.Heartbeat { epoch = 2; leader });
+          });
+    let session = Rolis.Client.create net ~cfg ~cid:0 () in
+    let outcome = ref None in
+    ignore
+      (Sim.Engine.spawn eng (fun () ->
+           let r = Rolis.Client.request session "op" in
+           outcome := Some (r, Sim.Engine.time ())));
+    Sim.Engine.run ~until:(2 * s) eng;
+    let name what = Printf.sprintf "%s: %s" name what in
+    (match !outcome with
+    | Some (`Ok, t) -> check_bool (name "acked in time") true (t <= expect_by)
+    | Some ((`Aborted | `Stopped), _) | None -> Alcotest.fail (name "request not acked"));
+    check_bool (name "acked exactly once") true (Rolis.Client.acked_seqs session = [ (0, 1) ]);
+    List.rev !reqs
+  in
+  let resent_at_once name reqs ~leader ~announce_at =
+    match List.filter (fun (_, node) -> node = leader) reqs with
+    | (t, _) :: _ ->
+        check_bool (name ^ ": resent on the announcement") true
+          (t - announce_at <= (2 * lat) + Sim.Engine.us)
+    | [] -> Alcotest.failf "%s: never resent to the announced leader" name
+  in
+  (* Busy, then an announcement 2 ms into the 10-20 ms backoff. *)
+  let reqs =
+    scenario "backoff" ~first:[ Paxos.Msg.Busy ] ~announce_at:(2 * ms) ~leader:1
+      ~expect_by:(3 * ms) ()
+  in
+  resent_at_once "backoff" reqs ~leader:1 ~announce_at:(2 * ms);
+  (* The first replica is dead: its 100 ms reply timeout, a backoff and
+     then a 200-300 ms park follow; the announcement lands mid-park. *)
+  let reqs =
+    scenario "park" ~retry_limit:1 ~first:[] ~announce_at:(200 * ms) ~leader:2
+      ~expect_by:(201 * ms) ()
+  in
+  resent_at_once "park" reqs ~leader:2 ~announce_at:(200 * ms);
+  (* Waiting on a dead leader: resend without sitting out the timeout. *)
+  let reqs =
+    scenario "dead leader" ~first:[] ~announce_at:(30 * ms) ~leader:1
+      ~expect_by:(31 * ms) ()
+  in
+  resent_at_once "dead leader" reqs ~leader:1 ~announce_at:(30 * ms);
+  (* Busy, then the replica's own late ack arrives during the backoff and
+     no announcement comes: the stashed ack completes the request. *)
+  let reqs =
+    scenario "ack during nap" ~first:[ Paxos.Msg.Busy; Paxos.Msg.Ok_released ]
+      ~announce_at:(3 * s) ~leader:2 ~expect_by:(25 * ms) ()
+  in
+  check_bool "ack during nap: resent once, to the same replica" true
+    (List.map snd reqs = [ 0; 0 ])
+
+(* Failover end to end: small TPC-C under 8 sessions, crash the leader
+   at 0.3 s. With election timers checked only on the heartbeat tick,
+   deployment seeds 42 and 1070 went more than 3 s without service
+   (1070's drivers did not even quiesce); seed 7 served again after
+   1.1 s. Each must now serve again within 2 s of the crash, and every
+   ack stays exactly-once. *)
+let test_tpcc_failover_serves () =
+  let warehouses = 4 in
+  let p =
+    {
+      (Workload.Tpcc.with_warehouses Workload.Tpcc.default warehouses) with
+      Workload.Tpcc.items = 1_000;
+      customers_per_district = 30;
+      init_orders_per_district = 30;
+    }
+  in
+  let router = Rolis.Router.tpcc ~warehouses ~shards:1 in
+  List.iter
+    (fun seed ->
+      let cfg =
+        {
+          Rolis.Config.default with
+          Rolis.Config.workers = 4;
+          cores = 8;
+          batch_size = 64;
+          clients = 8;
+          archive_entries = true;
+          seed = Int64.of_int seed;
+        }
+      in
+      let dep =
+        Rolis.Shard.create ~veto:(Workload.Tpcc.veto p) cfg router
+          (fun ~shard:_ -> Workload.Tpcc.client_app p)
+          ~gen:(fun ~rng ~driver:_ -> Workload.Tpcc.shard_gen p router ~cross_pct:0.0 ~rng)
+      in
+      let c = Rolis.Shard.cluster dep 0 in
+      let crash_at = 300 * ms in
+      Rolis.Shard.run dep ~duration:crash_at ();
+      let old = Option.get (Rolis.Cluster.leader c) in
+      Rolis.Cluster.crash_replica c (Rolis.Replica.id old);
+      (* Service is back once a new leader serves and commits. *)
+      let serving_since = ref None and resumed = ref None in
+      while !resumed = None && Sim.Engine.now (Rolis.Shard.engine dep) < crash_at + (3 * s) do
+        Rolis.Shard.run dep ~duration:(10 * ms) ();
+        let now = Sim.Engine.now (Rolis.Shard.engine dep) in
+        match (!serving_since, Rolis.Cluster.leader c) with
+        | None, Some _ -> serving_since := Some (Rolis.Shard.committed dep)
+        | Some n, Some _ when Rolis.Shard.committed dep > n -> resumed := Some now
+        | _ -> ()
+      done;
+      (match !resumed with
+      | Some t ->
+          check_bool
+            (Printf.sprintf "seed %d: serving again %d ms after the crash" seed
+               ((t - crash_at) / ms))
+            true
+            (t - crash_at <= 2 * s)
+      | None -> Alcotest.failf "seed %d: no service within 3 s of the crash" seed);
+      check_bool "drivers quiesced" true (Rolis.Shard.quiesce dep);
+      match Rolis.Check.exactly_once c ~acked:(Rolis.Shard.acked_seqs dep 0) with
+      | [] -> ()
+      | viols ->
+          Alcotest.failf "seed %d: exactly-once violated: %s" seed
+            (String.concat "; " (List.map (fun v -> v.Rolis.Check.detail) viols)))
+    [ 42; 1070; 7 ]
 
 (* Admission control: with a starved admission queue the leader answers
    [Busy] instead of buffering unboundedly; clients back off and retry,
@@ -2243,6 +2401,9 @@ let () =
           Alcotest.test_case "release visibility across crash" `Quick
             test_release_visibility_across_crash;
           Alcotest.test_case "admission backpressure" `Quick test_admission_backpressure;
+          Alcotest.test_case "announcement ends a nap" `Quick test_announcement_ends_nap;
+          Alcotest.test_case "tpcc failover serves within 2 s" `Quick
+            test_tpcc_failover_serves;
         ] );
       ( "reads",
         [
