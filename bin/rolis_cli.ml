@@ -394,12 +394,10 @@ let run_cmd =
 
 (* ---- chaos: seeded fault-injection runs ---- *)
 
-(* Re-run one seed with the nemesis debug log captured to [path], so a CI
-   failure ships the exact fault schedule as an artifact. Determinism
-   makes the re-run identical to the original failure. *)
-let dump_nemesis_log ~path ~replicas ~workers ~clients ~accounts ~duration
-    ~checkpoint_interval ~history_warmup ~ops ~spares ~follower_reads
-    ~read_lease ~wan_profile ~shards ~cross_pct ~seed =
+(* Re-run one seed ([run ()]) with the nemesis debug log captured to
+   [path], so a CI failure ships the exact fault schedule as an artifact.
+   Determinism makes the re-run identical to the original failure. *)
+let dump_nemesis_log ~path run =
   let oc = open_out path in
   let fmt = Format.formatter_of_out_channel oc in
   let reporter =
@@ -420,12 +418,7 @@ let dump_nemesis_log ~path ~replicas ~workers ~clients ~accounts ~duration
   let saved_reporter = Logs.reporter () and saved_level = Logs.level () in
   Logs.set_reporter reporter;
   Logs.set_level (Some Logs.Debug);
-  let o =
-    Rolis.Chaos.run_seed ~replicas ~workers ~clients ~accounts ~duration
-      ~checkpoint_interval ~history_warmup ~ops ~spares ~follower_reads
-      ?read_lease ~wan_profile ~shards ~cross_pct ~seed ()
-  in
-  Format.fprintf fmt "%a@." Rolis.Chaos.pp_outcome o;
+  Format.fprintf fmt "%a@." Rolis.Chaos.pp_outcome (run ());
   Logs.set_reporter saved_reporter;
   Logs.set_level saved_level;
   close_out oc
@@ -464,18 +457,22 @@ let run_chaos seeds seed0 replicas workers clients accounts duration_ms
   let read_lease =
     if read_lease_us > 0 then Some (read_lease_us * Sim.Engine.us) else None
   in
-  let _, first_failure =
+  let run ~seed =
+    Rolis.Chaos.run_seed ~replicas ~workers ~clients ~accounts ~duration
+      ~checkpoint_interval ~history_warmup ~ops ~spares ~follower_reads
+      ?read_lease ~wan_profile ~shards ~cross_pct ~seed ()
+  in
+  let outcomes =
     try
-      Rolis.Chaos.run_seeds ~replicas ~workers ~clients ~accounts ~duration
-        ~checkpoint_interval ~history_warmup ~ops ~spares ~follower_reads
-        ?read_lease ~wan_profile ~shards ~cross_pct ~seed0 ~seeds
-        ~on_outcome:(fun o -> Format.printf "%a@." Rolis.Chaos.pp_outcome o)
-        ()
+      List.init seeds (fun i ->
+          let o = run ~seed:(seed0 + i) in
+          Format.printf "%a@." Rolis.Chaos.pp_outcome o;
+          o)
     with Invalid_argument msg ->
       Printf.eprintf "chaos: invalid parameters: %s\n" msg;
       exit 2
   in
-  match first_failure with
+  match List.find_opt (fun o -> not (Rolis.Chaos.ok o)) outcomes with
   | None -> Printf.printf "chaos: all %d seed(s) passed\n" seeds
   | Some o ->
       let seed = o.Rolis.Chaos.seed in
@@ -483,9 +480,7 @@ let run_chaos seeds seed0 replicas workers clients accounts duration_ms
         seed seed;
       (match nemesis_log with
       | Some path ->
-          dump_nemesis_log ~path ~replicas ~workers ~clients ~accounts ~duration
-            ~checkpoint_interval ~history_warmup ~ops ~spares ~follower_reads
-            ~read_lease ~wan_profile ~shards ~cross_pct ~seed;
+          dump_nemesis_log ~path (fun () -> run ~seed);
           Printf.printf "chaos: nemesis log for seed %d written to %s\n" seed path
       | None -> ());
       exit 1

@@ -8,8 +8,8 @@
 
     [setup] runs identically on every replica before the simulation
     starts (replicas begin in sync, as in the paper's setup; adding an
-    out-of-sync replica goes through {!Bootstrap}). Bodies run under
-    {!Silo.Db.run} on the leader. *)
+    out-of-sync replica goes through {!Replica.rebuild}). Bodies run
+    under {!Silo.Db.run} on the leader. *)
 
 type t = {
   name : string;

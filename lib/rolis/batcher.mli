@@ -13,8 +13,8 @@
     the Paxos stream's log list — the paper's +Replication factor).
 
     In [Single] stream mode one batcher is shared by all workers and
-    guarded by a mutex whose critical section costs [enqueue_cs_ns] — this
-    is the strawman's scalability bottleneck (§2.2).
+    guarded by a mutex whose critical section costs 1.2 us — this is the
+    strawman's scalability bottleneck (§2.2).
 
     {2 Latency-budget batching}
 

@@ -383,19 +383,3 @@ let run_seed ?(replicas = 3) ?(workers = 4) ?(clients = 8) ?(accounts = 48)
     cross_committed = Shard.cross_committed dep;
     cross_aborted = Shard.cross_aborted dep;
   }
-
-let run_seeds ?replicas ?workers ?clients ?accounts ?duration ?checkpoint_interval
-    ?history_warmup ?ops ?spares ?follower_reads ?read_clients ?read_lease
-    ?wan_profile ?shards ?cross_pct ?(seed0 = 1) ?on_outcome ~seeds () =
-  let outcomes =
-    List.init seeds (fun i ->
-        let o =
-          run_seed ?replicas ?workers ?clients ?accounts ?duration
-            ?checkpoint_interval ?history_warmup ?ops ?spares ?follower_reads
-            ?read_clients ?read_lease ?wan_profile ?shards ?cross_pct
-            ~seed:(seed0 + i) ()
-        in
-        Option.iter (fun f -> f o) on_outcome;
-        o)
-  in
-  (outcomes, List.find_opt (fun o -> not (ok o)) outcomes)

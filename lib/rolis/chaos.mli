@@ -146,28 +146,3 @@ val run_seed :
     marks {!Check.cross_shard} audits, and no decommission-style harvest
     of that evidence exists yet; also for fewer than two accounts per
     shard, [clients < 1], or any configuration {!Config} rejects. *)
-
-val run_seeds :
-  ?replicas:int ->
-  ?workers:int ->
-  ?clients:int ->
-  ?accounts:int ->
-  ?duration:int ->
-  ?checkpoint_interval:int ->
-  ?history_warmup:int ->
-  ?ops:bool ->
-  ?spares:int ->
-  ?follower_reads:bool ->
-  ?read_clients:int ->
-  ?read_lease:int ->
-  ?wan_profile:string ->
-  ?shards:int ->
-  ?cross_pct:float ->
-  ?seed0:int ->
-  ?on_outcome:(outcome -> unit) ->
-  seeds:int ->
-  unit ->
-  outcome list * outcome option
-(** Run seeds [seed0 .. seed0 + seeds - 1] (default [seed0 = 1]);
-    returns all outcomes and the first failing one, if any.
-    [on_outcome] fires after each seed (progress reporting). *)

@@ -12,9 +12,9 @@
     checkpoint interval, not by history length.
 
     Checkpoints record each record's value and [(epoch, ts)] stamp, so
-    recovery composes with idempotent log replay ({!Bootstrap}): install
-    the image, then re-apply the tail through the per-key strictly-newer
-    CAS (ARIES-style install-then-replay). The image is {e fuzzy} — rows
+    recovery composes with idempotent log replay ({!Replica.rebuild}):
+    install the image, then re-apply the tail through the per-key
+    strictly-newer CAS (ARIES-style install-then-replay). The image is {e fuzzy} — rows
     are scanned while replay continues above the watermark — which is
     safe precisely because installs go through the same CAS. *)
 

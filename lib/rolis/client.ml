@@ -2,6 +2,13 @@ let src = Logs.Src.create "rolis.client" ~doc:"Client session events"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
+(* Retry pacing, in ns: the first retry backoff (doubles per attempt,
+   jittered) and its ceiling, and how long a parked request sleeps before
+   it is re-driven. *)
+let backoff_base = 10 * Sim.Engine.ms
+let backoff_max = 500 * Sim.Engine.ms
+let park_interval = 200 * Sim.Engine.ms
+
 type t = {
   net : Paxos.Msg.t Sim.Net.t;
   cfg : Config.t;
@@ -107,8 +114,7 @@ let nap t d =
    draw from (b/2, b] where b = min(max, base * 2^a). *)
 let backoff_nap t ~attempt =
   let b =
-    min t.cfg.Config.client_backoff_max
-      (t.cfg.Config.client_backoff_base * (1 lsl min attempt 16))
+    min backoff_max (backoff_base * (1 lsl min attempt 16))
   in
   ignore (nap t (b - Sim.Rng.int t.rng (max 1 (b / 2))))
 
@@ -167,8 +173,7 @@ let drive t payload =
       attempts := 0;
       Log.debug (fun m -> m "client %d parks seq %d" t.cid t.seq);
       let d =
-        t.cfg.Config.client_park_interval
-        + Sim.Rng.int t.rng (max 1 (t.cfg.Config.client_park_interval / 2))
+        park_interval + Sim.Rng.int t.rng (max 1 (park_interval / 2))
       in
       t.req_parked_ns <- t.req_parked_ns + nap t d;
       if t.ro then begin
@@ -232,9 +237,7 @@ let drive t payload =
                   (* Short pause, not full backoff: an election may be in
                      progress and the hint goes stale quickly. *)
                   ignore
-                    (nap t
-                       (t.cfg.Config.client_backoff_base
-                       + Sim.Rng.int t.rng (max 1 t.cfg.Config.client_backoff_base))))
+                    (nap t (backoff_base + Sim.Rng.int t.rng (max 1 backoff_base))))
           | Some m when adopt_leader t m ->
               (* A new leader serves: stop waiting on the one we sent to,
                  which may be dead, and resend there at once. *)

@@ -11,7 +11,7 @@
     - [Not_leader {hint}] → redirect to the hinted (or next) replica;
     - [Busy] (admission control) → back off and retry;
     - after [Config.client_retry_limit] attempts → {e park}: sleep
-      [client_park_interval], then re-drive the same request, so an
+      200 ms (jittered), then re-drive the same request, so an
       unreachable cluster degrades gracefully (a read-only session
       instead abandons the request after the park — reads are idempotent
       and must not head-of-line block the session on a permanently

@@ -206,20 +206,19 @@ let hook t id =
 
 (* Crash-recovery: a restarted machine keeps nothing but its disk — it is
    rebuilt from scratch (fresh database, fresh streams) and rejoins as a
-   follower. Without checkpoints it catches up from the per-stream union
-   of every alive replica's journal; with a usable persisted image it
-   bootstraps checkpoint + journal tail instead
-   ({!Replica.bootstrap_from_checkpoint}), so rebuild time is bounded by
-   the checkpoint interval rather than history length. The remaining gap
-   closes through the ordinary fetch path either way.
+   follower, seeded by {!Replica.rebuild}: from the newest persisted image
+   plus the journal tail above its cover when checkpoints are on, so
+   rebuild time is bounded by the checkpoint interval rather than history
+   length, else from the per-stream union of every alive replica's
+   journal. The remaining gap closes through the ordinary fetch path
+   either way.
 
    A *voluntary* rebuild of a still-alive replica (a tainted ex-leader) is
-   different: only its database is suspect. Its own journal stays in the
-   donor set, and its Paxos acceptor state — accepted-but-uncommitted
-   slots, granted vote — is salvaged into the fresh replica, because an
-   accepted slot here may be the last surviving copy of an entry committed
-   at a since-dead leader; wiping it would let the next Prepare quorum
-   no-op-fill a chosen slot. *)
+   different: only its database is suspect. The old replica heads the
+   donor set, so its journal and its accepted-but-uncommitted slots carry
+   over — an accepted slot here may be the last surviving copy of an
+   entry committed at a since-dead leader, and wiping it would let the
+   next Prepare quorum no-op-fill a chosen slot. *)
 (* The newest membership view any alive replica has adopted — the cluster
    mirror may lag a change that completed while the coordinator was not
    looking. Falls back to the mirror when everything is down. *)
@@ -255,20 +254,16 @@ let restart_replica ?(learner = false) t i =
     Replica.create t.cfg t.eng t.net ~id:i ~app:t.app
       ~membership:(current_view t) ~learner ?on_durable:(hook t i) ()
   in
-  (match if t.cfg.Config.checkpoint_interval > 0 then best_image t else None with
-  | Some ck ->
-      (* The rebuilt replica's journal will hold only the tail above the
-         image's cover; harvest the dedup evidence of everything below it
-         while the donors still archive those entries. *)
-      harvest_upto t ~donors ~cover:ck.Checkpoint.ri_cover;
-      ignore (Replica.bootstrap_from_checkpoint r ~ckpt:ck ~donors)
-  | None -> Replica.catch_up_from r ~donors);
-  if was_alive then Replica.salvage_protocol_state r ~old
-  else
-    (* Persistent votedFor: even a crash-restarted node must remember the
-       vote it granted, or — removed, re-added and restarted inside one
-       ballot — it could vote twice in the same epoch. *)
-    Replica.salvage_vote r ~old;
+  let ckpt = if t.cfg.Config.checkpoint_interval > 0 then best_image t else None in
+  (* The rebuilt replica's journal will hold only the tail above the
+     image's cover; harvest the dedup evidence of everything below it
+     while the donors still archive those entries. *)
+  Option.iter (fun ck -> harvest_upto t ~donors ~cover:ck.Checkpoint.ri_cover) ckpt;
+  Replica.rebuild ?ckpt r ~donors;
+  (* Persistent votedFor: even a crash-restarted node must remember the
+     vote it granted, or — removed, re-added and restarted inside one
+     ballot — it could vote twice in the same epoch. *)
+  Replica.salvage_vote r ~old;
   t.replicas.(i) <- r;
   (* A leader's learner registrations die with its stream objects on
      restart; re-assert them everywhere. *)
@@ -506,11 +501,16 @@ let handoff t ~target =
         else skip t "handoff: transfer did not complete"
       end
 
+(* ns; a joining node stays a non-voting learner until its replay
+   frontier is within this bound of the leader's durable frontier —
+   promoting a laggard would stall every quorum behind it. *)
+let learner_lag_bound = 200 * Sim.Engine.ms
+
 (* Bring pool slot [i] in as a voter: restart it as a non-voting learner,
-   bootstrap it (checkpoint + tail when available), wait until its replay
-   frontier trails the leader's durable frontier by at most
-   [learner_lag_bound], then run the joint-consensus change that promotes
-   it. *)
+   seed it ({!Replica.rebuild}: checkpoint + tail when available), wait
+   until its replay frontier trails the leader's durable frontier by at
+   most [learner_lag_bound], then run the joint-consensus change that
+   promotes it. *)
 let add_replica t i =
   if i < 0 || i >= Array.length t.replicas then skip t "add: bad node id"
   else if List.mem i t.members then skip t "add: already a voter"
@@ -526,7 +526,7 @@ let add_replica t i =
       match leader t with
       | Some l ->
           Replica.durable_frontier l - Replica.replay_frontier t.replicas.(i)
-          <= t.cfg.Config.learner_lag_bound
+          <= learner_lag_bound
       | None -> false
     in
     if not (wait_until t ~deadline caught_up) then begin

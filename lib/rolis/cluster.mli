@@ -101,15 +101,15 @@ val crash_replica : t -> int -> unit
 
 val restart_replica : ?learner:bool -> t -> int -> unit
 (** Rebuild replica [i] from scratch (crashing it first if still alive):
-    fresh database and streams, then either checkpoint + journal-tail
-    bootstrap (when [checkpoint_interval > 0] and a persisted image
-    covers the truncated frontier — see
-    {!Replica.bootstrap_from_checkpoint}) or catch-up from the
-    per-stream union of every alive peer's journal
-    ({!Replica.catch_up_from}); rejoin as follower, carrying the newest
-    adopted membership view and — always — the vote the old incarnation
-    granted (persistent votedFor; a node that forgot it could vote twice
-    in one ballot). [learner] starts it non-voting (see
+    fresh database and streams, seeded by {!Replica.rebuild} from the
+    newest persisted image plus the journal tail above its cover (when
+    [checkpoint_interval > 0] and an image exists) or from the
+    per-stream union of every alive peer's journal — with the old
+    incarnation first among the donors when it was still alive, so its
+    accepted-but-uncommitted slots survive; rejoin as follower, carrying
+    the newest adopted membership view and — always — the vote the old
+    incarnation granted (persistent votedFor; a node that forgot it could
+    vote twice in one ballot). [learner] starts it non-voting (see
     {!add_replica}). The entries committed after the snapshot arrive
     through the hardened fetch path. *)
 
@@ -123,10 +123,11 @@ val restart_replica : ?learner:bool -> t -> int -> unit
 
 val add_replica : t -> int -> bool
 (** Bring pool slot [i] in as a voter: restart it as a non-voting
-    learner (checkpoint + journal-tail bootstrap when available),
+    learner (seeded by {!Replica.rebuild}, from checkpoint + journal tail
+    when available),
     register it with every replica's truncation gate, wait until its
     replay frontier trails the leader's durable frontier by at most
-    [Config.learner_lag_bound], then run the joint-consensus membership
+    200 ms of virtual time, then run the joint-consensus membership
     change (C_old,new, then C_new) that promotes it. *)
 
 val remove_replica : t -> int -> bool

@@ -13,8 +13,6 @@ type t = {
   replicas : int;
   spare_replicas : int;
   min_members : int;
-  learner_lag_bound : int;
-  handoff_drain_timeout : int;
   workers : int;
   cores : int;
   stream_mode : stream_mode;
@@ -34,14 +32,7 @@ type t = {
   clients : int;
   client_timeout : int;
   client_retry_limit : int;
-  client_backoff_base : int;
-  client_backoff_max : int;
-  client_park_interval : int;
   admission_max_pending : int;
-  admission_max_release : int;
-  admission_max_backlog : int;
-  enqueue_cs_ns : int;
-  entry_overhead_ns : int;
   replay_parallel : int;
   disable_replay : bool;
   hash_tables : string list;
@@ -49,12 +40,8 @@ type t = {
   checkpoint_interval : int;
   checkpoint_retention : int;
   checkpoint_truncate : bool;
-  checkpoint_disk_mb_per_s : int;
-  checkpoint_threads : int;
   follower_reads : bool;
   read_lease : int;
-  read_workers : int;
-  read_retry_limit : int;
   wan_profile : string;
   shards : int;
   cross_pct : float;
@@ -68,8 +55,6 @@ let default =
     replicas = 3;
     spare_replicas = 0;
     min_members = 1;
-    learner_lag_bound = 200 * Sim.Engine.ms;
-    handoff_drain_timeout = 500 * Sim.Engine.ms;
     workers = 16;
     cores = 32;
     stream_mode = Per_worker;
@@ -90,14 +75,7 @@ let default =
     clients = 0;
     client_timeout = 100 * Sim.Engine.ms;
     client_retry_limit = 10;
-    client_backoff_base = 10 * Sim.Engine.ms;
-    client_backoff_max = 500 * Sim.Engine.ms;
-    client_park_interval = 200 * Sim.Engine.ms;
     admission_max_pending = 512;
-    admission_max_release = 8192;
-    admission_max_backlog = 100_000;
-    enqueue_cs_ns = 1_200;
-    entry_overhead_ns = 200_000;
     replay_parallel = 1;
     disable_replay = false;
     hash_tables = [];
@@ -105,12 +83,8 @@ let default =
     checkpoint_interval = 0;
     checkpoint_retention = 3 * Sim.Engine.s;
     checkpoint_truncate = true;
-    checkpoint_disk_mb_per_s = 500;
-    checkpoint_threads = 4;
     follower_reads = false;
     read_lease = 400 * Sim.Engine.ms;
-    read_workers = 2;
-    read_retry_limit = 8;
     wan_profile = "";
     shards = 1;
     cross_pct = 0.0;
@@ -149,18 +123,6 @@ let validate t =
           reconfiguration floor and no remove-replica operation could ever \
           have been responsible for it"
          t.min_members t.replicas);
-  if t.learner_lag_bound <= 0 then
-    invalid_arg
-      "Config: learner_lag_bound must be positive — it is the maximum \
-       replay lag (ns) a catching-up learner may carry before being \
-       promoted to voter; a zero or negative bound could promote a learner \
-       that would immediately stall quorums (or never promote at all)";
-  if t.handoff_drain_timeout <= 0 then
-    invalid_arg
-      "Config: handoff_drain_timeout must be positive — a planned leader \
-       handoff waits this long (ns) for in-flight proposals to drain \
-       before transferring; without a positive bound a wedged stream would \
-       block the handoff forever";
   if t.workers < 1 then invalid_arg "Config: need at least one worker";
   if t.cores < 1 then invalid_arg "Config: need at least one core";
   if t.batch_size < 1 then invalid_arg "Config: batch_size must be >= 1";
@@ -225,11 +187,7 @@ let validate t =
             are never dropped, and a follower that lags further than \
             election_timeout is treated as failed and rebuilds from a \
             checkpoint anyway; raise checkpoint_retention"
-           t.checkpoint_retention t.election_timeout);
-    if t.checkpoint_disk_mb_per_s < 1 then
-      invalid_arg "Config: checkpoint_disk_mb_per_s must be >= 1";
-    if t.checkpoint_threads < 1 then
-      invalid_arg "Config: checkpoint_threads must be >= 1"
+           t.checkpoint_retention t.election_timeout)
   end;
   if t.follower_reads then begin
     if t.read_lease <= 0 then
@@ -244,11 +202,7 @@ let validate t =
             silence; a lease outliving the timeout would let stale followers \
             serve past the point where the new leader considers their reads \
             fenced"
-           t.read_lease t.election_timeout);
-    if t.read_workers < 1 then
-      invalid_arg "Config: read_workers must be >= 1 with follower_reads";
-    if t.read_retry_limit < 1 then
-      invalid_arg "Config: read_retry_limit must be >= 1 with follower_reads"
+           t.read_lease t.election_timeout)
   end;
   if t.wan_profile <> "" && Sim.Net.wan_profile t.wan_profile = None then
     invalid_arg
@@ -275,16 +229,6 @@ let validate t =
   if t.clients > 0 then begin
     if t.client_timeout <= 0 then invalid_arg "Config: client_timeout must be positive";
     if t.client_retry_limit < 1 then invalid_arg "Config: client_retry_limit must be >= 1";
-    if t.client_backoff_base <= 0 then
-      invalid_arg "Config: client_backoff_base must be positive";
-    if t.client_backoff_max < t.client_backoff_base then
-      invalid_arg "Config: client_backoff_max must be >= client_backoff_base";
-    if t.client_park_interval <= 0 then
-      invalid_arg "Config: client_park_interval must be positive";
     if t.admission_max_pending < 1 then
-      invalid_arg "Config: admission_max_pending must be >= 1";
-    if t.admission_max_release < 1 then
-      invalid_arg "Config: admission_max_release must be >= 1";
-    if t.admission_max_backlog < 1 then
-      invalid_arg "Config: admission_max_backlog must be >= 1"
+      invalid_arg "Config: admission_max_pending must be >= 1"
   end

@@ -40,14 +40,6 @@ type t = {
   min_members : int;
       (** reconfiguration floor: remove-replica refuses to shrink the
           voting membership below this (>= 1) *)
-  learner_lag_bound : int;
-      (** ns; a joining node stays a non-voting learner until its replay
-          frontier is within this bound of the leader's durable frontier —
-          promoting a laggard would stall every quorum behind it *)
-  handoff_drain_timeout : int;
-      (** ns; planned leader handoff waits at most this long for in-flight
-          proposals to drain before granting the target immediate
-          candidacy *)
   workers : int;  (** database worker threads per replica *)
   cores : int;  (** CPU cores per machine *)
   stream_mode : stream_mode;
@@ -85,24 +77,9 @@ type t = {
   client_retry_limit : int;
       (** attempts before a request is parked (graceful degradation when
           the cluster is unreachable) *)
-  client_backoff_base : int;  (** ns; first retry backoff (doubles, jittered) *)
-  client_backoff_max : int;  (** ns; backoff ceiling *)
-  client_park_interval : int;
-      (** ns a parked request sleeps before being re-driven *)
   admission_max_pending : int;
       (** admission control: queued-but-unclaimed client requests beyond
           this bound are answered [Busy] *)
-  admission_max_release : int;
-      (** admission control: per-worker release-queue bound *)
-  admission_max_backlog : int;
-      (** admission control: replay-backlog bound *)
-  enqueue_cs_ns : int;
-      (** critical-section cost of appending to a {e shared} stream; the
-          strawman's bottleneck (68.7%% CPU at 30 threads, §2.2) *)
-  entry_overhead_ns : int;
-      (** fixed replication-layer cost per log entry (message handling,
-          interrupts), amortised over the batch — this is what makes
-          small batches slow in the Fig. 16 sweep *)
   replay_parallel : int;
       (** follower-replay fan-out: each released entry's sorted key run
           is cut into this many key-disjoint slices applied by concurrent
@@ -117,8 +94,9 @@ type t = {
           tables listed here must never be range-scanned — see
           {!Store.Table.repr} *)
   archive_entries : bool;
-      (** retain every durable entry in memory — consumed by
-          {!Bootstrap} when seeding a brand-new replica (§4.3) *)
+      (** retain every durable entry in memory — the journal
+          {!Replica.rebuild} replays when seeding a restarted or added
+          replica (§4.3) *)
   checkpoint_interval : int;
       (** ns between periodic fuzzy checkpoints of below-watermark state;
           [0] disables checkpointing (and therefore journal truncation).
@@ -132,10 +110,6 @@ type t = {
       (** drive {!Paxos.Stream} journal truncation from quorum-stable
           checkpoints (the [--no-truncate] ablation keeps checkpoints but
           retains the full journal) *)
-  checkpoint_disk_mb_per_s : int;
-      (** modeled bandwidth of the shared checkpoint disk *)
-  checkpoint_threads : int;
-      (** checkpoint writer threads striping tables across the disk *)
   follower_reads : bool;
       (** serve read-only client sessions from watermark-pinned snapshots
           on every lease-holding replica (followers at their replayed
@@ -146,11 +120,6 @@ type t = {
       (** ns of read-serving authority one leader heartbeat grants; must
           stay below [election_timeout] so no stale lease outlives a
           leader change (see {!validate}) *)
-  read_workers : int;
-      (** snapshot-read worker processes per serving replica *)
-  read_retry_limit : int;
-      (** times a snapshot read retries at a fresher pin after a
-          reclaimed-version miss before answering [Busy] *)
   wan_profile : string;
       (** named {!Sim.Net.wan_profile} applied to the cluster's links
           (replicas and clients assigned to regions round-robin);

@@ -2,6 +2,21 @@ let src = Logs.Src.create "rolis.replica" ~doc:"Replica lifecycle events"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
+(* Admission control bounds beside [Config.admission_max_pending]: the
+   per-worker release queue and the replay backlog. *)
+let admission_max_release = 8192
+let admission_max_backlog = 100_000
+
+(* Snapshot-read worker processes per serving replica, and how many
+   times a read retries at a fresher pin after a reclaimed-version miss
+   before answering [Busy]. *)
+let read_workers = 2
+let read_retry_limit = 8
+
+(* ns a planned leader handoff waits for in-flight proposals to drain
+   before granting the target immediate candidacy. *)
+let handoff_drain_timeout = 500 * Sim.Engine.ms
+
 type meta = {
   m_ts : int;
   m_start : int;
@@ -166,7 +181,6 @@ let journal t = List.rev t.journal
 let journal_length t = List.length t.journal
 let journal_bytes t = t.journal_bytes
 let truncated_entries t = t.truncated_entries
-let archived_entries t = List.rev_map (fun (_, _, e) -> e) t.journal
 let last_checkpoint t = t.last_ckpt
 let checkpoints_taken t = t.ckpt_count
 let any_trunc_stalled t = Array.exists Paxos.Stream.trunc_stalled t.streams
@@ -211,10 +225,8 @@ let leader_hint t =
    speculative-memory concern, seen from the client side). *)
 let overloaded t =
   Sim.Sync.Mailbox.length t.client_q >= t.cfg.Config.admission_max_pending
-  || replay_backlog t >= t.cfg.Config.admission_max_backlog
-  || Array.exists
-       (fun q -> Queue.length q >= t.cfg.Config.admission_max_release)
-       t.release_queues
+  || replay_backlog t >= admission_max_backlog
+  || Array.exists (fun q -> Queue.length q >= admission_max_release) t.release_queues
 
 (* Dispatcher-side triage of a client request. The session table is
    consulted *before* execution: a retry of a released seq is answered
@@ -784,7 +796,7 @@ let read_worker_loop t w rop () =
             | v, obs -> Some (pin, v, obs)
             | exception Silo.Db.Snapshot_miss ->
                 Stats.note_read_miss t.stats;
-                if n + 1 >= t.cfg.Config.read_retry_limit then None
+                if n + 1 >= read_retry_limit then None
                 else attempt (n + 1)
           in
           match attempt 0 with
@@ -889,9 +901,7 @@ let checkpoint_loop t () =
       in
       let taken_at = Sim.Engine.now t.eng in
       let img =
-        Checkpoint.write t.db ~threads:t.cfg.Config.checkpoint_threads
-          ~disk_mb_per_s:t.cfg.Config.checkpoint_disk_mb_per_s
-          ~live_only:false ()
+        Checkpoint.write t.db ~live_only:false ()
       in
       (* Promotion or taint mid-scan: the image may hold speculative
          writes that were never durable — discard it. *)
@@ -1002,9 +1012,7 @@ let begin_handoff t ~target =
     Log.debug (fun m ->
         m "replica %d draining epoch %d for handoff to %d" t.rid epoch target);
     spawn t "handoff" (fun () ->
-        let deadline =
-          Sim.Engine.now t.eng + t.cfg.Config.handoff_drain_timeout
-        in
+        let deadline = Sim.Engine.now t.eng + handoff_drain_timeout in
         Array.iter Batcher.flush t.batchers;
         let drained () = Array.for_all Queue.is_empty t.release_queues in
         while
@@ -1221,7 +1229,7 @@ let create cfg eng net ~id:rid ~app ?initial_leader ?membership ?(learner = fals
       lease_epoch = 0;
       lease_until = -1;
       read_q = Sim.Sync.Mailbox.create eng;
-      read_active = Array.make cfg.Config.read_workers false;
+      read_active = Array.make read_workers false;
       read_seen = 0;
       read_audit =
         Array.make (if cfg.Config.follower_reads then read_audit_cap else 0) (0, []);
@@ -1425,7 +1433,7 @@ let create cfg eng net ~id:rid ~app ?initial_leader ?membership ?(learner = fals
      default config runs the identical process set. *)
   (match read_op with
   | Some rop ->
-      for w = 0 to cfg.Config.read_workers - 1 do
+      for w = 0 to read_workers - 1 do
         spawn t (Printf.sprintf "read-worker%d" w) (read_worker_loop t w rop)
       done
   | None -> ());
@@ -1442,42 +1450,86 @@ let crash t =
 
 let final_watermark t ~epoch = Watermark.final_watermark t.wm ~epoch
 
-(* Restart catch-up: replay the donors' journals of durable entries
-   through the protocol-level inject path. Because journals hold only
-   *durable* entries — never speculative writes — any alive replica is a
-   safe donor, leaders included.
+(* Seeding a fresh replica (paper §4.3, after MongoDB's logless
+   addition): install the newest persisted follower image when there is
+   one, then replay the retained journal through the protocol-level
+   inject path. Without an image the cover is [-1] on every stream and
+   the whole journal replays. Every image row and every journal write
+   lands through the strictly-newer (epoch, ts) CAS, so the overlap a
+   fuzzy image inevitably has with the tail double-applies harmlessly.
+   Because journals hold only *durable* entries — never speculative
+   writes — any alive replica is a safe donor, leaders included.
 
-   The rebuilt state must be the per-stream UNION over every alive donor,
-   not one donor's journal: per-stream committed logs are prefixes of one
-   another (Paxos agreement), so per stream the longest donor log is the
-   union. A single donor is not enough — a follower can be ahead on one
-   stream and behind on another, and rebuilding a replica from it would
-   wipe this replica's memory of entries whose only other holder may
-   crash next, letting a future leader no-op-fill released transactions.
+   The replayed journal must be the per-stream UNION over every donor,
+   not one donor's journal: per-stream committed logs are prefixes of
+   one another (Paxos agreement), so per stream the longest donor log is
+   the union. A single donor is not enough — a follower can be ahead on
+   one stream and behind on another, and rebuilding a replica from it
+   would wipe this replica's memory of entries whose only other holder
+   may crash next, letting a future leader no-op-fill released
+   transactions.
 
    The injected commits rebuild the watermark, the replay queues, and our
-   own journal exactly as if we had followed the streams from the start;
-   whatever committed after the donors' snapshots arrives through the
+   own journal exactly as if we had followed the streams from the cover
+   on; whatever committed after the donors' snapshots arrives through the
    ordinary fetch path. Keyed by absolute stream index — under checkpoint
    truncation a donor's journal starts above zero, and the union of
    truncated journals is contiguous from the lowest retained slot (every
    donor drops the same quorum-stable prefix). *)
-let catch_up_from t ~donors =
+let rebuild ?ckpt t ~donors =
   let nstreams = Array.length t.streams in
+  let cover =
+    match ckpt with
+    | Some ck -> ck.Checkpoint.ri_cover
+    | None -> Array.make nstreams (-1)
+  in
+  Option.iter
+    (fun (ck : Checkpoint.replica_image) ->
+      (* Client dedup state travels with the image: a retry of a
+         transaction whose journal entry was truncated must answer from
+         cache, not re-execute. *)
+      List.iter
+        (fun (cid, claimed, applied, released, aborted) ->
+          let sess = session t cid in
+          if claimed > sess.s_claimed then sess.s_claimed <- claimed;
+          if applied > sess.s_applied then sess.s_applied <- applied;
+          if released > sess.s_released then sess.s_released <- released;
+          sess.s_aborted <- aborted)
+        ck.ri_sessions;
+      (* Sealed-epoch history below the cover cannot be rederived from
+         the tail; without it, cross-epoch straddlers would resolve
+         wrongly. *)
+      Watermark.import t.wm ck.ri_wm;
+      for s = 0 to nstreams - 1 do
+        let f = ck.ri_frontier.(s) in
+        if f > t.applied_ts.(s) then t.applied_ts.(s) <- f;
+        if f > t.safe_ts.(s) then t.safe_ts.(s) <- f;
+        if cover.(s) > t.safe_idx.(s) then t.safe_idx.(s) <- cover.(s);
+        if f > t.durable_max then t.durable_max <- f
+      done;
+      ignore (Checkpoint.install ~into:t.db ck.ri_image))
+    ckpt;
+  let unions = Array.init nstreams (fun _ -> Hashtbl.create 256) in
+  List.iter
+    (fun d ->
+      List.iter
+        (fun (s, idx, e) -> if idx > cover.(s) then Hashtbl.replace unions.(s) idx e)
+        d.journal)
+    donors;
   for s = 0 to nstreams - 1 do
-    let union = Hashtbl.create 256 in
-    List.iter
-      (fun d ->
-        List.iter
-          (fun (s', idx, e) -> if s' = s then Hashtbl.replace union idx e)
-          d.journal)
-      donors;
+    let union = unions.(s) in
     let idxs =
       Hashtbl.fold (fun i _ acc -> i :: acc) union [] |> List.sort compare
     in
-    (match idxs with
-    | lo :: _ when lo > 0 -> Paxos.Stream.set_bootstrap_floor t.streams.(s) ~idx:lo
-    | _ -> ());
+    (* The image stands in for every slot at or below its cover; without
+       one, for every slot below the lowest the donors still retain. *)
+    let floor =
+      match (ckpt, idxs) with
+      | Some _, _ -> cover.(s) + 1
+      | None, lo :: _ -> lo
+      | None, [] -> 0
+    in
+    if floor > 0 then Paxos.Stream.set_bootstrap_floor t.streams.(s) ~idx:floor;
     List.iter
       (fun idx ->
         Paxos.Stream.inject_committed_at t.streams.(s) ~idx
@@ -1491,32 +1543,41 @@ let catch_up_from t ~donors =
      replica could join a Prepare quorum that excludes that survivor and
      let the new leader no-op-fill a chosen slot. Holding a peer's
      accepted (epoch, value) is always sound — it is equivalent to having
-     received that leader's Accept directly. *)
+     received that leader's Accept directly. A voluntary rebuild of an
+     alive replica (a tainted ex-leader) lists the old replica among the
+     donors, so its own accepted tails carry over the same way. *)
   List.iter
     (fun d ->
       Array.iteri
         (fun s stream ->
           Paxos.Stream.import_tail stream (Paxos.Stream.export_tail d.streams.(s)))
         t.streams)
-    donors
+    donors;
+  Option.iter
+    (fun (ck : Checkpoint.replica_image) ->
+      (* This image is this node's durable one; republish it so the
+         coordinator need not wait for the next scan. *)
+      t.last_ckpt <- Some ck;
+      (* State installs synchronously (host-side); pay the modeled load
+         time as an election-ineligibility window, so a rebuilt node
+         cannot lead before a real loader would have finished reading
+         the image back. *)
+      t.ckpt_loading <- true;
+      Paxos.Election.set_eligible (election t) false;
+      let cost = Checkpoint.load_cost ~costs:t.cfg.Config.costs ck.ri_image in
+      spawn t "ckpt-load" (fun () ->
+          Sim.Engine.sleep cost;
+          t.ckpt_loading <- false;
+          (* A learner stays ineligible past the load: promotion to voter
+             (see [adopt_config]) is what re-arms candidacy. *)
+          if t.alive && (not t.tainted) && not t.learner then
+            Paxos.Election.set_eligible (election t) true))
+    ckpt
 
-(* Voluntary rebuild of an *alive* replica (a tainted ex-leader): only its
-   database is suspect — its Paxos acceptor state is sound, and an
-   accepted-but-uncommitted slot may be the last surviving copy of an
-   entry committed at a since-dead leader. Wiping it would let the next
-   Prepare quorum no-op-fill a chosen slot. Graft the old replica's
-   accepted tails and vote onto the fresh one (after [catch_up_from]). *)
-let salvage_protocol_state t ~old =
-  Array.iteri
-    (fun s stream ->
-      Paxos.Stream.import_tail stream (Paxos.Stream.export_tail old.streams.(s)))
-    t.streams;
-  Paxos.Election.import_vote (election t) (Paxos.Election.export_vote (election old))
-
-(* Vote durability across restarts, separable from tail salvage: a
-   rejoining node must remember the vote it cast before crashing or it
-   can grant two votes in one ballot — the removed-then-readded
-   double-vote hazard. Models persistent votedFor. *)
+(* Vote durability across restarts: a rejoining node must remember the
+   vote it cast before crashing or it can grant two votes in one ballot —
+   the removed-then-readded double-vote hazard. Models persistent
+   votedFor. *)
 let salvage_vote t ~old =
   Paxos.Election.import_vote (election t) (Paxos.Election.export_vote (election old))
 
@@ -1547,87 +1608,3 @@ let apply_truncation t ~cover =
       (fun s stream ->
         if cover.(s) >= 0 then Paxos.Stream.set_trunc_floor stream (cover.(s) + 1))
       t.streams
-
-(* Checkpoint + journal-tail bootstrap (ARIES install-then-replay): the
-   image stands in for every slot at or below its cover; only the tail —
-   the idx-union over the donors' journals above the cover — goes through
-   the protocol-level inject path. Every image row and every tail write
-   lands through the strictly-newer (epoch, ts) CAS, so the overlap a
-   fuzzy image inevitably has with the tail double-applies harmlessly.
-   State installs synchronously (host-side); the modeled load time is
-   paid as an election-ineligibility window, so a rebuilt node cannot
-   lead before its recovery would really have finished. *)
-let bootstrap_from_checkpoint t ~ckpt ~donors =
-  let nstreams = Array.length t.streams in
-  let cover = ckpt.Checkpoint.ri_cover in
-  (* Client dedup state travels with the image: a retry of a transaction
-     whose journal entry was truncated must answer from cache, not
-     re-execute. *)
-  List.iter
-    (fun (cid, claimed, applied, released, aborted) ->
-      let sess = session t cid in
-      if claimed > sess.s_claimed then sess.s_claimed <- claimed;
-      if applied > sess.s_applied then sess.s_applied <- applied;
-      if released > sess.s_released then sess.s_released <- released;
-      sess.s_aborted <- aborted)
-    ckpt.Checkpoint.ri_sessions;
-  (* Sealed-epoch history below the cover cannot be rederived from the
-     tail; without it, cross-epoch straddlers would resolve wrongly. *)
-  Watermark.import t.wm ckpt.Checkpoint.ri_wm;
-  for s = 0 to nstreams - 1 do
-    let f = ckpt.Checkpoint.ri_frontier.(s) in
-    if f > t.applied_ts.(s) then t.applied_ts.(s) <- f;
-    if f > t.safe_ts.(s) then t.safe_ts.(s) <- f;
-    if cover.(s) > t.safe_idx.(s) then t.safe_idx.(s) <- cover.(s);
-    if f > t.durable_max then t.durable_max <- f
-  done;
-  let installed = Checkpoint.install ~into:t.db ckpt.Checkpoint.ri_image in
-  for s = 0 to nstreams - 1 do
-    Paxos.Stream.set_bootstrap_floor t.streams.(s) ~idx:(cover.(s) + 1);
-    let tail = Hashtbl.create 256 in
-    List.iter
-      (fun d ->
-        List.iter
-          (fun (s', idx, e) ->
-            if s' = s && idx > cover.(s) then Hashtbl.replace tail idx e)
-          d.journal)
-      donors;
-    let idxs =
-      Hashtbl.fold (fun i _ acc -> i :: acc) tail [] |> List.sort compare
-    in
-    List.iter
-      (fun idx ->
-        Paxos.Stream.inject_committed_at t.streams.(s) ~idx
-          (Hashtbl.find tail idx))
-      idxs
-  done;
-  (* Donors' accepted-but-uncommitted tails, exactly as in
-     [catch_up_from]. *)
-  List.iter
-    (fun d ->
-      Array.iteri
-        (fun s stream ->
-          Paxos.Stream.import_tail stream (Paxos.Stream.export_tail d.streams.(s)))
-        t.streams)
-    donors;
-  (* This image is this node's durable one; republish it so the
-     coordinator need not wait for the next scan. *)
-  t.last_ckpt <- Some ckpt;
-  (* Pay the checkpoint-load time: ineligible to lead until a real loader
-     would have finished reading the image back. *)
-  t.ckpt_loading <- true;
-  Paxos.Election.set_eligible (election t) false;
-  let cost =
-    Checkpoint.load_cost ~costs:t.cfg.Config.costs
-      ~threads:t.cfg.Config.checkpoint_threads
-      ~disk_mb_per_s:t.cfg.Config.checkpoint_disk_mb_per_s
-      ckpt.Checkpoint.ri_image
-  in
-  spawn t "ckpt-load" (fun () ->
-      Sim.Engine.sleep cost;
-      t.ckpt_loading <- false;
-      (* A learner stays ineligible past the load: promotion to voter
-         (see [adopt_config]) is what re-arms candidacy. *)
-      if t.alive && (not t.tainted) && not t.learner then
-        Paxos.Election.set_eligible (election t) true);
-  installed

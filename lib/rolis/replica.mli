@@ -87,7 +87,7 @@ val served_epoch : t -> int
 val is_tainted : t -> bool
 (** Stepped down after serving: local state may contain speculative writes
     that were never released; a tainted replica must rejoin via
-    {!Bootstrap} (paper §4.3). *)
+    {!rebuild} (paper §4.3). *)
 
 val replay_epoch : t -> int
 val replay_watermark : t -> int
@@ -137,13 +137,9 @@ val session_state : t -> cid:int -> (int * int) option
     client session [cid] — from its own execution on a leader, from
     replay on a follower. [None] if the session is unknown. *)
 
-val archived_entries : t -> Store.Wire.entry list
-(** Every durable entry, in durability order, when the cluster was built
-    with [archive_entries = true] (for {!Bootstrap}). *)
-
 val journal : t -> (int * int * Store.Wire.entry) list
 (** [(stream, idx, entry)] triples in durability order (requires
-    [archive_entries]); the donor data for {!catch_up_from}. The absolute
+    [archive_entries]); the donor data for {!rebuild}. The absolute
     stream index keys checkpoint truncation — timestamps cannot, because
     leader-change no-op fill entries carry [ts = 0]. *)
 
@@ -166,37 +162,36 @@ val crash : t -> unit
 
 val is_alive : t -> bool
 
-val catch_up_from : t -> donors:t list -> unit
-(** Restart bootstrap: inject the per-stream {e union} of the donors'
-    journals — durable entries only, so any alive replica is a safe
-    donor — through the protocol commit path, rebuilding watermark /
-    replay / journal state as if this replica had followed the streams
-    from the start. The union matters: per-stream committed logs are
-    prefixes of each other, but no single replica need hold the longest
-    log of {e every} stream, and rebuilding from one donor could erase
-    this replica's memory of a committed entry whose only other holder
-    crashes next. The donors' accepted-but-uncommitted tails are merged
-    in as {e accepted} state too: a survivor's accepted slot can be the
-    only remaining copy of an entry committed at a since-crashed leader,
-    and a rebuilt replica that lacks it could join a Prepare quorum that
-    excludes that survivor. Entries committed after the snapshot arrive
-    through the ordinary fetch path. Call on a freshly created replica,
-    before the engine runs any of its events. *)
-
-val salvage_protocol_state : t -> old:t -> unit
-(** Voluntary rebuild of an {e alive} replica (a tainted ex-leader): only
-    its database is suspect — the Paxos acceptor state is sound, and an
-    accepted-but-uncommitted slot may be the last surviving copy of an
-    entry committed at a since-dead leader. Grafts [old]'s accepted
-    tails and granted vote onto the fresh replica. Call after
-    {!catch_up_from}, before the engine runs. *)
+val rebuild : ?ckpt:Checkpoint.replica_image -> t -> donors:t list -> unit
+(** Seed this freshly created replica (paper §4.3): install [ckpt] when
+    given — its rows, client sessions, sealed watermark history and
+    frontiers — then inject the per-stream {e union} of the donors'
+    journals above the image's cover (all of it without an image)
+    through the protocol commit path, rebuilding watermark / replay /
+    journal state as if this replica had followed the streams from
+    there. Journals hold durable entries only, so any alive replica is a
+    safe donor, and every row and journal write lands through the
+    strictly-newer [(epoch, ts)] CAS, so the overlap a fuzzy image has
+    with the tail double-applies harmlessly. The union matters:
+    per-stream committed logs are prefixes of each other, but no single
+    replica need hold the longest log of {e every} stream, and
+    rebuilding from one donor could erase this replica's memory of a
+    committed entry whose only other holder crashes next. The donors'
+    accepted-but-uncommitted tails are merged in as {e accepted} state
+    too: a survivor's accepted slot can be the only remaining copy of an
+    entry committed at a since-crashed leader, and a rebuilt replica
+    that lacks it could join a Prepare quorum that excludes that
+    survivor — so a voluntary rebuild of an alive replica lists the old
+    replica among [donors]. With an image, the modeled load time is paid
+    as an election-ineligibility window. Entries committed after the
+    snapshot arrive through the ordinary fetch path. Call before the
+    engine runs any of this replica's events. *)
 
 val salvage_vote : t -> old:t -> unit
-(** Carry only the granted vote of [old] onto this fresh replica — models
-    persistent [votedFor]. Every restart path must call this (directly or
-    via {!salvage_protocol_state}): a rejoining node that forgets its
-    vote can grant two votes in one ballot, the removed-then-readded
-    double-vote hazard. *)
+(** Carry the granted vote of [old] onto this fresh replica — models
+    persistent [votedFor]. Every restart path must call this: a
+    rejoining node that forgets its vote can grant two votes in one
+    ballot, the removed-then-readded double-vote hazard. *)
 
 (** {2 Membership change and planned handoff} *)
 
@@ -211,13 +206,12 @@ val propose_reconfig : t -> members:int list -> bool
 
 val begin_handoff : t -> target:int -> unit
 (** Planned leader transfer: stop admitting client work (redirecting at
-    [target]), drain the release queues (bounded by
-    [Config.handoff_drain_timeout]), step down {e clean} — no taint; the
-    database is exactly the replicated prefix — and grant [target]
-    immediate candidacy with [Timeout_now], so the cluster never waits
-    out an election timeout. A timed-out drain still transfers but takes
-    the ordinary taint path; a transfer that elects no one resumes
-    serving. *)
+    [target]), drain the release queues (for at most 500 ms), step down
+    {e clean} — no taint; the database is exactly the replicated prefix —
+    and grant [target] immediate candidacy with [Timeout_now], so the
+    cluster never waits out an election timeout. A timed-out drain still
+    transfers but takes the ordinary taint path; a transfer that elects
+    no one resumes serving. *)
 
 val set_learners : t -> int list -> unit
 (** Register the learners every stream's truncation gate must retain log
@@ -236,7 +230,7 @@ val checkpoints_taken : t -> int
 val any_trunc_stalled : t -> bool
 (** Some stream's log catch-up is wedged behind a peer's compaction
     floor ({!Paxos.Stream.trunc_stalled}); only a checkpoint rebuild
-    ({!bootstrap_from_checkpoint}) can make progress. *)
+    ({!rebuild}) can make progress. *)
 
 val apply_truncation : t -> cover:int array -> unit
 (** Truncate the archived journal up to the quorum-stable checkpoint
@@ -245,15 +239,3 @@ val apply_truncation : t -> cover:int array -> unit
     Driven by the cluster coordinator, which first harvests dedup
     evidence from the dropped entries. *)
 
-val bootstrap_from_checkpoint :
-  t -> ckpt:Checkpoint.replica_image -> donors:t list -> int
-(** Checkpoint + journal-tail bootstrap (ARIES install-then-replay):
-    install the image's rows, sessions, watermark history and frontiers,
-    then inject only journal entries {e above} the image's cover from the
-    donors' union. Every row and tail write lands through the
-    strictly-newer [(epoch, ts)] CAS, so the overlap a fuzzy image has
-    with the tail double-applies harmlessly. The modeled image-load time
-    is paid as an election-ineligibility window. Returns the number of
-    rows installed. Call on a freshly created replica, before the engine
-    runs any of its events; compose with {!salvage_protocol_state} for
-    voluntary rebuilds. *)

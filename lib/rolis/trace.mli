@@ -65,7 +65,7 @@ type stage =
           this replica's replay trails what is already durable *)
   | Client_park
       (** total ns one client request spent parked (retry limit reached,
-          waiting out [client_park_interval] cycles) before finally
+          waiting out {!Client} park cycles) before finally
           resolving — the availability cost of an unreachable cluster,
           one histogram sample per resolved request *)
   | Client_redirect

@@ -624,48 +624,6 @@ let test_single_stream_mode () =
   Rolis.Cluster.run cluster ~warmup:(200 * ms) ~duration:(1 * s) ();
   check_bool "strawman releases transactions" true (Rolis.Cluster.released cluster > 500)
 
-let test_bootstrap_new_replica () =
-  let stopped = ref false in
-  let accounts = 30 in
-  let cfg = { (test_cfg ()) with Rolis.Config.archive_entries = true } in
-  let app = transfer_app ~accounts ~initial:200 ~stopped in
-  let cluster = Rolis.Cluster.create cfg app in
-  let eng = Rolis.Cluster.engine cluster in
-  (* The new replica's empty machine. *)
-  let new_cpu = Sim.Cpu.create eng ~cores:8 () in
-  let new_db = Silo.Db.create eng new_cpu ~costs:test_costs ~physical_deletes:false () in
-  let sync_done = ref false in
-  (* Start the asynchronous pull while the cluster is under load. *)
-  Sim.Engine.schedule eng (500 * ms) (fun () ->
-      ignore
-        (Sim.Engine.spawn eng ~name:"bootstrap" (fun () ->
-             let src = Rolis.Cluster.replica cluster 1 in
-             let rows, applies = Rolis.Bootstrap.sync_new_replica ~src ~dst:new_db () in
-             check_bool "copied rows" true (rows >= accounts);
-             ignore applies;
-             sync_done := true)));
-  Rolis.Cluster.run cluster ~duration:(1 * s) ();
-  stopped := true;
-  Rolis.Cluster.run cluster ~duration:(1 * s) ();
-  check_bool "sync completed" true !sync_done;
-  (* Top up with everything the source has made durable since, then the
-     new replica must match the source exactly (idempotent replay). *)
-  let finished = ref false in
-  ignore
-    (Sim.Engine.spawn eng (fun () ->
-         let src = Rolis.Cluster.replica cluster 1 in
-         ignore
-           (Rolis.Bootstrap.replay_entries ~dst:new_db
-              (Rolis.Replica.archived_entries src));
-         finished := true));
-  Rolis.Cluster.run cluster ~duration:(1 * s) ();
-  check_bool "top-up ran" true !finished;
-  check_int "money conserved on the new replica" (accounts * 200)
-    (total_money new_db ~accounts);
-  let src_db = Rolis.Replica.db (Rolis.Cluster.replica cluster 1) in
-  check_bool "new replica equals source" true
-    (table_state new_db "accounts" = table_state src_db "accounts")
-
 let test_restart_rejoin_convergence () =
   (* Crash a follower mid-run, restart it while the cluster is still under
      load: it rebuilds from the survivors' journals (per-stream union),
@@ -692,6 +650,71 @@ let test_restart_rejoin_convergence () =
     (table_state (Rolis.Replica.db r2) "accounts" = leader_state);
   check_int "money conserved on restarted replica" (accounts * 300)
     (total_money (Rolis.Replica.db r2) ~accounts)
+
+(* Paper §4.3: a new replica starts empty, is seeded while the cluster is
+   under load, and converges by idempotent (epoch, ts) replay. With
+   checkpoints off there is no image, so the dark spare (slot 3) is
+   rebuilt from the union of the members' journals and then follows the
+   live stream; after the drain it must equal a source replica exactly. *)
+let test_bootstrap_new_replica () =
+  let stopped = ref false in
+  let accounts = 30 in
+  let cfg =
+    { (test_cfg ()) with Rolis.Config.archive_entries = true; spare_replicas = 1 }
+  in
+  let cluster = Rolis.Cluster.create cfg (transfer_app ~accounts ~initial:200 ~stopped) in
+  let eng = Rolis.Cluster.engine cluster in
+  let added = ref false in
+  Sim.Engine.schedule eng (500 * ms) (fun () ->
+      ignore
+        (Sim.Engine.spawn eng ~name:"bootstrap" (fun () ->
+             added := Rolis.Cluster.add_replica cluster 3)));
+  Rolis.Cluster.run cluster ~duration:(1 * s) ();
+  stopped := true;
+  Rolis.Cluster.run cluster ~duration:(1 * s) ();
+  check_bool "sync completed" true !added;
+  check_bool "new replica is a member" true (List.mem 3 (Rolis.Cluster.members cluster));
+  let new_db = Rolis.Replica.db (Rolis.Cluster.replica cluster 3) in
+  check_int "money conserved on the new replica" (accounts * 200)
+    (total_money new_db ~accounts);
+  let src_db = Rolis.Replica.db (Rolis.Cluster.replica cluster 1) in
+  check_bool "new replica equals source" true
+    (table_state new_db "accounts" = table_state src_db "accounts")
+
+(* A voluntary rebuild of a still-alive replica keeps its accepted but
+   uncommitted slots: one may be the last copy of an entry committed at a
+   since-dead leader. Leader 0's Accepts reach replica 1 only, and replica
+   1's acks never return, so replica 1 alone accepts slots nobody commits.
+   Crash the leader and rebuild replica 1 while it is alive: the old
+   incarnation is a donor, so the rebuilt streams still hold those slots
+   above their commit index. *)
+let test_voluntary_restart_keeps_accepted () =
+  let stopped = ref false in
+  let cfg = { (test_cfg ()) with Rolis.Config.archive_entries = true } in
+  let cluster =
+    Rolis.Cluster.create cfg (transfer_app ~accounts:20 ~initial:100 ~stopped)
+  in
+  let net = Rolis.Cluster.network cluster in
+  Rolis.Cluster.run cluster ~duration:(400 * ms) ();
+  (match Rolis.Cluster.leader cluster with
+  | Some l -> check_int "replica 0 leads" 0 (Rolis.Replica.id l)
+  | None -> Alcotest.fail "no leader");
+  Sim.Net.partition net 0 2;
+  Sim.Net.partition_oneway net ~src:1 ~dst:0;
+  Rolis.Cluster.run cluster ~duration:(100 * ms) ();
+  let holds_accepted r =
+    Array.exists
+      (fun st -> Paxos.Stream.next_index st > Paxos.Stream.commit_index st + 1)
+      (Rolis.Replica.streams r)
+  in
+  Rolis.Cluster.crash_replica cluster 0;
+  check_bool "replica 1 still alive" true
+    (Rolis.Replica.is_alive (Rolis.Cluster.replica cluster 1));
+  Rolis.Cluster.restart_replica cluster 1;
+  check_bool "rebuilt replica keeps its accepted tail" true
+    (holds_accepted (Rolis.Cluster.replica cluster 1));
+  check_bool "no other survivor holds it" false
+    (holds_accepted (Rolis.Cluster.replica cluster 2))
 
 (* ---------- batching ---------- *)
 
@@ -916,13 +939,7 @@ let test_config_validate_clients () =
   Rolis.Config.validate on;
   expect_invalid "client timeout zero" { on with Rolis.Config.client_timeout = 0 };
   expect_invalid "retry limit zero" { on with Rolis.Config.client_retry_limit = 0 };
-  expect_invalid "backoff base zero" { on with Rolis.Config.client_backoff_base = 0 };
-  expect_invalid "backoff max below base"
-    { on with Rolis.Config.client_backoff_max = on.Rolis.Config.client_backoff_base - 1 };
-  expect_invalid "park interval zero" { on with Rolis.Config.client_park_interval = 0 };
-  expect_invalid "admission pending zero" { on with Rolis.Config.admission_max_pending = 0 };
-  expect_invalid "admission release zero" { on with Rolis.Config.admission_max_release = 0 };
-  expect_invalid "admission backlog zero" { on with Rolis.Config.admission_max_backlog = 0 }
+  expect_invalid "admission pending zero" { on with Rolis.Config.admission_max_pending = 0 }
 
 let test_config_validate_batching () =
   let ok = test_cfg () in
@@ -955,18 +972,8 @@ let test_config_validate_checkpoint () =
     { on with Rolis.Config.archive_entries = false };
   expect_invalid "retention under election timeout"
     { on with Rolis.Config.checkpoint_retention = ok.Rolis.Config.election_timeout - 1 };
-  expect_invalid "zero disk bandwidth"
-    { on with Rolis.Config.checkpoint_disk_mb_per_s = 0 };
-  expect_invalid "zero checkpoint threads"
-    { on with Rolis.Config.checkpoint_threads = 0 };
   (* The checkpoint knobs are unconstrained while checkpointing is off. *)
-  Rolis.Config.validate
-    {
-      ok with
-      Rolis.Config.checkpoint_disk_mb_per_s = 0;
-      checkpoint_threads = 0;
-      checkpoint_retention = 0;
-    }
+  Rolis.Config.validate { ok with Rolis.Config.checkpoint_retention = 0 }
 
 let test_config_validate_replay () =
   let ok = test_cfg () in
@@ -989,14 +996,7 @@ let test_config_validate_reconfig () =
   expect_invalid "negative spare slots" { ok with Rolis.Config.spare_replicas = -1 };
   expect_invalid "membership floor zero" { ok with Rolis.Config.min_members = 0 };
   expect_invalid "membership floor above initial voters"
-    { ok with Rolis.Config.min_members = ok.Rolis.Config.replicas + 1 };
-  expect_invalid "learner lag bound zero" { ok with Rolis.Config.learner_lag_bound = 0 };
-  expect_invalid "negative learner lag bound"
-    { ok with Rolis.Config.learner_lag_bound = -ms };
-  expect_invalid "handoff drain timeout zero"
-    { ok with Rolis.Config.handoff_drain_timeout = 0 };
-  expect_invalid "negative handoff drain timeout"
-    { ok with Rolis.Config.handoff_drain_timeout = -ms }
+    { ok with Rolis.Config.min_members = ok.Rolis.Config.replicas + 1 }
 
 (* ---------- client sessions ---------- *)
 
@@ -1435,6 +1435,22 @@ let test_checkpoint_roundtrip () =
   check_bool "checkpoint body ran" true !checked;
   check_bool "checkpointing takes virtual time" true (!duration > 0)
 
+(* Replay [entries] into [dst] through the follower's strictly-newer
+   (epoch, ts) CAS; returns the number of writes that won. The reference
+   the checkpoint tests compare recovery against. *)
+let replay_entries ~dst entries =
+  let applied = ref 0 in
+  List.iter
+    (fun (entry : Store.Wire.entry) ->
+      List.iter
+        (fun (txn : Store.Wire.txn_log) ->
+          Silo.Db.apply_replay dst txn ~epoch:entry.epoch
+            ~writes:(List.length txn.Store.Wire.writes)
+            ~applied)
+        entry.txns)
+    entries;
+  !applied
+
 let test_checkpoint_plus_log_replay () =
   (* Fuzzy checkpoint composes with idempotent log replay: recovering the
      checkpoint and then replaying a log that overlaps it converges. *)
@@ -1462,7 +1478,7 @@ let test_checkpoint_plus_log_replay () =
         let fresh = Silo.Db.create eng cpu ~physical_deletes:false () in
         Rolis.Checkpoint.recover ~into:fresh img;
         let applied =
-          Rolis.Bootstrap.replay_entries ~dst:fresh
+          replay_entries ~dst:fresh
             [ Store.Wire.make_entry ~epoch:1 log ]
         in
         check_int "all log writes won" 50 applied;
@@ -1588,17 +1604,17 @@ let checkpoint_fuzzy_tail_qcheck =
              (* The image is taken after some prefix of the history. *)
              let a = fresh_db () in
              if prefix <> [] then
-               ignore (Rolis.Bootstrap.replay_entries ~dst:a [ entry prefix ]);
+               ignore (replay_entries ~dst:a [ entry prefix ]);
              let img = Rolis.Checkpoint.write a ~live_only:false () in
              (* Recovery: install, then replay the FULL history — the overlap
                 with the image double-applies through the strictly-newer CAS
                 and must be harmless. *)
              let b = Silo.Db.create eng cpu ~physical_deletes:false () in
              ignore (Rolis.Checkpoint.install ~into:b img);
-             ignore (Rolis.Bootstrap.replay_entries ~dst:b [ entry log ]);
+             ignore (replay_entries ~dst:b [ entry log ]);
              (* Reference: crash-free execution of the same history. *)
              let c = fresh_db () in
-             ignore (Rolis.Bootstrap.replay_entries ~dst:c [ entry log ]);
+             ignore (replay_entries ~dst:c [ entry log ]);
              ok := stamp_dump b = stamp_dump c));
       Sim.Engine.run eng;
       !ok)
@@ -1661,54 +1677,59 @@ let test_chaos_checkpoint_seed () =
 
 (* A spare brought in *after* the cluster has truncated its journals can
    no longer be bootstrapped from the log alone: promotion must go
-   through the newest checkpoint image plus the retained tail. The
-   property: for any seed, the add completes, the new voter appears in a
-   higher membership generation, and its database matches the deployment
-   (money conserved, full convergence). *)
+   through the newest checkpoint image plus the retained tail. With
+   checkpoints off the same add seeds the learner from the union of the
+   members' full journals instead. The property: for any seed, in both
+   modes, the add completes, the new voter appears in a higher membership
+   generation, and its database matches the deployment (money conserved,
+   full convergence). *)
 let learner_after_truncation_qcheck =
   QCheck.Test.make
     ~name:"learner added after truncation converges from image + tail" ~count:5
     QCheck.(int_range 0 10_000)
     (fun seed ->
-      let stopped = ref false in
-      let accounts = 30 in
-      let cfg =
-        {
-          (test_cfg ()) with
-          Rolis.Config.archive_entries = true;
-          checkpoint_interval = 100 * ms;
-          checkpoint_retention = 300 * ms;
-          spare_replicas = 1;
-          seed = Int64.of_int (0x5EED + seed);
-        }
+      let add ~checkpoints =
+        let stopped = ref false in
+        let accounts = 30 in
+        let cfg =
+          {
+            (test_cfg ()) with
+            Rolis.Config.archive_entries = true;
+            checkpoint_interval = (if checkpoints then 100 * ms else 0);
+            checkpoint_retention = 300 * ms;
+            spare_replicas = 1;
+            seed = Int64.of_int (0x5EED + seed);
+          }
+        in
+        let cluster =
+          Rolis.Cluster.create cfg (transfer_app ~accounts ~initial:500 ~stopped)
+        in
+        let eng = Rolis.Cluster.engine cluster in
+        let added = ref false in
+        (* Long healthy prefix so checkpoints land and truncation discards
+           the journal head; only then bring the dark spare (slot 3) in. *)
+        ignore
+          (Sim.Engine.spawn eng ~name:"add-op" (fun () ->
+               Sim.Engine.sleep (1_500 * ms);
+               added := Rolis.Cluster.add_replica cluster 3));
+        Rolis.Cluster.run cluster ~duration:(2_500 * ms) ();
+        stopped := true;
+        Rolis.Cluster.run cluster ~duration:(1 * s) ();
+        let viols =
+          Rolis.Check.agreement cluster
+          @ Rolis.Check.membership_agreement cluster
+          @ Rolis.Check.convergence cluster
+        in
+        (Rolis.Cluster.truncation_rounds cluster > 0) = checkpoints
+        && !added
+        && List.mem 3 (Rolis.Cluster.members cluster)
+        && Rolis.Cluster.membership_gen cluster > 0
+        && Rolis.Replica.is_alive (Rolis.Cluster.replica cluster 3)
+        && total_money (Rolis.Replica.db (Rolis.Cluster.replica cluster 3)) ~accounts
+           = accounts * 500
+        && viols = []
       in
-      let cluster =
-        Rolis.Cluster.create cfg (transfer_app ~accounts ~initial:500 ~stopped)
-      in
-      let eng = Rolis.Cluster.engine cluster in
-      let added = ref false in
-      (* Long healthy prefix so checkpoints land and truncation discards
-         the journal head; only then bring the dark spare (slot 3) in. *)
-      ignore
-        (Sim.Engine.spawn eng ~name:"add-op" (fun () ->
-             Sim.Engine.sleep (1_500 * ms);
-             added := Rolis.Cluster.add_replica cluster 3));
-      Rolis.Cluster.run cluster ~duration:(2_500 * ms) ();
-      stopped := true;
-      Rolis.Cluster.run cluster ~duration:(1 * s) ();
-      let viols =
-        Rolis.Check.agreement cluster
-        @ Rolis.Check.membership_agreement cluster
-        @ Rolis.Check.convergence cluster
-      in
-      Rolis.Cluster.truncation_rounds cluster > 0
-      && !added
-      && List.mem 3 (Rolis.Cluster.members cluster)
-      && Rolis.Cluster.membership_gen cluster > 0
-      && Rolis.Replica.is_alive (Rolis.Cluster.replica cluster 3)
-      && total_money (Rolis.Replica.db (Rolis.Cluster.replica cluster 3)) ~accounts
-         = accounts * 500
-      && viols = [])
+      add ~checkpoints:true && add ~checkpoints:false)
 
 (* End-to-end rolling restart: clients keep committing while a planned
    handoff runs and then every voter is cycled (crash + restart) one at a
@@ -2418,6 +2439,8 @@ let () =
           Alcotest.test_case "new replica sync" `Quick test_bootstrap_new_replica;
           Alcotest.test_case "restart rejoin convergence" `Quick
             test_restart_rejoin_convergence;
+          Alcotest.test_case "voluntary restart keeps accepted tail" `Quick
+            test_voluntary_restart_keeps_accepted;
         ] );
       ( "checkpoint",
         [
