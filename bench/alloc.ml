@@ -2,18 +2,27 @@
    transaction (TPC-C and YCSB++ execute+commit), per wire encode and per
    follower replay of one log entry.
 
-   [Gc.allocated_bytes] counts every word the program ever allocated, so
-   the delta across a seeded virtual-time window is exact — not a timing,
-   not a sample. For a fixed seed and compiler version the counts are
-   bit-reproducible across machines, which is what lets them be emitted
-   as *gated* metrics and diffed against the committed baseline like any
-   throughput figure (the [_words] suffix gates lower-is-better). The
-   parameters below are deliberately identical in --quick and full mode:
-   the metric is a constant of the code, not of the sweep size. *)
+   Every arm counts with [words_now]: [Gc.minor_words] (exact at any
+   point) plus the words allocated directly in the major heap. That is
+   exact whatever the minor-heap size — [Gc.allocated_bytes] is not, as
+   it only catches up at minor collections, so a delta taken with it
+   moves with where collections fall (OCAMLRUNPARAM=s=...). The delta
+   across a seeded virtual-time window is therefore a count, not a
+   timing and not a sample. For a fixed seed and compiler version the
+   counts are bit-reproducible across machines, which is what lets them
+   be emitted as *gated* metrics and diffed against the committed
+   baseline like any throughput figure (the [_words] suffix gates
+   lower-is-better). The parameters below are deliberately identical in
+   --quick and full mode: the metric is a constant of the code, not of
+   the sweep size. *)
 
 open Common
 
 let seed = 42L
+
+let words_now () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
 
 (* Execute+commit words/txn: an inline Silo-only loop (mirroring
    [Baselines.Silo_only.run]) so the measurement brackets exclude engine
@@ -38,11 +47,11 @@ let exec_words ~app ~workers ~cores ~warmup ~duration =
   done;
   Sim.Engine.run ~until:warmup eng;
   Silo.Db.reset_stats db;
-  let a0 = Gc.allocated_bytes () in
+  let w0 = words_now () in
   Sim.Engine.run ~until:(warmup + duration) eng;
-  let a1 = Gc.allocated_bytes () in
+  let w1 = words_now () in
   let commits = (Silo.Db.stats db).Silo.Db.commits in
-  ((a1 -. a0) /. 8., commits)
+  (w1 -. w0, commits)
 
 (* Wire-encode words/entry over a representative TPC-C-sized entry
    (100 txns x 8 writes of 100-byte values ~ 93 KiB encoded), staged
@@ -69,12 +78,12 @@ let encode_words () =
   ignore (Store.Wire.encode_into scratch entry);
   (* arena warmed *)
   let iters = 1000 in
-  let a0 = Gc.allocated_bytes () in
+  let w0 = words_now () in
   for _ = 1 to iters do
     ignore (Store.Wire.encode_into scratch entry)
   done;
-  let a1 = Gc.allocated_bytes () in
-  ((a1 -. a0) /. 8. /. float_of_int iters, Store.Wire.byte_size entry)
+  let w1 = words_now () in
+  ((w1 -. w0) /. float_of_int iters, Store.Wire.byte_size entry)
 
 (* Replay words per entry: a follower applying TPC-C-shaped entries of
    [txns] transactions ([Silo.Db.apply_replay_entry], the only follower
@@ -82,14 +91,7 @@ let encode_words () =
    database with the same initial load then replays them entry by entry,
    so every entry installs new versions and inserts new rows as it would
    on a follower. 7 and 60 transactions are the entry sizes of perf/'s
-   tpcc_cross and tpcc workloads. The window is short, so it is counted
-   with [Gc.minor_words] (exact at any point, where [Gc.allocated_bytes]
-   only catches up at minor collections) plus the words allocated
-   directly in the major heap. *)
-let words_now () =
-  let _, promoted, major = Gc.counters () in
-  Gc.minor_words () +. major -. promoted
-
+   tpcc_cross and tpcc workloads. *)
 let replay_words ~txns ~entries =
   let app = Workload.Tpcc.app (tpcc_params ~workers:1) in
   let eng = Sim.Engine.create ~seed () in

@@ -82,19 +82,28 @@ let () =
     else None
   in
   let part_path d name = Filename.concat d (name ^ ".json") in
+  (* Run one experiment where it is, and report its wall time and the
+     simulator's event rate over it (host cost, not gated). *)
+  let timed name run =
+    let t = Unix.gettimeofday () and e0 = Sim.Engine.events_fired () in
+    run ~quick;
+    let dt = Unix.gettimeofday () -. t and events = Sim.Engine.events_fired () - e0 in
+    Printf.printf "  [%s done in %.1fs, %d events, %.0f events/s]\n%!" name dt events
+      (if dt > 0. then float_of_int events /. dt else 0.)
+  in
   let t0 = Unix.gettimeofday () in
   (* Each experiment runs in its own forked child: simulated TPC-C
      allocates GBs of rows and the OCaml major heap does not shrink back
      between experiments, so process isolation is what keeps a long
      multi-experiment run inside host memory. *)
   let run_isolated name run =
-    if no_fork then run ~quick
+    if no_fork then timed name run
     else begin
       flush stdout;
       match Unix.fork () with
       | 0 -> (
           try
-            run ~quick;
+            timed name run;
             (match parts_dir with
             | Some d -> write_report (part_path d name) !Common.results
             | None -> ());
@@ -110,12 +119,7 @@ let () =
           | Unix.WSTOPPED _ -> Printf.printf "  [%s stopped]\n%!" name)
     end
   in
-  List.iter
-    (fun (name, _desc, run) ->
-      let t = Unix.gettimeofday () in
-      run_isolated name run;
-      Printf.printf "  [%s done in %.1fs]\n%!" name (Unix.gettimeofday () -. t))
-    selected;
+  List.iter (fun (name, _desc, run) -> run_isolated name run) selected;
   if json then begin
     let results =
       match parts_dir with

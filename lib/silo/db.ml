@@ -14,8 +14,9 @@ type 'a result = {
   writes : int;
 }
 
+type attachment = ..
+
 type t = {
-  id : int;
   eng : Sim.Engine.t;
   cpu : Sim.Cpu.t;
   cost_model : Costs.t;
@@ -42,15 +43,12 @@ type t = {
   mutable s_retries : int;
   mutable s_snap_reads : int;
   mutable s_snap_misses : int;
+  mutable attached : attachment list;
 }
-
-let next_id = ref 0
 
 let create eng cpu ?(costs = Costs.default) ?(physical_deletes = true)
     ?(hash_tables = []) () =
-  incr next_id;
   {
-    id = !next_id;
     eng;
     cpu;
     cost_model = costs;
@@ -71,9 +69,11 @@ let create eng cpu ?(costs = Costs.default) ?(physical_deletes = true)
     s_retries = 0;
     s_snap_reads = 0;
     s_snap_misses = 0;
+    attached = [];
   }
 
-let id t = t.id
+let attachments t = t.attached
+let attach t a = t.attached <- a :: t.attached
 let engine t = t.eng
 let cpu t = t.cpu
 let costs t = t.cost_model
@@ -173,15 +173,78 @@ let sort_prefix arr n =
     Array.blit sub 0 arr 0 n
   end
 
+(* Overwrite (or delete through) a record already bound to [key]. *)
+let install_existing t table key (r : Store.Record.t) ~epoch ~ts ~value =
+  match t.read_floor with
+  | None ->
+      let delta =
+        (match value with Some v -> String.length v | None -> 0)
+        - String.length r.Store.Record.value
+      in
+      Store.Record.install r ~epoch ~ts ~value;
+      Store.Table.account_growth table delta;
+      if value = None && t.physical_deletes then Store.Table.remove_phys table key
+  | Some floor ->
+      let before = String.length r.Store.Record.value + slot_bytes r in
+      Store.Record.install_retain r ~floor:(floor ()) ~epoch ~ts ~value;
+      let after = String.length r.Store.Record.value + slot_bytes r in
+      Store.Table.account_growth table (after - before);
+      (* A retained tombstone must stay in the index: a pinned reader
+         still resolves the prior version through it. *)
+      if value = None && t.physical_deletes && r.Store.Record.snap_ts < 0 then
+        Store.Table.remove_phys table key
+
+let fresh_record ~epoch ~ts v =
+  let r = Store.Record.make ~epoch ~ts v in
+  r.Store.Record.version <- 1;
+  r
+
+(* Install by lookup: overwrite the bound record, or bind a fresh one. *)
+let install_found t table key ~epoch ~ts ~value =
+  match (Store.Table.get table key, value) with
+  | Some r, _ -> install_existing t table key r ~epoch ~ts ~value
+  | None, Some v -> Store.Table.insert table key (fresh_record ~epoch ~ts v)
+  | None, None -> () (* delete of an absent key: nothing to do *)
+
+(* A write of a key the body never read, with a value. *)
+let blind_put (w : Txn.write_entry) table =
+  w.Txn.w_table == table
+  && match (w.Txn.w_read, w.Txn.w_value) with None, Some _ -> true | _ -> false
+
+(* A blind put's step in a sorted sweep: bind a fresh record, or
+   overwrite the bound one (a put never removes, so the sweep's cursor
+   stays valid). *)
+let put_at t (w : Txn.write_entry) existing ~epoch ~ts =
+  let table = w.Txn.w_table and key = w.Txn.w_key and value = w.Txn.w_value in
+  match (existing, value) with
+  | Some r, _ ->
+      install_existing t table key r ~epoch ~ts ~value;
+      None
+  | None, Some v ->
+      let r = fresh_record ~epoch ~ts v in
+      Store.Table.account_growth table (Store.Record.byte_size ~key r);
+      Some r
+  | None, None -> None
+
 (* Install runs yield-free (between validation and the log hand-off), so
    one per-Db scratch array can be shared by every worker: staging the
    write-set there and sorting in place replaces the List.rev + List.sort
-   cons churn of the former list pipeline. *)
+   cons churn of the former list pipeline.
+
+   Each key is found with at most one descent where possible. A live
+   record the body read is reused as is: validation proved its version
+   unchanged, a removal always follows a version bump and [compact] drops
+   only tombstones, so it is still bound to its key. A tombstone the body
+   read may have been compacted away, so it is looked up again, as is a
+   blind delete. Blind puts (keys the body never read) go through a
+   sorted sweep per table run: it binds a fresh record where the key is
+   absent, and revives or overwrites the bound record (a tombstone, or a
+   blind overwrite) exactly as a lookup-first install does. *)
 let install t (txn : Txn.t) ~epoch ~ts : Store.Wire.write list =
   match txn.Txn.write_order with
   | [] -> []
   | first :: _ ->
-      let n = Hashtbl.length txn.Txn.writes in
+      let n = Txn.Key_tbl.length txn.Txn.writes in
       if Array.length t.install_scratch < n then begin
         let cap = ref (max 16 (Array.length t.install_scratch)) in
         while !cap < n do
@@ -197,38 +260,31 @@ let install t (txn : Txn.t) ~epoch ~ts : Store.Wire.write list =
           arr.(!i) <- w)
         txn.write_order;
       sort_prefix arr n;
-      for k = 0 to n - 1 do
-        let w = arr.(k) in
+      let k = ref 0 in
+      while !k < n do
+        let w = arr.(!k) in
         let table = w.Txn.w_table in
         let key = w.Txn.w_key in
-        match (Store.Table.get table key, w.Txn.w_value) with
-        | Some r, value -> (
-            match t.read_floor with
-            | None ->
-                let delta =
-                  (match value with Some v -> String.length v | None -> 0)
-                  - String.length r.Store.Record.value
-                in
-                Store.Record.install r ~epoch ~ts ~value;
-                Store.Table.account_growth table delta;
-                if value = None && t.physical_deletes then
-                  Store.Table.remove_phys table key
-            | Some floor ->
-                let before = String.length r.Store.Record.value + slot_bytes r in
-                Store.Record.install_retain r ~floor:(floor ()) ~epoch ~ts ~value;
-                let after = String.length r.Store.Record.value + slot_bytes r in
-                Store.Table.account_growth table (after - before);
-                (* A retained tombstone must stay in the index: a pinned
-                   reader still resolves the prior version through it. *)
-                if
-                  value = None && t.physical_deletes
-                  && r.Store.Record.snap_ts < 0
-                then Store.Table.remove_phys table key)
-        | None, Some v ->
-            let r = Store.Record.make ~epoch ~ts v in
-            r.Store.Record.version <- 1;
-            Store.Table.insert table key r
-        | None, None -> () (* delete of an absent key: nothing to do *)
+        let value = w.Txn.w_value in
+        (match (w.Txn.w_read, value) with
+        | Some r, _ when not r.Store.Record.deleted ->
+            install_existing t table key r ~epoch ~ts ~value
+        | None, Some _ ->
+            (* Blind puts into one table (a new order's lines, or one
+               key): one sorted sweep, a descent per leaf rather than per
+               key, with the same inserts in the same order. *)
+            let hi = ref (!k + 1) in
+            while !hi < n && blind_put arr.(!hi) table do
+              incr hi
+            done;
+            ignore
+              (Store.Table.apply_sorted_run table
+                 ~key:(fun i -> arr.(i).Txn.w_key)
+                 ~lo:!k ~hi:!hi
+                 ~f:(fun i existing -> put_at t arr.(i) existing ~epoch ~ts));
+            k := !hi - 1
+        | Some _, _ | None, None -> install_found t table key ~epoch ~ts ~value);
+        incr k
       done;
       let rec build k acc =
         if k < 0 then acc
@@ -387,6 +443,9 @@ type replay_entry_result = {
 
 let no_write = { Store.Wire.table = 0; key = ""; value = None }
 
+(* Sentinel for "no record", compared physically; never bound to a key. *)
+let absent = Store.Record.make ""
+
 (* Follower replay of one durable log entry. The write-sets of every
    transaction with [ts <= upto] are flattened into one array and
    stable-sorted by (table, key): transactions appear in timestamp order
@@ -434,41 +493,56 @@ let apply_replay_entry t (entry : Store.Wire.entry) ?(ways = 1) ~upto () =
   (* Distinct keys: key [j]'s versions are [ord.(starts.(j))] up to
      (excluding) [ord.(starts.(j + 1))]; the unused tail stays [n]. *)
   let starts = Array.make (n + 1) n in
-  let nk = ref 0 in
+  (* Table runs: distinct keys [truns.(r), truns.(r + 1)) share a table,
+     for the [nt] runs; [truns.(nt)] is [nk]. *)
+  let truns = Array.make (n + 1) n in
+  let nk = ref 0 and nt = ref 0 in
   for p = 0 to n - 1 do
     let w = ws.(ord.(p)) in
-    if p = 0
-       || (let prev = ws.(ord.(p - 1)) in
-           prev.table <> w.table || not (String.equal prev.key w.key))
-    then begin
+    let new_table = p = 0 || ws.(ord.(p - 1)).table <> w.table in
+    if new_table || not (String.equal ws.(ord.(p - 1)).key w.key) then begin
+      if new_table then begin
+        truns.(!nt) <- !nk;
+        incr nt
+      end;
       starts.(!nk) <- p;
       incr nk
     end
   done;
-  let nk = !nk in
+  let nk = !nk and nt = !nt in
+  truns.(nt) <- nk;
   let write_of j = ws.(ord.(starts.(j))) in
   let key_of j = (write_of j).key in
   (* Visit the table runs of distinct keys [lo, hi). *)
   let iter_tables lo hi f =
-    let a = ref lo in
-    while !a < hi do
-      let tid = (write_of !a).table in
-      let b = ref (!a + 1) in
-      while !b < hi && (write_of !b).table = tid do
-        incr b
+    if lo < hi then begin
+      let r = ref 0 in
+      while truns.(!r + 1) <= lo do
+        incr r
       done;
-      f (table_by_id t tid) !a !b;
-      a := !b
-    done
+      while !r < nt && truns.(!r) < hi do
+        let a = truns.(!r) in
+        f (table_by_id t (write_of a).table) (max lo a) (min hi truns.(!r + 1));
+        incr r
+      done
+    end
   in
   let seeks = ref 0 and steps = ref 0 in
   let installed = ref 0 in
+  (* [found.(j)] is key [j]'s record as the prediction pass saw it, or
+     [absent] when it had none. *)
+  let found = Array.make nk absent in
   (* Predict the index work of keys [lo, hi): tree tables report cursor
-     descents + in-leaf steps, hash tables one probe per key. *)
-  let charge_of lo hi =
+     descents + in-leaf steps, hash tables one probe per key. The same
+     pass records each present key's record, and adds its tables'
+     removal counts to [removed_before]. *)
+  let charge_of ~removed_before lo hi =
     let s = ref 0 and st = ref 0 and hp = ref 0 in
     iter_tables lo hi (fun table a b ->
-        let counts = Store.Table.count_sorted_run table ~key:key_of ~lo:a ~hi:b in
+        removed_before := !removed_before + Store.Table.removals table;
+        let counts =
+          Store.Table.count_sorted_run ~found table ~key:key_of ~lo:a ~hi:b
+        in
         match Store.Table.repr table with
         | Store.Table.Hash -> hp := !hp + counts.Store.Btree.descents
         | Store.Table.Btree ->
@@ -477,6 +551,13 @@ let apply_replay_entry t (entry : Store.Wire.entry) ?(ways = 1) ~upto () =
     seeks := !seeks + !s;
     steps := !steps + !st;
     Costs.replay_bulk_cost t.cost_model ~hash_probes:!hp ~seeks:!s ~steps:!st ()
+  in
+  (* Removals so far from the tables of keys [lo, hi); the counters only
+     grow, so an unchanged sum means no removal in any of them. *)
+  let removals lo hi =
+    let n = ref 0 in
+    iter_tables lo hi (fun table _ _ -> n := !n + Store.Table.removals table);
+    !n
   in
   (* CAS key [j]'s versions from position [p0] on into [r], oldest
      first; true if any won. *)
@@ -489,53 +570,85 @@ let apply_replay_entry t (entry : Store.Wire.entry) ?(ways = 1) ~upto () =
     done;
     !won
   in
+  (* The sweep's per-key step: CAS into a bound record in place, or build
+     and bind a record for an absent key. *)
+  let visit table j existing =
+    match existing with
+    | Some r ->
+        if install_from table r j starts.(j) then incr installed;
+        None (* record mutated in place; no structural change *)
+    | None ->
+        let p0 = starts.(j) in
+        let v = ord.(p0) in
+        let r = Store.Record.make ~epoch:0 ~ts:(-1) "" in
+        if Store.Record.cas_apply r ~epoch ~ts:tss.(v) ~value:ws.(v).value
+        then begin
+          Store.Table.account_growth table
+            (Store.Record.byte_size ~key:ws.(v).key r);
+          (* Later versions replace the first through the same CAS an
+             existing record takes. *)
+          ignore (install_from table r j (p0 + 1));
+          incr installed;
+          Some r
+        end
+        else None
+  in
   let sweep lo hi =
     iter_tables lo hi (fun table a b ->
         ignore
           (Store.Table.apply_sorted_run table ~key:key_of ~lo:a ~hi:b
-             ~f:(fun j existing ->
-               match existing with
-               | Some r ->
-                   if install_from table r j starts.(j) then incr installed;
-                   None (* record mutated in place; no structural change *)
-               | None ->
-                   let p0 = starts.(j) in
-                   let v = ord.(p0) in
-                   let r = Store.Record.make ~epoch:0 ~ts:(-1) "" in
-                   if Store.Record.cas_apply r ~epoch ~ts:tss.(v) ~value:ws.(v).value
-                   then begin
-                     Store.Table.account_growth table
-                       (Store.Record.byte_size ~key:ws.(v).key r);
-                     (* Later versions replace the first through the
-                        same CAS an existing record takes. *)
-                     ignore (install_from table r j (p0 + 1));
-                     incr installed;
-                     Some r
-                   end
-                   else None)))
+             ~f:(fun j existing -> visit table j existing)))
   in
-  (* Count, charge, then sweep: a read-only pass predicts the index work
+  (* [absent_keys.(a ..)] lists the keys of table run [a, b) that the
+     prediction pass did not find. *)
+  let absent_keys = Array.make nk 0 in
+  (* The one-descent apply: records found by the prediction pass take
+     their CAS directly; only absent keys go through the sweep, which
+     also catches a key bound while the charge was consumed. *)
+  let apply_found lo hi =
+    iter_tables lo hi (fun table a b ->
+        let m = ref a in
+        for j = a to b - 1 do
+          let r = found.(j) in
+          if r == absent then begin
+            absent_keys.(!m) <- j;
+            incr m
+          end
+          else if install_from table r j starts.(j) then incr installed
+        done;
+        if !m > a then
+          ignore
+            (Store.Table.apply_sorted_run table
+               ~key:(fun i -> key_of absent_keys.(i))
+               ~lo:a ~hi:!m
+               ~f:(fun i existing -> visit table absent_keys.(i) existing)))
+  in
+  (* Count, charge, then apply: a read-only pass predicts the index work
      and the CPU is consumed *before* the indexes are touched, so
      bulk-replayed state becomes visible at the same virtual time as the
      equivalent per-transaction consume-then-apply sequence. The
      predicted counts are also the charged/reported ones, keeping cost
      and stats consistent; they can drift from the live sweep by at most
-     one charge per leaf split. *)
-  if ways = 1 || nk <= 1 then begin
-    Sim.Cpu.consume t.cpu (charge_of 0 nk);
-    sweep 0 nk
-  end
+     one charge per leaf split. A removal while the charge is consumed
+     (promotion's [compact], a leader-side delete) can unbind a found
+     record, so then the apply falls back to the full sweep. *)
+  let charge_and_apply lo hi =
+    let removed_before = ref 0 in
+    Sim.Cpu.consume t.cpu (charge_of ~removed_before lo hi);
+    if removals lo hi = !removed_before then apply_found lo hi else sweep lo hi
+  in
+  if ways = 1 || nk <= 1 then charge_and_apply 0 nk
   else begin
     (* Parallel bulk replay: slice the sorted distinct keys into [w]
        contiguous pieces. Contiguity in the sorted order makes the key
        ranges disjoint, so the slices commute — each helper process
-       charges and sweeps its own slice concurrently, and follower replay
-       scales with the machine's cores the way leader execution does.
-       Safe below the watermark for the same reason the sequential path
-       is: every write in the entry is already durable and conflict-free.
-       Helpers register as active threads, so the CPU model's efficiency
-       and oversubscription factors apply to replay exactly as they do to
-       leader workers. *)
+       charges and applies its own slice concurrently, and follower
+       replay scales with the machine's cores the way leader execution
+       does. Safe below the watermark for the same reason the sequential
+       path is: every write in the entry is already durable and
+       conflict-free. Helpers register as active threads, so the CPU
+       model's efficiency and oversubscription factors apply to replay
+       exactly as they do to leader workers. *)
     let w = min ways nk in
     let wg = Sim.Sync.Waitgroup.create t.eng in
     Sim.Sync.Waitgroup.add wg w;
@@ -545,8 +658,7 @@ let apply_replay_entry t (entry : Store.Wire.entry) ?(ways = 1) ~upto () =
         (Sim.Engine.spawn t.eng ~name:(Printf.sprintf "replay-par-%d" i)
            (fun () ->
              Sim.Cpu.register t.cpu;
-             Sim.Cpu.consume t.cpu (charge_of lo hi);
-             sweep lo hi;
+             charge_and_apply lo hi;
              Sim.Cpu.unregister t.cpu;
              Sim.Sync.Waitgroup.finish wg))
     done;

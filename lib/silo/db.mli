@@ -54,9 +54,14 @@ val create :
     replica of a database must use the same list, or replay and checkpoint
     exchange runs against mismatched index semantics. *)
 
-val id : t -> int
-(** Unique per database in the process: a stable identity to hash on
-    (the record's contents mutate). *)
+type attachment = ..
+(** State a workload keeps per database: each workload extends this
+    variant with its own constructor. *)
+
+val attachments : t -> attachment list
+val attach : t -> attachment -> unit
+(** [attach t a] adds [a] to {!attachments}; it lives exactly as long as
+    the database. *)
 
 val engine : t -> Sim.Engine.t
 val cpu : t -> Sim.Cpu.t

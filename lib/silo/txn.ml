@@ -1,9 +1,20 @@
 exception Abort
 
+(* Read- and write-sets are keyed by (table id, key). A functorized table
+   with [String.equal] and a string hash skips polymorphic hashing and
+   comparison of the tuple on every probe. *)
+module Key_tbl = Hashtbl.Make (struct
+  type t = int * string
+
+  let equal ((a : int), k) (b, k') = a = b && String.equal k k'
+  let hash ((id : int), k) = Hashtbl.hash k + (id * 0x9E3779B1)
+end)
+
 type write_entry = {
   w_table : Store.Table.t;
   w_key : string;
   mutable w_value : string option;
+  w_read : Store.Record.t option;
 }
 
 type scan_entry = {
@@ -25,11 +36,11 @@ type t = {
   worker : int;
   costs : Costs.t;
   mutable reads : (Store.Record.t * int) list;
-  read_keys : (int * string, unit) Hashtbl.t;
+  read_keys : Store.Record.t option Key_tbl.t;
   mutable absents : (Store.Table.t * string) list;
   mutable scans : scan_entry list;
   mutable probes : probe_entry list;
-  writes : (int * string, write_entry) Hashtbl.t;
+  writes : write_entry Key_tbl.t;
   mutable write_order : write_entry list;
   mutable nreads : int;
   mutable nhash_reads : int;
@@ -45,11 +56,11 @@ let create ~worker ~costs =
     worker;
     costs;
     reads = [];
-    read_keys = Hashtbl.create 16;
+    read_keys = Key_tbl.create 16;
     absents = [];
     scans = [];
     probes = [];
-    writes = Hashtbl.create 8;
+    writes = Key_tbl.create 8;
     write_order = [];
     nreads = 0;
     nhash_reads = 0;
@@ -66,11 +77,11 @@ let create ~worker ~costs =
    bookkeeping structures again. *)
 let reset t =
   t.reads <- [];
-  Hashtbl.clear t.read_keys;
+  Key_tbl.clear t.read_keys;
   t.absents <- [];
   t.scans <- [];
   t.probes <- [];
-  Hashtbl.clear t.writes;
+  Key_tbl.clear t.writes;
   t.write_order <- [];
   t.nreads <- 0;
   t.nhash_reads <- 0;
@@ -80,10 +91,9 @@ let reset t =
   t.nvalue_bytes <- 0;
   t.decision <- None
 
-let track_read t table key (r : Store.Record.t option) =
-  let id = (Store.Table.id table, key) in
-  if not (Hashtbl.mem t.read_keys id) then begin
-    Hashtbl.add t.read_keys id ();
+let track_read t id table key (r : Store.Record.t option) =
+  if not (Key_tbl.mem t.read_keys id) then begin
+    Key_tbl.add t.read_keys id r;
     match r with
     | Some rec_ -> t.reads <- (rec_, rec_.Store.Record.version) :: t.reads
     | None -> t.absents <- (table, key) :: t.absents
@@ -97,32 +107,35 @@ let get t table key =
   t.nreads <- t.nreads + 1;
   if Store.Table.repr table = Store.Table.Hash then
     t.nhash_reads <- t.nhash_reads + 1;
-  match Hashtbl.find_opt t.writes (Store.Table.id table, key) with
+  let id = (Store.Table.id table, key) in
+  match Key_tbl.find_opt t.writes id with
   | Some w ->
       note_bytes t w.w_value;
       w.w_value (* read-own-write; None if we deleted it *)
   | None -> (
-      match Store.Table.get table key with
-      | Some r ->
-          track_read t table key (Some r);
-          if r.Store.Record.deleted then None
-          else begin
-            note_bytes t (Some r.Store.Record.value);
-            Some r.Store.Record.value
-          end
-      | None ->
-          track_read t table key None;
-          None)
+      let found = Store.Table.get table key in
+      track_read t id table key found;
+      match found with
+      | Some r when not r.Store.Record.deleted ->
+          let v = r.Store.Record.value in
+          t.nvalue_bytes <- t.nvalue_bytes + String.length v;
+          Some v
+      | Some _ | None -> None)
 
+(* A new write entry remembers the record this transaction read for the
+   key, if any, so install can reuse it instead of descending again. *)
 let buffer_write t table key value =
   t.nwrites <- t.nwrites + 1;
   note_bytes t value;
   let id = (Store.Table.id table, key) in
-  match Hashtbl.find_opt t.writes id with
+  match Key_tbl.find_opt t.writes id with
   | Some w -> w.w_value <- value
   | None ->
-      let w = { w_table = table; w_key = key; w_value = value } in
-      Hashtbl.add t.writes id w;
+      let w_read =
+        match Key_tbl.find t.read_keys id with r -> r | exception Not_found -> None
+      in
+      let w = { w_table = table; w_key = key; w_value = value; w_read } in
+      Key_tbl.add t.writes id w;
       t.write_order <- w :: t.write_order
 
 let put t table key value = buffer_write t table key (Some value)
@@ -162,6 +175,6 @@ let commit_cost_ns t =
   (* Validation revisits the scan rows, so they count as reads here. *)
   Costs.commit_cost t.costs
     ~reads:(List.length t.reads + List.length t.absents + t.nscan_rows)
-    ~writes:(Hashtbl.length t.writes)
+    ~writes:(Key_tbl.length t.writes)
 
-let write_count t = Hashtbl.length t.writes
+let write_count t = Key_tbl.length t.writes

@@ -21,10 +21,16 @@ exception Abort
 (** Raised by a transaction body to request a user abort (e.g. the 1%% of
     TPC-C NewOrder transactions that roll back). *)
 
+module Key_tbl : Hashtbl.S with type key = int * string
+(** Tables keyed by (table id, key), hashed and compared monomorphically. *)
+
 type write_entry = {
   w_table : Store.Table.t;
   w_key : string;
   mutable w_value : string option;  (** [None] = delete *)
+  w_read : Store.Record.t option;
+      (** what this transaction's first read of the key found, if it read
+          the key before writing it *)
 }
 
 type scan_entry = {
@@ -46,11 +52,12 @@ type t = {
   worker : int;
   costs : Costs.t;
   mutable reads : (Store.Record.t * int) list;  (** record, version seen *)
-  read_keys : (int * string, unit) Hashtbl.t;
+  read_keys : Store.Record.t option Key_tbl.t;
+      (** every key read, with the record the read found *)
   mutable absents : (Store.Table.t * string) list;
   mutable scans : scan_entry list;
   mutable probes : probe_entry list;
-  writes : (int * string, write_entry) Hashtbl.t;
+  writes : write_entry Key_tbl.t;
   mutable write_order : write_entry list;  (** reverse execution order *)
   mutable nreads : int;
   mutable nhash_reads : int;

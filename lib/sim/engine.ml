@@ -7,6 +7,7 @@ type t = {
   root_rng : Rng.t;
   mutable next_pid : int;
   mutable running : bool;
+  mutable last_fired : int; (* instant of the last event fired; -1 before any *)
 }
 
 type proc = {
@@ -33,7 +34,15 @@ let create ?(seed = 42L) () =
     root_rng = Rng.create seed;
     next_pid = 0;
     running = false;
+    last_fired = -1;
   }
+
+(* Host-cost counters over every engine of the process: a process runs
+   one engine at a time on one thread, so plain ints suffice. *)
+let fired_total = ref 0
+let ties_total = ref 0
+let events_fired () = !fired_total
+let ties () = !ties_total
 
 let now t = t.clock
 let rng t = t.root_rng
@@ -91,19 +100,23 @@ let run ?until ?(max_events = max_int) t =
       let fired = ref 0 in
       let continue_run = ref true in
       while !continue_run do
-        match Heap.peek t.queue with
-        | None -> continue_run := false
-        | Some ev ->
-            let past_deadline =
-              match until with Some u -> ev.at > u | None -> false
-            in
-            if past_deadline || !fired >= max_events then continue_run := false
-            else begin
-              ignore (Heap.pop_exn t.queue);
-              t.clock <- ev.at;
-              incr fired;
-              ev.thunk ()
-            end
+        if Heap.is_empty t.queue then continue_run := false
+        else begin
+          let ev = Heap.min_exn t.queue in
+          let past_deadline =
+            match until with Some u -> ev.at > u | None -> false
+          in
+          if past_deadline || !fired >= max_events then continue_run := false
+          else begin
+            ignore (Heap.pop_exn t.queue);
+            t.clock <- ev.at;
+            incr fired;
+            incr fired_total;
+            if ev.at = t.last_fired then incr ties_total;
+            t.last_fired <- ev.at;
+            ev.thunk ()
+          end
+        end
       done;
       match until with
       | Some u -> if t.clock < u then t.clock <- u

@@ -53,6 +53,16 @@ val run : ?until:int -> ?max_events:int -> t -> unit
     exceed [until], or [max_events] events have fired. When [until] is
     given the clock is advanced to exactly [until] on return. *)
 
+val events_fired : unit -> int
+(** Events fired so far by every engine of this process (a host-cost
+    counter: it grows by one per scheduled thunk, process wakeup or
+    message delivery that {!run} executes). *)
+
+val ties : unit -> int
+(** How many of {!events_fired} fired at the same virtual instant as the
+    event their engine fired just before — the events whose order only
+    the sequence-number tie-break decides. *)
+
 (** {1 Operations usable only inside a process} *)
 
 val self : unit -> proc

@@ -17,45 +17,54 @@ let grow h x =
     h.data <- data
   end
 
-let rec sift_up h i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if h.cmp h.data.(i) h.data.(parent) < 0 then begin
-      let tmp = h.data.(i) in
-      h.data.(i) <- h.data.(parent);
-      h.data.(parent) <- tmp;
-      sift_up h parent
+(* Both sifts move a hole instead of swapping: each level writes one
+   slot, and the moving element is written once, at its final place. *)
+let sift_up h i x =
+  let data = h.data in
+  let i = ref i and moving = ref true in
+  while !moving && !i > 0 do
+    let parent = (!i - 1) / 2 in
+    let p = data.(parent) in
+    if h.cmp x p < 0 then begin
+      data.(!i) <- p;
+      i := parent
     end
-  end
+    else moving := false
+  done;
+  data.(!i) <- x
 
-let rec sift_down h i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < h.size && h.cmp h.data.(l) h.data.(!smallest) < 0 then smallest := l;
-  if r < h.size && h.cmp h.data.(r) h.data.(!smallest) < 0 then smallest := r;
-  if !smallest <> i then begin
-    let tmp = h.data.(i) in
-    h.data.(i) <- h.data.(!smallest);
-    h.data.(!smallest) <- tmp;
-    sift_down h !smallest
-  end
+let sift_down h i x =
+  let data = h.data and n = h.size in
+  let i = ref i and moving = ref true in
+  while !moving do
+    let l = (2 * !i) + 1 in
+    if l >= n then moving := false
+    else begin
+      let c = if l + 1 < n && h.cmp data.(l + 1) data.(l) < 0 then l + 1 else l in
+      let child = data.(c) in
+      if h.cmp child x < 0 then begin
+        data.(!i) <- child;
+        i := c
+      end
+      else moving := false
+    end
+  done;
+  data.(!i) <- x
 
 let push h x =
   grow h x;
-  h.data.(h.size) <- x;
   h.size <- h.size + 1;
-  sift_up h (h.size - 1)
+  sift_up h (h.size - 1) x
 
-let peek h = if h.size = 0 then None else Some h.data.(0)
+let min_exn h =
+  if h.size = 0 then invalid_arg "Heap.min_exn: empty heap";
+  h.data.(0)
 
 let pop_exn h =
   if h.size = 0 then invalid_arg "Heap.pop_exn: empty heap";
   let top = h.data.(0) in
   h.size <- h.size - 1;
-  if h.size > 0 then begin
-    h.data.(0) <- h.data.(h.size);
-    sift_down h 0
-  end;
+  if h.size > 0 then sift_down h 0 h.data.(h.size);
   top
 
 let pop h = if h.size = 0 then None else Some (pop_exn h)

@@ -15,8 +15,9 @@ val is_empty : 'a t -> bool
 
 val push : 'a t -> 'a -> unit
 
-val peek : 'a t -> 'a option
-(** [peek h] is the minimum element without removing it. *)
+val min_exn : 'a t -> 'a
+(** [min_exn h] is the minimum element, without removing it.
+    @raise Invalid_argument on an empty heap. *)
 
 val pop : 'a t -> 'a option
 (** [pop h] removes and returns the minimum element. *)

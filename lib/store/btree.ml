@@ -1,7 +1,13 @@
 (* Branching factors. Non-root leaves hold [min_leaf, max_leaf] entries;
-   non-root internal nodes hold [min_child, max_child] children. Nodes use
-   plain arrays rebuilt on modification: nodes are small (<= 32 slots), so
-   copying beats the bookkeeping of in-place shifting. *)
+   non-root internal nodes hold [min_child, max_child] children. Internal
+   nodes use plain arrays rebuilt on modification: they change only at
+   splits and merges, and copying a small array beats the bookkeeping of
+   in-place shifting. Leaves change at every insert, so a leaf keeps
+   [len] live entries in arrays that may have spare capacity and shifts
+   in place; it regrows by half when full, and splits and merges leave
+   exact-sized arrays, so a tree built and then only read carries no
+   slack. Slots past [len] hold [""] and a live value of the same leaf,
+   never a removed one, so nothing dead stays reachable. *)
 let max_leaf = 32
 let min_leaf = max_leaf / 2
 let max_child = 32
@@ -10,6 +16,7 @@ let min_child = max_child / 2
 type 'a leaf = {
   mutable keys : string array;
   mutable vals : 'a array;
+  mutable len : int; (* live entries: [keys.(0 .. len - 1)] *)
   mutable next : 'a leaf option;
 }
 
@@ -22,7 +29,8 @@ and 'a inner = {
 
 type 'a t = { mutable root : 'a node; mutable size : int }
 
-let create () = { root = Leaf { keys = [||]; vals = [||]; next = None }; size = 0 }
+let create () =
+  { root = Leaf { keys = [||]; vals = [||]; len = 0; next = None }; size = 0 }
 let length t = t.size
 let is_empty t = t.size = 0
 
@@ -35,25 +43,66 @@ let array_insert a i x =
   Array.blit a i b (i + 1) (n - i);
   b
 
+(* Insert [k, v] at slot [i] of [l], in place when there is room. *)
+let leaf_insert l i k v =
+  let n = l.len in
+  if n < Array.length l.keys then begin
+    Array.blit l.keys i l.keys (i + 1) (n - i);
+    Array.blit l.vals i l.vals (i + 1) (n - i)
+  end
+  else begin
+    let cap = min (max_leaf + 1) (n + (n / 2) + 1) in
+    let keys = Array.make cap "" and vals = Array.make cap v in
+    Array.blit l.keys 0 keys 0 i;
+    Array.blit l.keys i keys (i + 1) (n - i);
+    Array.blit l.vals 0 vals 0 i;
+    Array.blit l.vals i vals (i + 1) (n - i);
+    l.keys <- keys;
+    l.vals <- vals
+  end;
+  l.keys.(i) <- k;
+  l.vals.(i) <- v;
+  l.len <- n + 1
+
+(* Drop slot [i] of [l] in place; the vacated slot forgets its value. *)
+let leaf_remove l i =
+  let n = l.len - 1 in
+  Array.blit l.keys (i + 1) l.keys i (n - i);
+  Array.blit l.vals (i + 1) l.vals i (n - i);
+  l.len <- n;
+  if n = 0 then begin
+    l.keys <- [||];
+    l.vals <- [||]
+  end
+  else begin
+    l.keys.(n) <- "";
+    l.vals.(n) <- l.vals.(0)
+  end
+
 let array_remove a i =
   let n = Array.length a in
   let b = Array.sub a 0 (n - 1) in
   Array.blit a (i + 1) b i (n - 1 - i);
   b
 
-(* Binary search: [Ok i] if [keys.(i) = k], otherwise [Error i] where [i]
-   is the insertion point. Keys are always strings, and the monomorphic
-   [String.compare] (the same order as polymorphic [compare]) skips the
-   generic comparison's tag dispatch on every probe. *)
-let bsearch (keys : string array) k =
-  let lo = ref 0 and hi = ref (Array.length keys) in
+(* Binary search over [keys.(0 .. len - 1)]: [i >= 0] if [keys.(i) = k],
+   otherwise [-(i + 1)] where [i] is the insertion point, so a probe
+   allocates nothing. Keys are
+   always strings, and the monomorphic [String.compare] (the same order
+   as polymorphic [compare]) skips the generic comparison's tag dispatch
+   on every probe. *)
+let bsearch (keys : string array) len k =
+  let lo = ref 0 and hi = ref len in
   let found = ref (-1) in
   while !found < 0 && !lo < !hi do
     let mid = (!lo + !hi) / 2 in
     let c = String.compare k keys.(mid) in
     if c = 0 then found := mid else if c < 0 then hi := mid else lo := mid + 1
   done;
-  if !found >= 0 then Ok !found else Error !lo
+  if !found >= 0 then !found else -(!lo + 1)
+
+(* Insertion point of a [bsearch] result: the slot of [k] either way. *)
+let slot i = if i >= 0 then i else -(i + 1)
 
 (* Index of the child to descend into: subtree [i] holds keys [k] with
    [seps.(i-1) <= k < seps.(i)], i.e. the first [i] with [k < seps.(i)].
@@ -71,7 +120,9 @@ let child_index n k =
 
 let rec find_node node k =
   match node with
-  | Leaf l -> ( match bsearch l.keys k with Ok i -> Some l.vals.(i) | Error _ -> None)
+  | Leaf l ->
+      let i = bsearch l.keys l.len k in
+      if i >= 0 then Some l.vals.(i) else None
   | Node n -> find_node n.kids.(child_index n k) k
 
 let find t k = find_node t.root k
@@ -89,31 +140,34 @@ exception Duplicate
 let rec ins ~guard node k v : 'a option * 'a split =
   match node with
   | Leaf l -> (
-      match bsearch l.keys k with
-      | Ok i ->
-          if guard then raise_notrace Duplicate;
-          let prev = l.vals.(i) in
-          l.vals.(i) <- v;
-          (Some prev, None)
-      | Error i ->
-          l.keys <- array_insert l.keys i k;
-          l.vals <- array_insert l.vals i v;
-          if Array.length l.keys <= max_leaf then (None, None)
-          else begin
-            let n = Array.length l.keys in
-            let h = n / 2 in
-            let right =
-              {
-                keys = Array.sub l.keys h (n - h);
-                vals = Array.sub l.vals h (n - h);
-                next = l.next;
-              }
-            in
-            l.keys <- Array.sub l.keys 0 h;
-            l.vals <- Array.sub l.vals 0 h;
-            l.next <- Some right;
-            (None, Some (right.keys.(0), Leaf right))
-          end)
+      let i = bsearch l.keys l.len k in
+      if i >= 0 then begin
+        if guard then raise_notrace Duplicate;
+        let prev = l.vals.(i) in
+        l.vals.(i) <- v;
+        (Some prev, None)
+      end
+      else begin
+        leaf_insert l (slot i) k v;
+        if l.len <= max_leaf then (None, None)
+        else begin
+          let n = l.len in
+          let h = n / 2 in
+          let right =
+            {
+              keys = Array.sub l.keys h (n - h);
+              vals = Array.sub l.vals h (n - h);
+              len = n - h;
+              next = l.next;
+            }
+          in
+          l.keys <- Array.sub l.keys 0 h;
+          l.vals <- Array.sub l.vals 0 h;
+          l.len <- h;
+          l.next <- Some right;
+          (None, Some (right.keys.(0), Leaf right))
+        end
+      end)
   | Node n -> (
       let i = child_index n k in
       let prev, split = ins ~guard n.kids.(i) k v in
@@ -159,7 +213,7 @@ let insert_if_absent t k v =
 (* ---- delete ---- *)
 
 let node_underflows = function
-  | Leaf l -> Array.length l.keys < min_leaf
+  | Leaf l -> l.len < min_leaf
   | Node n -> Array.length n.kids < min_child
 
 (* Repair an underfull child [i] of [n] by borrowing from or merging with
@@ -169,12 +223,10 @@ let fix_child n i =
   let borrow_from_left i =
     match (n.kids.(i - 1), n.kids.(i)) with
     | Leaf left, Leaf cur ->
-        let j = Array.length left.keys - 1 in
+        let j = left.len - 1 in
         let k = left.keys.(j) and v = left.vals.(j) in
-        left.keys <- array_remove left.keys j;
-        left.vals <- array_remove left.vals j;
-        cur.keys <- array_insert cur.keys 0 k;
-        cur.vals <- array_insert cur.vals 0 v;
+        leaf_remove left j;
+        leaf_insert cur 0 k v;
         n.seps.(i - 1) <- k
     | Node left, Node cur ->
         let j = Array.length left.kids - 1 in
@@ -191,10 +243,8 @@ let fix_child n i =
     match (n.kids.(i), n.kids.(i + 1)) with
     | Leaf cur, Leaf right ->
         let k = right.keys.(0) and v = right.vals.(0) in
-        right.keys <- array_remove right.keys 0;
-        right.vals <- array_remove right.vals 0;
-        cur.keys <- array_insert cur.keys (Array.length cur.keys) k;
-        cur.vals <- array_insert cur.vals (Array.length cur.vals) v;
+        leaf_remove right 0;
+        leaf_insert cur cur.len k v;
         n.seps.(i) <- right.keys.(0)
     | Node cur, Node right ->
         let moved = right.kids.(0) in
@@ -210,8 +260,11 @@ let fix_child n i =
   let merge i =
     (match (n.kids.(i), n.kids.(i + 1)) with
     | Leaf left, Leaf right ->
-        left.keys <- Array.append left.keys right.keys;
-        left.vals <- Array.append left.vals right.vals;
+        left.keys <-
+          Array.append (Array.sub left.keys 0 left.len) (Array.sub right.keys 0 right.len);
+        left.vals <-
+          Array.append (Array.sub left.vals 0 left.len) (Array.sub right.vals 0 right.len);
+        left.len <- left.len + right.len;
         left.next <- right.next
     | Node left, Node right ->
         left.seps <- Array.concat [ left.seps; [| n.seps.(i) |]; right.seps ];
@@ -221,7 +274,7 @@ let fix_child n i =
     n.kids <- array_remove n.kids (i + 1)
   in
   let has_spare = function
-    | Leaf l -> Array.length l.keys > min_leaf
+    | Leaf l -> l.len > min_leaf
     | Node m -> Array.length m.kids > min_child
   in
   if node_underflows n.kids.(i) then begin
@@ -235,13 +288,13 @@ let fix_child n i =
 let rec del node k : 'a option =
   match node with
   | Leaf l -> (
-      match bsearch l.keys k with
-      | Ok i ->
-          let v = l.vals.(i) in
-          l.keys <- array_remove l.keys i;
-          l.vals <- array_remove l.vals i;
-          Some v
-      | Error _ -> None)
+      let i = bsearch l.keys l.len k in
+      if i < 0 then None
+      else begin
+        let v = l.vals.(i) in
+        leaf_remove l i;
+        Some v
+      end)
   | Node n ->
       let i = child_index n k in
       let removed = del n.kids.(i) k in
@@ -269,11 +322,11 @@ let rec rightmost_leaf = function
 
 let min_binding t =
   let l = leftmost_leaf t.root in
-  if Array.length l.keys = 0 then None else Some (l.keys.(0), l.vals.(0))
+  if l.len = 0 then None else Some (l.keys.(0), l.vals.(0))
 
 let max_binding t =
   let l = rightmost_leaf t.root in
-  let n = Array.length l.keys in
+  let n = l.len in
   if n = 0 then None else Some (l.keys.(n - 1), l.vals.(n - 1))
 
 (* Leaf that would contain [k], i.e. the leaf reached by descent. *)
@@ -294,7 +347,7 @@ let cursor t = { c_tree = t; c_leaf = None; c_idx = 0 }
    only the root leaf can be empty, and it has no successor. *)
 let rec cursor_norm c =
   match c.c_leaf with
-  | Some l when c.c_idx >= Array.length l.keys ->
+  | Some l when c.c_idx >= l.len ->
       c.c_leaf <- l.next;
       c.c_idx <- 0;
       cursor_norm c
@@ -303,12 +356,12 @@ let rec cursor_norm c =
 let seek c k =
   let l = seek_leaf c.c_tree.root k in
   c.c_leaf <- Some l;
-  c.c_idx <- (match bsearch l.keys k with Ok i -> i | Error i -> i);
+  c.c_idx <- slot (bsearch l.keys l.len k);
   cursor_norm c
 
 let current c =
   match c.c_leaf with
-  | Some l when c.c_idx < Array.length l.keys -> Some (l.keys.(c.c_idx), l.vals.(c.c_idx))
+  | Some l when c.c_idx < l.len -> Some (l.keys.(c.c_idx), l.vals.(c.c_idx))
   | Some _ | None -> None
 
 let advance c =
@@ -374,16 +427,16 @@ let apply_sorted t ~key ~lo ~hi ~f =
       sweep_descend t sw k
     end;
     let l = sw.leaf in
-    match bsearch l.keys k with
-    | Ok j -> (
-        match f i (Some l.vals.(j)) with Some v -> l.vals.(j) <- v | None -> ())
-    | Error j -> (
-        match f i None with
+    let j = bsearch l.keys l.len k in
+    if j >= 0 then
+      match f i (Some l.vals.(j)) with Some v -> l.vals.(j) <- v | None -> ()
+    else
+      let j = slot j in
+      match f i None with
         | None -> ()
         | Some v ->
-            if Array.length l.keys < max_leaf then begin
-              l.keys <- array_insert l.keys j k;
-              l.vals <- array_insert l.vals j v;
+            if l.len < max_leaf then begin
+              leaf_insert l j k v;
               t.size <- t.size + 1
             end
             else begin
@@ -394,7 +447,7 @@ let apply_sorted t ~key ~lo ~hi ~f =
               sw.cached <- false;
               incr descents;
               ignore (insert t k v)
-            end)
+            end
   done;
   { descents = !descents; steps = !steps }
 
@@ -409,8 +462,10 @@ let apply_sorted t ~key ~lo ~hi ~f =
    the post-split right half's occupancy — the half an ascending run
    keeps appending into. Keys that land in the left half after a split
    can trade a step for a descent versus the live sweep; the drift is at
-   most one charge per split. *)
-let count_sorted t ~key ~lo ~hi =
+   most one charge per split. With [found], the value bound to each
+   present key [i] is stored at [found.(i)]; absent keys leave their slot
+   as the caller filled it. *)
+let count_sorted ?found t ~key ~lo ~hi =
   let descents = ref 0 and steps = ref 0 in
   let sw = sweep_start t in
   let vfill = ref 0 in
@@ -428,26 +483,26 @@ let count_sorted t ~key ~lo ~hi =
     else begin
       incr descents;
       sweep_descend t sw k;
-      vfill := Array.length sw.leaf.keys;
+      vfill := sw.leaf.len;
       redescend := false
     end;
-    match bsearch sw.leaf.keys k with
-    | Ok _ -> ()
-    | Error _ ->
-        if !vfill < max_leaf then incr vfill
-        else begin
-          incr descents;
-          redescend := true;
-          vfill := max_leaf + 1 - ((max_leaf + 1) / 2)
-        end
+    let j = bsearch sw.leaf.keys sw.leaf.len k in
+    if j >= 0 then (
+      match found with Some a -> a.(i) <- sw.leaf.vals.(j) | None -> ())
+    else if !vfill < max_leaf then incr vfill
+    else begin
+      incr descents;
+      redescend := true;
+      vfill := max_leaf + 1 - ((max_leaf + 1) / 2)
+    end
   done;
   { descents = !descents; steps = !steps }
 
 let iter_from t k f =
   let start = seek_leaf t.root k in
-  let pos = match bsearch start.keys k with Ok i -> i | Error i -> i in
+  let pos = slot (bsearch start.keys start.len k) in
   let rec walk (l : 'a leaf) i =
-    if i >= Array.length l.keys then
+    if i >= l.len then
       match l.next with None -> () | Some nl -> walk nl 0
     else if f l.keys.(i) l.vals.(i) then walk l (i + 1)
   in
@@ -459,7 +514,7 @@ let find_last_lt t k =
   let rec descend node =
     match node with
     | Leaf l ->
-        let i = match bsearch l.keys k with Ok i -> i | Error i -> i in
+        let i = slot (bsearch l.keys l.len k) in
         if i = 0 then None else Some (l.keys.(i - 1), l.vals.(i - 1))
     | Node n ->
         let i = child_index n k in
@@ -495,7 +550,7 @@ let iter t f =
   let rec walk = function
     | None -> ()
     | Some (l : 'a leaf) ->
-        for i = 0 to Array.length l.keys - 1 do
+        for i = 0 to l.len - 1 do
           f l.keys.(i) l.vals.(i)
         done;
         walk l.next
@@ -525,13 +580,16 @@ let check_invariants t =
   let rec walk node ~is_root ~lo ~hi =
     match node with
     | Leaf l ->
-        check_sorted l.keys "leaf";
-        if (not is_root) && Array.length l.keys < min_leaf then fail "leaf underflow";
-        if Array.length l.keys > max_leaf then fail "leaf overflow";
+        if l.len > Array.length l.keys || Array.length l.keys <> Array.length l.vals
+        then fail "leaf length exceeds its arrays";
+        let keys = Array.sub l.keys 0 l.len in
+        check_sorted keys "leaf";
+        if (not is_root) && l.len < min_leaf then fail "leaf underflow";
+        if l.len > max_leaf then fail "leaf overflow";
         Array.iter
           (fun k -> if not (in_bounds k lo hi) then fail "leaf key out of bounds")
-          l.keys;
-        count := !count + Array.length l.keys;
+          keys;
+        count := !count + l.len;
         leaves := l :: !leaves
     | Node n ->
         let nk = Array.length n.kids in

@@ -107,15 +107,19 @@ val apply_sorted :
     [find]/[insert] loop over the same run.
     @raise Invalid_argument if the keys are not strictly ascending. *)
 
-val count_sorted : 'a t -> key:(int -> string) -> lo:int -> hi:int -> bulk_counts
-(** [count_sorted t ~key ~lo ~hi] is a read-only prediction of the
+val count_sorted :
+  ?found:'a array -> 'a t -> key:(int -> string) -> lo:int -> hi:int -> bulk_counts
+(** [count_sorted ?found t ~key ~lo ~hi] is a read-only prediction of the
     charges an {!apply_sorted} sweep over the same run will incur, for
     the replay decision pattern (present keys mutated in place, absent
     keys installed). The tree is not modified, so a cost model can
     consume the predicted work {e before} the mutating sweep makes its
     writes visible. Counts match the live sweep exactly except around
     leaf splits, where the prediction can drift by at most one
-    descent/step per split.
+    descent/step per split. With [found], the pass also stores the value
+    bound to each present key [i] at [found.(i)] (absent keys leave their
+    slot untouched), so a caller can update present values without a
+    second descent.
     @raise Invalid_argument if the keys are not strictly ascending. *)
 
 val check_invariants : 'a t -> unit

@@ -2,36 +2,52 @@ type component = I of int | S of string
 
 let flip_sign x = x lxor min_int
 
-let encode_int buf x =
-  let x = flip_sign x in
-  for i = 7 downto 0 do
-    Buffer.add_char buf (Char.chr ((x lsr (8 * i)) land 0xff))
-  done
-
-let encode_string buf s =
-  String.iter
-    (fun c ->
-      if c = '\x00' then Buffer.add_string buf "\x00\xff" else Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '\x00'
-
 (* Tag bytes keep decode unambiguous and keep I/S ordering stable. *)
 let tag_int = '\x01'
 let tag_string = '\x02'
 
+let rec encoded_size n = function
+  | [] -> n
+  | I _ :: rest -> encoded_size (n + 9) rest
+  | S s :: rest ->
+      let z = ref 0 in
+      for i = 0 to String.length s - 1 do
+        if String.unsafe_get s i = '\x00' then incr z
+      done;
+      encoded_size (n + 2 + String.length s + !z) rest
+
+(* An int is its tag plus the 8 big-endian bytes of the sign-flipped
+   value. The OCaml int has 63 bits and [Int64.of_int] sign-extends bit 62
+   into bit 63, so bit 63 is masked off to keep the top byte a bytewise
+   shift-out gives. *)
+let rec write b pos = function
+  | [] -> pos
+  | I x :: rest ->
+      Bytes.unsafe_set b pos tag_int;
+      Bytes.set_int64_be b (pos + 1)
+        (Int64.logand (Int64.of_int (flip_sign x)) Int64.max_int);
+      write b (pos + 9) rest
+  | S s :: rest ->
+      Bytes.unsafe_set b pos tag_string;
+      let p = ref (pos + 1) in
+      for i = 0 to String.length s - 1 do
+        let c = String.unsafe_get s i in
+        Bytes.unsafe_set b !p c;
+        if c = '\x00' then begin
+          Bytes.unsafe_set b (!p + 1) '\xff';
+          p := !p + 2
+        end
+        else incr p
+      done;
+      Bytes.unsafe_set b !p '\x00';
+      write b (!p + 1) rest
+
+(* Sized once, then written in place: no [Buffer] growth and no copy. *)
 let encode components =
-  let buf = Buffer.create 32 in
-  List.iter
-    (fun c ->
-      match c with
-      | I x ->
-          Buffer.add_char buf tag_int;
-          encode_int buf x
-      | S s ->
-          Buffer.add_char buf tag_string;
-          encode_string buf s)
-    components;
-  Buffer.contents buf
+  let b = Bytes.create (encoded_size 0 components) in
+  let n = write b 0 components in
+  assert (n = Bytes.length b);
+  Bytes.unsafe_to_string b
 
 let decode s =
   let len = String.length s in

@@ -9,6 +9,9 @@ type t = {
   table_name : string;
   index : index;
   mutable bytes : int;
+  mutable removals : int;
+      (* bumped by every physical removal; a caller holding records found
+         before a yield checks it to know every one is still bound *)
 }
 
 let create ?(repr = Btree) ~id ~name () =
@@ -17,7 +20,7 @@ let create ?(repr = Btree) ~id ~name () =
     | Btree -> Tree (Btree.create ())
     | Hash -> Htbl (Hashtbl.create 256)
   in
-  { table_id = id; table_name = name; index; bytes = 0 }
+  { table_id = id; table_name = name; index; bytes = 0; removals = 0 }
 
 let id t = t.table_id
 let name t = t.table_name
@@ -77,8 +80,12 @@ let remove_phys t key =
         r
   in
   match removed with
-  | Some r -> t.bytes <- t.bytes - Record.byte_size ~key r
+  | Some r ->
+      t.bytes <- t.bytes - Record.byte_size ~key r;
+      t.removals <- t.removals + 1
   | None -> ()
+
+let removals t = t.removals
 
 let scan t ~lo ~hi ?(limit = max_int) () =
   match t.index with
@@ -159,7 +166,8 @@ let compact t =
       (match t.index with
       | Tree tr -> ignore (Btree.remove tr k)
       | Htbl h -> Hashtbl.remove h k);
-      t.bytes <- t.bytes - Record.byte_size ~key:k r)
+      t.bytes <- t.bytes - Record.byte_size ~key:k r;
+      t.removals <- t.removals + 1)
     !dead;
   List.length !dead
 
@@ -178,11 +186,19 @@ let check_ascending ~key ~lo ~hi =
       invalid_arg "Table.apply_sorted_run: keys not strictly ascending"
   done
 
-let count_sorted_run t ~key ~lo ~hi =
+let count_sorted_run ?found t ~key ~lo ~hi =
   match t.index with
-  | Tree tr -> Btree.count_sorted tr ~key ~lo ~hi
-  | Htbl _ ->
+  | Tree tr -> Btree.count_sorted ?found tr ~key ~lo ~hi
+  | Htbl h ->
       check_ascending ~key ~lo ~hi;
+      (match found with
+      | None -> ()
+      | Some a ->
+          for i = lo to hi - 1 do
+            match Hashtbl.find h (key i) with
+            | r -> a.(i) <- r
+            | exception Not_found -> ()
+          done);
       { Btree.descents = hi - lo; steps = 0 }
 
 let apply_sorted_run t ~key ~lo ~hi ~f =

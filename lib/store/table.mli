@@ -39,6 +39,12 @@ val insert : t -> string -> Record.t -> unit
 val remove_phys : t -> string -> unit
 (** Physically drop the key (leader-side delete). No-op if absent. *)
 
+val removals : t -> int
+(** How many records {!remove_phys} and {!compact} have dropped so far.
+    A key's record is only ever replaced by removing it first, so a record
+    found before a yield is still bound to its key when this count has
+    not moved. (Removals through {!tree} are not counted.) *)
+
 val scan : t -> lo:string -> hi:string -> ?limit:int -> unit -> (string * Record.t) list
 (** Live records with [lo <= key < hi], ascending, at most [limit]. *)
 
@@ -75,10 +81,12 @@ val tree : t -> Record.t Btree.t
     hash-indexed table — dispatch through {!apply_sorted_run} instead. *)
 
 val count_sorted_run :
-  t -> key:(int -> string) -> lo:int -> hi:int -> Btree.bulk_counts
+  ?found:Record.t array -> t -> key:(int -> string) -> lo:int -> hi:int -> Btree.bulk_counts
 (** Predict the index work of {!apply_sorted_run} over a strictly
     ascending run without mutating: {!Btree.count_sorted} for trees, one
-    descent (and no steps) per key for hash tables. *)
+    descent (and no steps) per key for hash tables. With [found], the
+    record of each present key [i] is stored at [found.(i)], as
+    {!Btree.count_sorted} does. *)
 
 val apply_sorted_run :
   t ->

@@ -387,17 +387,11 @@ let stock_update st txn ~supply_w ~i_id ~qty =
   let tb = st.tb in
   let s_key = k_stock supply_w i_id in
   let s_row = get_exn txn tb.ts s_key "stock" in
-  let quantity = Row.to_int (Row.field s_row 0) in
+  let quantity = Row.int_at s_row 0 in
   let new_qty = if quantity >= qty + 10 then quantity - qty else quantity - qty + 91 in
-  match Row.unpack s_row with
-  | _ :: ytd :: cnt :: rest ->
-      Silo.Txn.put txn tb.ts s_key
-        (Row.pack
-           (Row.int_field new_qty
-           :: Row.int_field (Row.to_int ytd + qty)
-           :: Row.int_field (Row.to_int cnt + 1)
-           :: rest))
-  | _ -> failwith "tpcc: bad stock row"
+  let s_row = Row.set_int s_row 0 new_qty in
+  let s_row = Row.set_int s_row 1 (Row.int_at s_row 1 + qty) in
+  Silo.Txn.put txn tb.ts s_key (Row.set_int s_row 2 (Row.int_at s_row 2 + 1))
 
 (* History keys keep the schema's worker component; a payload names no
    worker, so every Payment writes under one fixed slot. *)
@@ -412,9 +406,9 @@ let new_order st ~w ~remote ~seed txn =
     if p.fast_ids then fast_next_oid st w d
     else begin
       let d_row = get_exn txn tb.td (k_district w d) "district" in
-      let next = Row.to_int (Row.field d_row 0) in
+      let next = Row.int_at d_row 0 in
       Silo.Txn.put txn tb.td (k_district w d)
-        (Row.set_field d_row 0 (Row.int_field (next + 1)));
+        (Row.set_int d_row 0 (next + 1));
       next
     end
   in
@@ -436,7 +430,7 @@ let new_order st ~w ~remote ~seed txn =
         | _ -> (w, true)
       in
       let i_row = get_exn txn tb.ti (k_item i_id) "item" in
-      let price = Row.to_int (Row.field i_row 0) in
+      let price = Row.int_at i_row 0 in
       if local then stock_update st txn ~supply_w:w ~i_id ~qty;
       Silo.Txn.put txn tb.tol
         (k_order_line w d o_id (i + 1))
@@ -459,15 +453,9 @@ let pay_customer st txn ~cw ~cd ~c ~amount =
   let tb = st.tb in
   let c_key = k_customer cw cd c in
   let c_row = get_exn txn tb.tc c_key "customer" in
-  (match Row.unpack c_row with
-  | bal :: ytd :: cnt :: rest ->
-      Silo.Txn.put txn tb.tc c_key
-        (Row.pack
-           (Row.int_field (Row.to_int bal - amount)
-           :: Row.int_field (Row.to_int ytd + amount)
-           :: Row.int_field (Row.to_int cnt + 1)
-           :: rest))
-  | _ -> failwith "tpcc: bad customer row");
+  let c_row = Row.set_int c_row 0 (Row.int_at c_row 0 - amount) in
+  let c_row = Row.set_int c_row 1 (Row.int_at c_row 1 + amount) in
+  Silo.Txn.put txn tb.tc c_key (Row.set_int c_row 2 (Row.int_at c_row 2 + 1));
   st.history_seq <- st.history_seq + 1;
   Silo.Txn.put txn tb.th
     (k_history cw cd c client_worker_slot st.history_seq)
@@ -477,10 +465,10 @@ let pay_home st txn ~w ~d ~amount =
   let tb = st.tb in
   let w_row = get_exn txn tb.tw (k_warehouse w) "warehouse" in
   Silo.Txn.put txn tb.tw (k_warehouse w)
-    (Row.set_field w_row 0 (Row.int_field (Row.to_int (Row.field w_row 0) + amount)));
+    (Row.set_int w_row 0 (Row.int_at w_row 0 + amount));
   let d_row = get_exn txn tb.td (k_district w d) "district" in
   Silo.Txn.put txn tb.td (k_district w d)
-    (Row.set_field d_row 1 (Row.int_field (Row.to_int (Row.field d_row 1) + amount)))
+    (Row.set_int d_row 1 (Row.int_at d_row 1 + amount))
 
 let payment st ~w ~seed txn =
   let p = st.p in
@@ -503,7 +491,7 @@ let order_status st ~w ~seed txn =
   | Some (_, o_field) ->
       let o = Row.to_int o_field in
       let o_row = get_exn txn tb.to_ (k_order w d o) "order" in
-      let ol_cnt = Row.to_int (Row.field o_row 2) in
+      let ol_cnt = Row.int_at o_row 2 in
       for ol = 1 to ol_cnt do
         ignore (get_exn txn tb.tol (k_order_line w d o ol) "order_line")
       done
@@ -515,7 +503,7 @@ let stock_level st ~w ~seed txn =
   let threshold = 10 + Sim.Rng.int rng 11 in
   let next_o =
     if p.fast_ids then peek_next_oid st w d
-    else Row.to_int (Row.field (get_exn txn tb.td (k_district w d) "district") 0)
+    else Row.int_at (get_exn txn tb.td (k_district w d) "district") 0
   in
   let lo = k_order_line w d (max 1 (next_o - 20)) 0 in
   let _, hi = range [ I w; I d ] in
@@ -524,11 +512,11 @@ let stock_level st ~w ~seed txn =
   let low = ref 0 in
   List.iter
     (fun (_, row) ->
-      let i_id = Row.to_int (Row.field row 0) in
+      let i_id = Row.int_at row 0 in
       if not (Hashtbl.mem seen i_id) then begin
         Hashtbl.add seen i_id ();
         let s_row = get_exn txn tb.ts (k_stock w i_id) "stock" in
-        if Row.to_int (Row.field s_row 0) < threshold then incr low
+        if Row.int_at s_row 0 < threshold then incr low
       end)
     lines
 
@@ -549,53 +537,40 @@ let delivery st ~w ~seed txn =
         Silo.Txn.delete txn tb.tno no_key;
         let o_key = k_order w d o in
         let o_row = get_exn txn tb.to_ o_key "order" in
-        let c = Row.to_int (Row.field o_row 0) in
-        let ol_cnt = Row.to_int (Row.field o_row 2) in
-        Silo.Txn.put txn tb.to_ o_key (Row.set_field o_row 1 (Row.int_field carrier));
+        let c = Row.int_at o_row 0 in
+        let ol_cnt = Row.int_at o_row 2 in
+        Silo.Txn.put txn tb.to_ o_key (Row.set_int o_row 1 carrier);
         let total = ref 0 in
         for ol = 1 to ol_cnt do
           let ol_key = k_order_line w d o ol in
           let ol_row = get_exn txn tb.tol ol_key "order_line" in
-          total := !total + Row.to_int (Row.field ol_row 3);
-          Silo.Txn.put txn tb.tol ol_key (Row.set_field ol_row 4 (Row.int_field 1))
+          total := !total + Row.int_at ol_row 3;
+          Silo.Txn.put txn tb.tol ol_key (Row.set_int ol_row 4 1)
         done;
         let c_key = k_customer w d c in
         let c_row = get_exn txn tb.tc c_key "customer" in
-        let fields = Row.unpack c_row in
-        let c_row' =
-          match fields with
-          | bal :: ytd :: cnt :: dcnt :: rest ->
-              Row.pack
-                (Row.int_field (Row.to_int bal + !total)
-                :: ytd :: cnt
-                :: Row.int_field (Row.to_int dcnt + 1)
-                :: rest)
-          | _ -> failwith "tpcc: bad customer row"
-        in
+        let c_row' = Row.set_int c_row 0 (Row.int_at c_row 0 + !total) in
+        let c_row' = Row.set_int c_row' 3 (Row.int_at c_row' 3 + 1) in
         Silo.Txn.put txn tb.tc c_key c_row'
   done
 
 (* Per-database FastIds/history state, shared by every worker and session
    of a replica. Looked up from [db] on every call, never captured: an op
    may be partially applied to one database and wrapped (as the perf
-   harness does) before it runs. Held weakly, so a dropped database takes
-   its state with it. *)
-module States = Ephemeron.K1.Make (struct
-  type t = Silo.Db.t
-
-  let equal = ( == )
-  let hash = Silo.Db.id
-end)
-
-let states = States.create 16
+   harness does) before it runs. Attached to the database, so a dropped
+   database takes its state with it. *)
+type Silo.Db.attachment += Tpcc_state of state
 
 let state_for p db =
-  match States.find_opt states db with
-  | Some st -> st
-  | None ->
-      let st = make_state p db in
-      States.add states db st;
-      st
+  let rec find = function
+    | Tpcc_state st :: _ -> st
+    | _ :: rest -> find rest
+    | [] ->
+        let st = make_state p db in
+        Silo.Db.attach db (Tpcc_state st);
+        st
+  in
+  find (Silo.Db.attachments db)
 
 let op p db ~payload txn =
   let st = state_for p db in
@@ -707,12 +682,12 @@ let consistency_errors p db =
     match live warehouse (k_warehouse w) with
     | None -> err "warehouse %d missing" w
     | Some w_row ->
-        let w_ytd = Row.to_int (Row.field w_row 0) in
+        let w_ytd = Row.int_at w_row 0 in
         let d_sum = ref 0 in
         for d = 1 to p.districts do
           match live district (k_district w d) with
           | None -> err "district %d/%d missing" w d
-          | Some d_row -> d_sum := !d_sum + Row.to_int (Row.field d_row 1)
+          | Some d_row -> d_sum := !d_sum + Row.int_at d_row 1
         done;
         if w_ytd <> !d_sum then err "W_YTD mismatch for w=%d: %d <> %d" w w_ytd !d_sum
   done;
@@ -723,15 +698,15 @@ let consistency_errors p db =
       if not r.Store.Record.deleted then begin
         match Store.Keycodec.decode key with
         | [ I w; I d; I o ] ->
-            let ol_cnt = Row.to_int (Row.field r.Store.Record.value 2) in
-            let delivered = Row.to_int (Row.field r.Store.Record.value 1) <> 0 in
+            let ol_cnt = Row.int_at r.Store.Record.value 2 in
+            let delivered = Row.int_at r.Store.Record.value 1 <> 0 in
             for ol = 1 to ol_cnt do
               match Store.Table.get_live order_line (k_order_line w d o ol) with
               | None -> err "order %d/%d/%d missing line %d" w d o ol
               | Some lr ->
                   if delivered then
                     delivered_amount :=
-                      !delivered_amount + Row.to_int (Row.field lr.Store.Record.value 3)
+                      !delivered_amount + Row.int_at lr.Store.Record.value 3
             done
         | _ -> err "bad order key"
       end);
@@ -747,7 +722,7 @@ let consistency_errors p db =
       if not r.Store.Record.deleted then begin
         let row = r.Store.Record.value in
         balance_sum :=
-          !balance_sum + Row.to_int (Row.field row 0) + Row.to_int (Row.field row 1)
+          !balance_sum + Row.int_at row 0 + Row.int_at row 1
       end);
   if !balance_sum <> !delivered_amount then
     err "balance equation: sum(C_BALANCE + C_YTD_PAYMENT) = %d but delivered amounts = %d"

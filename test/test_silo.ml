@@ -444,6 +444,194 @@ let test_delete_then_reinsert () =
       in
       Sim.Engine.run eng)
 
+
+(* Install reuses the record a transaction read. If a concurrent commit
+   deletes that key and inserts it again, the read record is no longer
+   bound: validation must abort the reader (its version moved), and the
+   re-inserted record must survive untouched. *)
+let test_read_record_replaced () =
+  with_db (fun eng _cpu db ->
+      let t = Silo.Db.create_table db "t" in
+      Store.Table.insert t "k" (Store.Record.make "v0");
+      let outcome = ref `Unset in
+      let _reader =
+        Sim.Engine.spawn eng (fun () ->
+            let r =
+              Silo.Db.run_once db ~worker:0 (fun txn ->
+                  let v = Option.get (Silo.Txn.get txn t "k") in
+                  for _ = 1 to 100 do
+                    ignore (Silo.Txn.get txn t "other")
+                  done;
+                  Silo.Txn.put txn t "k" (v ^ "+"))
+            in
+            outcome := if r = None then `Aborted else `Committed)
+      in
+      let _writer =
+        Sim.Engine.spawn eng (fun () ->
+            Sim.Engine.sleep 1;
+            ignore (Silo.Db.run db ~worker:1 (fun txn -> Silo.Txn.delete txn t "k"));
+            ignore (Silo.Db.run db ~worker:1 (fun txn -> Silo.Txn.put txn t "k" "v2")))
+      in
+      Sim.Engine.run eng;
+      check_bool "reader aborted" true (!outcome = `Aborted);
+      match Store.Table.get t "k" with
+      | Some r ->
+          Alcotest.(check string) "re-insert survives" "v2" r.Store.Record.value;
+          check_int "fresh record" 1 r.Store.Record.version
+      | None -> Alcotest.fail "re-inserted key missing")
+
+(* Under a read floor (follower reads) a delete keeps its tombstone in the
+   index while the prior version is retained. A later write that never
+   read the key (a guarded insert that finds it bound, alone or as a
+   sorted run of two) or that read the tombstone first must revive that
+   same record in place: retain the tombstone, bump the version, account
+   the bytes — what a lookup-first install does. *)
+let test_insert_over_retained_tombstone () =
+  let write_modes =
+    [
+      ("blind put", fun txn t -> Silo.Txn.put txn t "k" "v2");
+      ( "blind run",
+        fun txn t ->
+          Silo.Txn.put txn t "k" "v2";
+          Silo.Txn.put txn t "k2" "w2" );
+      ( "read then put",
+        fun txn t ->
+          check_bool "tombstone reads absent" true (Silo.Txn.get txn t "k" = None);
+          Silo.Txn.put txn t "k" "v2" );
+    ]
+  in
+  List.iter
+    (fun (mode, write) ->
+      with_db (fun eng _cpu db ->
+          let t = Silo.Db.create_table db "t" in
+          Silo.Db.set_read_floor db (Some (fun () -> 0));
+          let _p =
+            Sim.Engine.spawn eng (fun () ->
+                let run f = ignore (Silo.Db.run db ~worker:0 f) in
+                run (fun txn ->
+                    Silo.Txn.put txn t "k" "v1";
+                    Silo.Txn.put txn t "k2" "w1");
+                run (fun txn ->
+                    Silo.Txn.delete txn t "k";
+                    Silo.Txn.delete txn t "k2");
+                let tomb = Option.get (Store.Table.get t "k") in
+                check_bool "tombstone retained" true tomb.Store.Record.deleted;
+                let version = tomb.Store.Record.version and ts = tomb.Store.Record.ts in
+                run (fun txn -> write txn t);
+                let r = Option.get (Store.Table.get t "k") in
+                let name what = Printf.sprintf "%s: %s" mode what in
+                check_bool (name "same record revived") true (r == tomb);
+                check_bool (name "live") false r.Store.Record.deleted;
+                Alcotest.(check string) (name "value") "v2" r.Store.Record.value;
+                check_int (name "version bumped") (version + 1) r.Store.Record.version;
+                check_bool (name "tombstone retained in the slot") true
+                  r.Store.Record.snap_deleted;
+                check_int (name "slot stamp") ts r.Store.Record.snap_ts;
+                let bytes = ref 0 in
+                Store.Table.iter t (fun key r -> bytes := !bytes + Store.Record.byte_size ~key r);
+                check_int (name "bytes accounted") !bytes (Store.Table.bytes t))
+          in
+          Sim.Engine.run eng))
+    write_modes
+
+(* A tombstone the transaction read is not reused by install: a
+   [Table.compact] between the read and the commit drops it without a
+   version bump, so validation passes and the write must go through a
+   fresh lookup (here: an insert) rather than into the dropped record. *)
+let test_read_tombstone_compacted () =
+  with_db ~physical_deletes:false (fun eng _cpu db ->
+      let t = Silo.Db.create_table db "t" in
+      let committed = ref false in
+      let _p =
+        Sim.Engine.spawn eng (fun () ->
+            ignore (Silo.Db.run db ~worker:0 (fun txn -> Silo.Txn.put txn t "k" "v1"));
+            ignore (Silo.Db.run db ~worker:0 (fun txn -> Silo.Txn.delete txn t "k"));
+            let _compactor =
+              Sim.Engine.spawn eng (fun () ->
+                  Sim.Engine.sleep 1;
+                  check_int "tombstone dropped" 1 (Store.Table.compact t))
+            in
+            let r =
+              Silo.Db.run_once db ~worker:0 (fun txn ->
+                  check_bool "reads absent" true (Silo.Txn.get txn t "k" = None);
+                  Silo.Txn.put txn t "k" "v2")
+            in
+            committed := r <> None)
+      in
+      Sim.Engine.run eng;
+      check_bool "committed" true !committed;
+      match Store.Table.get_live t "k" with
+      | Some r -> Alcotest.(check string) "write landed in the index" "v2" r.Store.Record.value
+      | None -> Alcotest.fail "write lost into the dropped tombstone")
+
+(* The one-descent bulk replay CASes into the records its prediction pass
+   found. A [Table.compact] that runs while the entry's charge is being
+   consumed (as promotion's does) unbinds found tombstones, so the apply
+   must fall back to the full sweep: the database must end exactly as
+   per-transaction replay with the compaction between the two entries
+   leaves it, for sequential and sliced replay. *)
+let test_replay_compact_during_charge () =
+  let mk ts writes = { Store.Wire.ts; req = None; decision = None; writes } in
+  let w key value = { Store.Wire.table = 0; key; value } in
+  let key i = Printf.sprintf "k%02d" i in
+  let e1 =
+    Store.Wire.make_entry ~epoch:1
+      [ mk 10 (List.init 24 (fun i -> w (key i) (if i mod 3 = 0 then None else Some "a"))) ]
+  in
+  let e2 =
+    Store.Wire.make_entry ~epoch:1
+      [
+        mk 20 (List.init 24 (fun i -> w (key i) (Some (Printf.sprintf "b%d" i))));
+        mk 30 [ w (key 5) None; w (key 6) (Some "c") ];
+      ]
+  in
+  let state apply =
+    with_db ~physical_deletes:false (fun eng _cpu db ->
+        let t = Silo.Db.create_table db "t" in
+        let _p = Sim.Engine.spawn eng (fun () -> apply eng db t) in
+        Sim.Engine.run eng;
+        let dump = ref [] in
+        Store.Table.iter t (fun k (r : Store.Record.t) ->
+            dump :=
+              (k, r.Store.Record.value, r.Store.Record.deleted, r.Store.Record.epoch,
+               r.Store.Record.ts)
+              :: !dump);
+        (List.rev !dump, Store.Table.bytes t))
+  in
+  let per_txn db (e : Store.Wire.entry) =
+    let applied = ref 0 in
+    List.iter
+      (fun txn ->
+        Silo.Db.apply_replay db txn ~epoch:1 ~writes:(List.length txn.Store.Wire.writes)
+          ~applied)
+      e.Store.Wire.txns
+  in
+  let reference =
+    state (fun _eng db t ->
+        per_txn db e1;
+        check_int "reference compacts the tombstones" 8 (Store.Table.compact t);
+        per_txn db e2)
+  in
+  List.iter
+    (fun ways ->
+      let bulk =
+        state (fun eng db t ->
+            ignore (Silo.Db.apply_replay_entry db e1 ~upto:max_int ());
+            let dropped = ref 0 and at = ref 0 and charged_from = Sim.Engine.now eng in
+            let _compactor =
+              Sim.Engine.spawn eng (fun () ->
+                  Sim.Engine.sleep 1;
+                  at := Sim.Engine.now eng;
+                  dropped := Store.Table.compact t)
+            in
+            ignore (Silo.Db.apply_replay_entry db e2 ~ways ~upto:max_int ());
+            check_int "compaction dropped the tombstones" 8 !dropped;
+            check_bool "compaction landed inside the charge" true
+              (!at > charged_from && !at < Sim.Engine.now eng))
+      in
+      check_bool (Printf.sprintf "ways=%d equals per-txn replay" ways) true (bulk = reference))
+    [ 1; 4 ]
+
 (* ---- serializability oracle ----
 
    Random transactions of the form "read two keys, write their sum+1 to a
@@ -522,6 +710,11 @@ let () =
           Alcotest.test_case "absent-read validation" `Quick test_absent_read_validation;
           Alcotest.test_case "probe validation" `Quick test_probe_validation;
           Alcotest.test_case "delete then reinsert" `Quick test_delete_then_reinsert;
+          Alcotest.test_case "read record replaced" `Quick test_read_record_replaced;
+          Alcotest.test_case "insert over retained tombstone" `Quick
+            test_insert_over_retained_tombstone;
+          Alcotest.test_case "read tombstone compacted" `Quick
+            test_read_tombstone_compacted;
           Alcotest.test_case "monotone timestamps" `Quick test_next_ts_monotone;
           qc oracle_qcheck;
         ] );
@@ -533,5 +726,7 @@ let () =
             test_bulk_replay_upto_truncation;
           Alcotest.test_case "parallel ways equivalence" `Quick
             test_parallel_replay_ways_equivalence;
+          Alcotest.test_case "compact during the charge" `Quick
+            test_replay_compact_during_charge;
         ] );
     ]

@@ -76,6 +76,47 @@ let test_rng_uniformity () =
   done;
   Array.iter (fun c -> check_bool "roughly uniform" true (c > 500 && c < 1500)) cells
 
+(* Golden xoshiro256** vectors: a change to the generator's state layout
+   must keep every stream bit-identical.
+   Per seed: two [int64] draws, then [int] at three bounds, one [float],
+   the first draw of a [split] child and the parent's next draw. *)
+let rng_golden =
+  [
+    ( 0L,
+      [ -7355399402456485196L; -4652746763540216534L ],
+      [ 736; 640494892; 4298031953262947929 ],
+      0x1.ffdf06ebb3d79p-1,
+      533229949298291372L,
+      -8565655843838424513L );
+    ( 42L,
+      [ 1546998764402558742L; 6990951692964543102L ],
+      [ 417; 62087329; 4460494922783153764 ],
+      0x1.8a1b4a6202f2ap-1,
+      6277591095277297779L,
+      -2766855848391737209L );
+    ( -1L,
+      [ -8118546653352383224L; -4290065566684577747L ],
+      [ 670; 106904623; 1240059989959942954 ],
+      0x1.76a6bd2728374p-1,
+      6650964370566282453L,
+      -4285393230689821982L );
+  ]
+
+let test_rng_golden () =
+  List.iter
+    (fun (seed, i64s, ints, f, child, after) ->
+      let r = Sim.Rng.create seed in
+      let name what = Printf.sprintf "seed %Ld %s" seed what in
+      List.iter (fun v -> Alcotest.(check int64) (name "int64") v (Sim.Rng.int64 r)) i64s;
+      List.iter2
+        (fun v n -> check_int (name "int") v (Sim.Rng.int r n))
+        ints [ 1000; 0x3FFF_FFFF; max_int ];
+      Alcotest.(check (float 0.)) (name "float") f (Sim.Rng.float r 1.0);
+      let c = Sim.Rng.split r in
+      Alcotest.(check int64) (name "split child") child (Sim.Rng.int64 c);
+      Alcotest.(check int64) (name "after split") after (Sim.Rng.int64 r))
+    rng_golden
+
 (* ---------- Engine ---------- *)
 
 let test_engine_time_order () =
@@ -96,6 +137,28 @@ let test_engine_fifo_ties () =
   done;
   Sim.Engine.run eng;
   Alcotest.(check (list int)) "FIFO among equal times" [ 1; 2; 3; 4; 5 ] (List.rev !log)
+
+(* Five thunks at t=10 (four ties), one at t=20, then a process that
+   starts at t=20 (a tie with the thunk there) and wakes at t=30; a
+   later [run ~until] that moves the clock without firing adds nothing,
+   and an event at the moved-to instant is not a tie of an unfired one. *)
+let test_engine_counters () =
+  let e0 = Sim.Engine.events_fired () and t0 = Sim.Engine.ties () in
+  let eng = Sim.Engine.create () in
+  for _ = 1 to 5 do
+    Sim.Engine.schedule eng 10 ignore
+  done;
+  Sim.Engine.schedule eng 20 (fun () ->
+      ignore (Sim.Engine.spawn eng (fun () -> Sim.Engine.sleep 10)));
+  Sim.Engine.run eng;
+  check_int "events fired" 8 (Sim.Engine.events_fired () - e0);
+  check_int "ties" 5 (Sim.Engine.ties () - t0);
+  Sim.Engine.run ~until:100 eng;
+  check_int "no event, no count" 8 (Sim.Engine.events_fired () - e0);
+  Sim.Engine.schedule eng 100 ignore;
+  Sim.Engine.run eng;
+  check_int "one more event" 9 (Sim.Engine.events_fired () - e0);
+  check_int "not a tie" 5 (Sim.Engine.ties () - t0)
 
 let test_process_sleep () =
   let eng = Sim.Engine.create () in
@@ -694,12 +757,14 @@ let () =
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
           Alcotest.test_case "int_in bounds" `Quick test_rng_int_in;
           Alcotest.test_case "uniformity" `Quick test_rng_uniformity;
+          Alcotest.test_case "golden vectors" `Quick test_rng_golden;
           qc rng_bounds_qcheck;
         ] );
       ( "engine",
         [
           Alcotest.test_case "time order" `Quick test_engine_time_order;
           Alcotest.test_case "FIFO ties" `Quick test_engine_fifo_ties;
+          Alcotest.test_case "event and tie counters" `Quick test_engine_counters;
           Alcotest.test_case "process sleep" `Quick test_process_sleep;
           Alcotest.test_case "run until" `Quick test_run_until;
           Alcotest.test_case "kill process" `Quick test_kill_process;

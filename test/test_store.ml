@@ -39,6 +39,46 @@ let codec_order_preserving =
       let cb = compare (Store.Keycodec.encode a) (Store.Keycodec.encode b) in
       (ca < 0) = (cb < 0) && (ca = 0) = (cb = 0))
 
+(* A [Buffer]-based encoder, kept as the byte-level reference the
+   library's sized single-pass encoder must reproduce. *)
+let ref_encode components =
+  let buf = Buffer.create 32 in
+  List.iter
+    (function
+      | Store.Keycodec.I x ->
+          Buffer.add_char buf '\x01';
+          let x = x lxor min_int in
+          for i = 7 downto 0 do
+            Buffer.add_char buf (Char.chr ((x lsr (8 * i)) land 0xff))
+          done
+      | Store.Keycodec.S s ->
+          Buffer.add_char buf '\x02';
+          String.iter
+            (fun c ->
+              if c = '\x00' then Buffer.add_string buf "\x00\xff"
+              else Buffer.add_char buf c)
+            s;
+          Buffer.add_char buf '\x00')
+    components;
+  Buffer.contents buf
+
+let codec_reference_qcheck =
+  let edge =
+    QCheck.Gen.(
+      oneof
+        [
+          component;
+          map (fun i -> Store.Keycodec.I i) (oneofl [ min_int; max_int; -1; 0; 1 ]);
+          map
+            (fun s -> Store.Keycodec.S s)
+            (string_size ~gen:(oneofl [ '\x00'; '\xff'; 'a' ]) (0 -- 6));
+        ])
+  in
+  QCheck.Test.make ~name:"keycodec encode matches the Buffer reference" ~count:1000
+    (QCheck.make ~print:(fun cs -> String.escaped (ref_encode cs))
+       QCheck.Gen.(list_size (0 -- 5) edge))
+    (fun cs -> Store.Keycodec.encode cs = ref_encode cs)
+
 let codec_decode_fuzz =
   QCheck.Test.make ~name:"decode of arbitrary bytes never crashes" ~count:500
     QCheck.(string_of_size Gen.(0 -- 60))
@@ -953,6 +993,7 @@ let () =
           qc codec_tpcc_order;
           qc codec_split_key_soundness;
           qc codec_decode_fuzz;
+          qc codec_reference_qcheck;
         ] );
       ( "btree",
         [

@@ -22,6 +22,53 @@ let test_row_field_ops () =
   check_int "set_field" 43 (Workload.Row.to_int (Workload.Row.field row' 1));
   Alcotest.(check string) "others untouched" "c" (Workload.Row.field row' 2)
 
+(* The list codec's framing, kept here as the byte-level reference the
+   in-place readers and writers must agree with. *)
+let ref_pack fields =
+  String.concat "" (List.map (fun f -> Printf.sprintf "%d:%s" (String.length f) f) fields)
+
+(* Rows mix numeric fields (negative ones and [min_int]/[max_int] too),
+   empty fields and free text that may hold the framing's own ':' and
+   digits. *)
+let row_field_gen =
+  let open QCheck.Gen in
+  oneof
+    [
+      map string_of_int int;
+      map string_of_int (int_range (-1000) 1000);
+      oneofl [ ""; string_of_int min_int; string_of_int max_int; "0"; "-0" ];
+      string_size ~gen:(oneofl [ 'a'; ':'; '7'; '-'; '\x00' ]) (0 -- 12);
+    ]
+
+let row_case_arb =
+  let open QCheck.Gen in
+  let gen =
+    list_size (1 -- 8) row_field_gen >>= fun fields ->
+    int_range 0 (List.length fields - 1) >>= fun i ->
+    row_field_gen >>= fun v ->
+    map (fun n -> (fields, i, v, n)) int
+  in
+  QCheck.make
+    ~print:(fun (fs, i, v, n) ->
+      Printf.sprintf "[%s] i=%d v=%S n=%d" (String.concat "; " (List.map (Printf.sprintf "%S") fs)) i v n)
+    gen
+
+let row_codec_qcheck =
+  QCheck.Test.make ~name:"row readers and writers agree with the list codec" ~count:1000
+    row_case_arb (fun (fields, i, v, n) ->
+      let module R = Workload.Row in
+      let row = R.pack fields in
+      let numeric f = int_of_string_opt f <> None in
+      row = ref_pack fields
+      && R.unpack row = fields
+      && R.field row i = List.nth fields i
+      && R.set_field row i v
+         = ref_pack (List.mapi (fun j f -> if j = i then v else f) fields)
+      && ((not (numeric (List.nth fields i)))
+         || R.int_at row i = int_of_string (List.nth fields i))
+      && R.set_int row i n
+         = ref_pack (List.mapi (fun j f -> if j = i then string_of_int n else f) fields))
+
 (* ---------- Zipf ---------- *)
 
 let test_zipf_bounds_and_skew () =
@@ -247,7 +294,11 @@ let () =
   Alcotest.run "workload"
     [
       ( "row",
-        [ Alcotest.test_case "field ops" `Quick test_row_field_ops; qc row_roundtrip_qcheck ]
+        [
+          Alcotest.test_case "field ops" `Quick test_row_field_ops;
+          qc row_roundtrip_qcheck;
+          qc row_codec_qcheck;
+        ]
       );
       ( "zipf",
         [
