@@ -33,15 +33,16 @@ let run ~quick =
           (fmt_tps (Rolis.Cluster.throughput cluster))
           (fmt_ms (Sim.Metrics.Hist.quantile lat 0.50))
           (fmt_ms (Sim.Metrics.Hist.quantile lat 0.95))
-          (Rolis.Cluster.deadline_flushes cluster)
+          (Rolis.Cluster.count cluster Rolis.Stats.Deadline_flushes)
           (Rolis.Cluster.coalesced_proposals cluster);
         let p =
           cluster_point ~series:name ~x:(float_of_int workers)
             ~extra:
               [
                 ( "avg_batch",
-                  float_of_int (Rolis.Cluster.released cluster)
-                  /. float_of_int (max 1 (Rolis.Cluster.entries_flushed cluster))
+                  float_of_int (Rolis.Cluster.count cluster Rolis.Stats.Released)
+                  /. float_of_int
+                       (max 1 (Rolis.Cluster.count cluster Rolis.Stats.Entries_flushed))
                 );
               ]
             cluster

@@ -72,7 +72,7 @@ let scenario ~spares ~duration op =
   in
   Rolis.Cluster.run cluster ~warmup:(600 * ms) ~duration:0 ();
   let cs = Rolis.Cluster.client_stats cluster in
-  let parked0 = Rolis.Stats.parked_ns cs in
+  let parked0 = Rolis.Stats.get cs Rolis.Stats.Parked_ns in
   let op_ns = ref 0 and op_ok = ref (op = None) in
   (match op with
   | None -> ()
@@ -93,7 +93,7 @@ let scenario ~spares ~duration op =
   {
     p50_ms = q 0.5;
     p99_ms = q 0.99;
-    parked_ms = float_of_int (Rolis.Stats.parked_ns cs - parked0) /. 1e6;
+    parked_ms = float_of_int (Rolis.Stats.get cs Rolis.Stats.Parked_ns - parked0) /. 1e6;
     redirects = Array.fold_left (fun a c -> a + Rolis.Client.redirects c) 0 sessions;
     acked = Array.fold_left (fun a c -> a + Rolis.Client.acked_count c) 0 sessions;
     op_ms = float_of_int !op_ns /. 1e6;

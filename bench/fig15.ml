@@ -107,17 +107,17 @@ let run ~quick =
         let app = Workload.Tpcc.app (tpcc_params ~workers) in
         let series = "cluster_bulk" in
         let c = run_rolis ~workers ~duration:(dur quick (400 * ms)) ~app () in
-        let lag = Rolis.Cluster.replay_lag c in
+        let lag = Rolis.Cluster.stage_summary c Rolis.Trace.Replay_lag in
         let lag_ms p = float_of_int p /. 1e6 in
         Printf.printf "  %-10s %-8d %12s %9.2f ms %9.2f ms %10d\n%!" series
           workers
           (fmt_tps (Rolis.Cluster.throughput c))
-          (match lag with Some (_, p50, _) -> lag_ms p50 | None -> nan)
-          (match lag with Some (_, _, p95) -> lag_ms p95 | None -> nan)
-          (Rolis.Cluster.replayed_txns c);
+          (match lag with Some (_, p50, _, _) -> lag_ms p50 | None -> nan)
+          (match lag with Some (_, _, p95, _) -> lag_ms p95 | None -> nan)
+          (Rolis.Cluster.count c Rolis.Stats.Replayed_txns);
         let extra =
           match lag with
-          | Some (_, p50, p95) ->
+          | Some (_, p50, p95, _) ->
               [ ("lag_p50_ms", lag_ms p50); ("lag_p95_ms", lag_ms p95) ]
           | None -> []
         in

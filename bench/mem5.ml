@@ -28,8 +28,8 @@ let run ~quick =
   Printf.printf "  median latency:               %s ms\n"
     (fmt_ms (Sim.Metrics.Hist.quantile (Rolis.Cluster.latency cluster) 0.5));
   Printf.printf "  avg log bytes per txn:        %.1f\n%!"
-    (float_of_int (Rolis.Stats.serialized_bytes st)
-    /. float_of_int (max 1 (Rolis.Stats.executed st)));
+    (float_of_int (Rolis.Stats.get st Rolis.Stats.Serialized_bytes)
+    /. float_of_int (max 1 (Rolis.Stats.get st Rolis.Stats.Executed)));
   emit ~fig:"mem5" ~title:"impact of delayed commit (TPC-C, 31 threads)"
     ~x_label:"threads"
     ~knobs:[ ("workers", "31"); ("workload", "tpcc") ]
@@ -41,8 +41,8 @@ let run ~quick =
             ( "peak_spec_gb",
               float_of_int (Rolis.Stats.peak_speculative_bytes st) /. 1e9 );
             ( "log_bytes_per_txn",
-              float_of_int (Rolis.Stats.serialized_bytes st)
-              /. float_of_int (max 1 (Rolis.Stats.executed st)) );
+              float_of_int (Rolis.Stats.get st Rolis.Stats.Serialized_bytes)
+              /. float_of_int (max 1 (Rolis.Stats.get st Rolis.Stats.Executed)) );
           ]
         cluster;
     ];

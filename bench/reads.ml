@@ -61,7 +61,8 @@ let run_arm ~quick ~app_p ~wan ~prefer_of =
   let start, stop = Rolis.Cluster.window cluster in
   let secs = float_of_int (stop - start) /. float_of_int s in
   ignore sessions;
-  let read_tput = float_of_int (Rolis.Cluster.reads_served cluster) /. secs in
+  let served = Rolis.Cluster.count cluster Rolis.Stats.Reads_served in
+  let read_tput = float_of_int served /. secs in
   (cluster, read_tput)
 
 let serving_sweep ~quick ~name ~app_p =
@@ -81,11 +82,11 @@ let serving_sweep ~quick ~name ~app_p =
       if serving = 1 then base := read_tput;
       let speedup = if !base > 0.0 then read_tput /. !base else 1.0 in
       let stale_p95_ms =
-        match Rolis.Cluster.read_staleness cluster with
-        | Some (_, _, p95) -> float_of_int p95 /. 1e6
+        match Rolis.Cluster.stage_summary cluster Rolis.Trace.Read_staleness with
+        | Some (_, _, p95, _) -> float_of_int p95 /. 1e6
         | None -> 0.0
       in
-      let misses = Rolis.Cluster.read_misses cluster in
+      let misses = Rolis.Cluster.count cluster Rolis.Stats.Read_misses in
       Printf.printf "  %-8s %-8d %12s %12s %9.2f ms %10d %7.2fx\n%!" name
         serving (fmt_tps read_tput)
         (fmt_tps (Rolis.Cluster.throughput cluster))
@@ -108,8 +109,8 @@ let wan_arm ~quick =
     let cluster, read_tput = run_arm ~quick ~app_p:ycsb_c ~wan:true ~prefer_of in
     Printf.printf "  %-12s %12s reads/s  (served %d, redirected %d)\n%!" label
       (fmt_tps read_tput)
-      (Rolis.Cluster.reads_served cluster)
-      (Rolis.Cluster.reads_redirected cluster);
+      (Rolis.Cluster.count cluster Rolis.Stats.Reads_served)
+      (Rolis.Cluster.count cluster Rolis.Stats.Reads_redirected);
     point ~series:("wan3_" ^ label) ~x:3.0 [ ("read_tput", read_tput) ]
   in
   Printf.printf "  WAN (wan3: 3 regions, ~30 ms cross-region):\n";

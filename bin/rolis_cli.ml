@@ -164,7 +164,17 @@ let run_cluster workload workers cores batch replay_parallel
           Printf.printf "[t=%dms] crashing leader (replica 0)\n%!" at;
           Rolis.Cluster.crash_replica cluster 0)
   | None -> ());
+  (* Sessions count acks over the whole run; the [reads:] line reports the
+     measurement window, like the served count beside it. *)
+  let read_acks () =
+    Array.fold_left (fun a c -> a + Rolis.Client.acked_count c) 0 read_sessions
+  in
+  let warmup_acks = ref 0 in
+  if follower_reads then
+    Sim.Engine.schedule (Rolis.Cluster.engine cluster) (warmup_ms * ms) (fun () ->
+        warmup_acks := read_acks ());
   Rolis.Cluster.run cluster ~warmup:(warmup_ms * ms) ~duration:(duration_ms * ms) ();
+  let count = Rolis.Cluster.count cluster in
   let lat = Rolis.Cluster.latency cluster in
   Printf.printf "workload:        %s, %d workers, batch %d (%d us budget)%s%s\n"
     workload workers batch target_delay_us
@@ -177,36 +187,34 @@ let run_cluster workload workers cores batch replay_parallel
     (float_of_int (Sim.Metrics.Hist.quantile lat 0.95) /. 1e6);
   Printf.printf
     "batching:        %d deadline flushes, %d event releases, %d coalesced proposals\n"
-    (Rolis.Cluster.deadline_flushes cluster)
-    (Rolis.Cluster.event_releases cluster)
+    (count Rolis.Stats.Deadline_flushes)
+    (count Rolis.Stats.Event_releases)
     (Rolis.Cluster.coalesced_proposals cluster);
   Printf.printf "replay:          %d txns replayed%s%s\n"
-    (Rolis.Cluster.replayed_txns cluster)
+    (count Rolis.Stats.Replayed_txns)
     (if replay_parallel > 1 then Printf.sprintf " (x%d fan-out)" replay_parallel
      else "")
-    (match Rolis.Cluster.replay_lag cluster with
-    | Some (n, p50, p95) ->
+    (match Rolis.Cluster.stage_summary cluster Rolis.Trace.Replay_lag with
+    | Some (n, p50, p95, _) ->
         Printf.sprintf ", follower lag p50 %.2f ms / p95 %.2f ms (%d samples)"
           (float_of_int p50 /. 1e6)
           (float_of_int p95 /. 1e6)
           n
     | None -> "");
-  Printf.printf "executed:        %d (user aborts: %d)\n" (Rolis.Cluster.executed cluster)
-    (Rolis.Cluster.user_aborts cluster);
+  Printf.printf "executed:        %d (user aborts: %d)\n" (count Rolis.Stats.Executed)
+    (count Rolis.Stats.User_aborts);
   if follower_reads then begin
-    let acked =
-      Array.fold_left (fun a c -> a + Rolis.Client.acked_count c) 0 read_sessions
-    in
+    let acked = read_acks () - !warmup_acks in
     Printf.printf
       "reads:           %d acked / %d served, parked %d, redirected %d, \
        misses %d%s%s\n"
       acked
-      (Rolis.Cluster.reads_served cluster)
-      (Rolis.Cluster.reads_parked cluster)
-      (Rolis.Cluster.reads_redirected cluster)
-      (Rolis.Cluster.read_misses cluster)
-      (match Rolis.Cluster.read_staleness cluster with
-      | Some (n, p50, p95) ->
+      (count Rolis.Stats.Reads_served)
+      (count Rolis.Stats.Reads_parked)
+      (count Rolis.Stats.Reads_redirected)
+      (count Rolis.Stats.Read_misses)
+      (match Rolis.Cluster.stage_summary cluster Rolis.Trace.Read_staleness with
+      | Some (n, p50, p95, _) ->
           Printf.sprintf ", staleness p50 %.2f ms / p95 %.2f ms (%d samples)"
             (float_of_int p50 /. 1e6)
             (float_of_int p95 /. 1e6)

@@ -63,7 +63,7 @@ let () =
   let cluster = Rolis.Cluster.create cfg (bank_app stopped) in
   Printf.printf "Running 4 workers x 1 virtual second of transfers...\n";
   Rolis.Cluster.run cluster ~duration:Sim.Engine.s ();
-  let transfers = Rolis.Cluster.released cluster in
+  let transfers = Rolis.Cluster.count cluster Rolis.Stats.Released in
   let tps = Rolis.Cluster.throughput cluster in
   (* Stop generating and drain so followers finish replay. *)
   stopped := true;

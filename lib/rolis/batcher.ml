@@ -75,9 +75,8 @@ let flush t =
     let entry = Store.Wire.make_entry ~epoch:(t.epoch ()) (List.rev t.txns) in
     t.txns <- [];
     t.count <- 0;
-    let bytes = t.bytes in
     t.bytes <- 0;
-    Stats.note_replicated t.stats ~bytes;
+    Stats.add t.stats Stats.Entries_flushed 1;
     t.propose entry
   end
 
@@ -91,8 +90,8 @@ let schedule_deadline t ~now =
     (now + t.cfg.Config.target_batch_delay_ns)
     (fun () ->
       if t.deadline_gen = gen && t.count > 0 then begin
-        Stats.note_deadline_flush t.stats;
-        Trace.note_disposition t.trace Trace.Deadline_flush;
+        Trace.note_disposition t.trace ~count:Stats.Deadline_flushes
+          Trace.Deadline_flush;
         flush t
       end)
 
@@ -141,7 +140,7 @@ let charge_submit_cost t ~bytes =
     Silo.Costs.replicate_cost t.cfg.Config.costs ~bytes
     + (entry_overhead_ns / amortize)
   in
-  Stats.note_serialized t.stats ~bytes;
+  Stats.add t.stats Stats.Serialized_bytes bytes;
   match t.mutex with
   | None -> Sim.Cpu.consume t.cpu (serialize + replicate)
   | Some mu ->

@@ -342,13 +342,14 @@ let run_seed ?(replicas = 3) ?(workers = 4) ?(clients = 8) ?(accounts = 48)
       [ { Check.check = "exception"; detail = Printexc.to_string exn } ]
   in
   let total f = Array.fold_left (fun acc c -> acc + f c) 0 clusters in
+  let count c = total (fun cl -> Cluster.count cl c) in
   let reads, writes = List.partition Client.is_ro (Shard.sessions dep) in
   let sum f l = List.fold_left (fun acc c -> acc + f c) 0 l in
   {
     seed;
     violations;
     released = Shard.released dep;
-    executed = total Cluster.executed;
+    executed = count Stats.Executed;
     crashes = !crashes;
     restarts = !restarts;
     epochs =
@@ -375,10 +376,10 @@ let run_seed ?(replicas = 3) ?(workers = 4) ?(clients = 8) ?(accounts = 48)
     handoffs = total Cluster.handoffs;
     ops_skipped = total Cluster.ops_skipped;
     reads_acked = sum Client.acked_count reads;
-    reads_served = total Cluster.reads_served;
-    reads_parked = total Cluster.reads_parked;
-    reads_redirected = total Cluster.reads_redirected;
-    read_misses = total Cluster.read_misses;
+    reads_served = count Stats.Reads_served;
+    reads_parked = count Stats.Reads_parked;
+    reads_redirected = count Stats.Reads_redirected;
+    read_misses = count Stats.Read_misses;
     shards;
     cross_committed = Shard.cross_committed dep;
     cross_aborted = Shard.cross_aborted dep;

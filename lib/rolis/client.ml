@@ -128,7 +128,8 @@ let record_resolution t =
         Stats.note_stage s ~stage:Trace.(stage_index Client_redirect)
           ~latency:t.req_redirects;
       if t.req_parked_ns > 0 then begin
-        Stats.note_parked s ~ns:t.req_parked_ns;
+        Stats.add s Stats.Parked_requests 1;
+        Stats.add s Stats.Parked_ns t.req_parked_ns;
         Stats.note_stage s ~stage:Trace.(stage_index Client_park)
           ~latency:t.req_parked_ns
       end

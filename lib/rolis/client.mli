@@ -53,9 +53,10 @@ val spawn :
     [Config.pool cfg + cfg.clients] nodes (clients sit above the replica
     pool, spares included). [stats] — typically
     {!Cluster.client_stats} — receives each resolved request's total
-    parked time ({!Stats.note_parked} plus the [Client_park] stage
-    histogram) and redirect count (the [Client_redirect] stage), the
-    availability axes the reconfiguration bench reports.
+    parked time (the [Parked_requests] and [Parked_ns] counters plus the
+    [Client_park] stage histogram) and redirect count (the
+    [Client_redirect] stage), the availability axes the reconfiguration
+    bench reports.
 
     [ro] makes this a {e read-only} session: it issues [Read_req] instead
     of [Client_req] (interpreted by the app's [read_op] against a

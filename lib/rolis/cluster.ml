@@ -591,12 +591,13 @@ let remove_replica t i =
 
 let window t = (t.w_start, t.w_stop)
 
-let released t =
-  Array.fold_left (fun acc r -> acc + Stats.released (Replica.stats r)) 0 t.replicas
+let count t c =
+  Array.fold_left (fun acc r -> acc + Stats.get (Replica.stats r) c) 0 t.replicas
 
 let throughput t =
   let dt = t.w_stop - t.w_start in
-  if dt <= 0 then 0.0 else float_of_int (released t) *. 1e9 /. float_of_int dt
+  if dt <= 0 then 0.0
+  else float_of_int (count t Stats.Released) *. 1e9 /. float_of_int dt
 
 let latency t =
   Sim.Metrics.Hist.merge
@@ -615,103 +616,42 @@ let release_rate t =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
+(* One stage's histogram merged over every replica and both client-side
+   stats (each stage is recorded on one side only). *)
+let stage_summary t stage =
+  let idx = Trace.stage_index stage in
+  let h =
+    Sim.Metrics.Hist.merge
+      (Stats.stage_hist t.client_stats idx
+      :: Stats.stage_hist t.client_read_stats idx
+      :: (Array.to_list t.replicas
+         |> List.map (fun r -> Stats.stage_hist (Replica.stats r) idx)))
+  in
+  let n = Sim.Metrics.Hist.count h in
+  if n = 0 then None
+  else
+    Some
+      ( n,
+        Sim.Metrics.Hist.percentile h 50.0,
+        Sim.Metrics.Hist.percentile h 95.0,
+        Sim.Metrics.Hist.percentile h 99.0 )
+
 let stage_breakdown t =
   List.filter_map
     (fun stage ->
-      let idx = Trace.stage_index stage in
-      let h =
-        Sim.Metrics.Hist.merge
-          (Stats.stage_hist t.client_stats idx
-          :: Stats.stage_hist t.client_read_stats idx
-          :: (Array.to_list t.replicas
-             |> List.map (fun r -> Stats.stage_hist (Replica.stats r) idx)))
-      in
-      let n = Sim.Metrics.Hist.count h in
-      if n = 0 then None
-      else
-        Some
-          ( Trace.stage_name stage,
-            n,
-            Sim.Metrics.Hist.percentile h 50.0,
-            Sim.Metrics.Hist.percentile h 95.0,
-            Sim.Metrics.Hist.percentile h 99.0 ))
+      Option.map
+        (fun (n, p50, p95, p99) -> (Trace.stage_name stage, n, p50, p95, p99))
+        (stage_summary t stage))
     Trace.all_stages
 
-let executed t =
-  Array.fold_left (fun acc r -> acc + Stats.executed (Replica.stats r)) 0 t.replicas
-
-let user_aborts t =
-  Array.fold_left (fun acc r -> acc + Stats.user_aborts (Replica.stats r)) 0 t.replicas
-
-(* Batching-pipeline diagnostics, summed across replicas. *)
-let entries_flushed t =
-  Array.fold_left
-    (fun acc r -> acc + Stats.entries_flushed (Replica.stats r))
-    0 t.replicas
-
-let deadline_flushes t =
-  Array.fold_left
-    (fun acc r -> acc + Stats.deadline_flushes (Replica.stats r))
-    0 t.replicas
-
-let event_releases t =
-  Array.fold_left
-    (fun acc r -> acc + Stats.event_releases (Replica.stats r))
-    0 t.replicas
-
-(* Follower-replay diagnostics. *)
-let replayed_txns t =
-  Array.fold_left
-    (fun acc r -> acc + Stats.replayed_txns (Replica.stats r))
-    0 t.replicas
-
-let replay_lag t =
-  let h =
-    Sim.Metrics.Hist.merge
-      (Array.to_list t.replicas
-      |> List.map (fun r ->
-             Stats.stage_hist (Replica.stats r) (Trace.stage_index Trace.Replay_lag)))
-  in
-  let n = Sim.Metrics.Hist.count h in
-  if n = 0 then None
-  else
-    Some
-      (n, Sim.Metrics.Hist.percentile h 50.0, Sim.Metrics.Hist.percentile h 95.0)
-
-(* Follower-read diagnostics. *)
-let reads_served t =
-  Array.fold_left
-    (fun acc r -> acc + Stats.reads_served (Replica.stats r))
-    0 t.replicas
-
-let reads_parked t =
-  Array.fold_left
-    (fun acc r -> acc + Stats.reads_parked (Replica.stats r))
-    0 t.replicas
-
-let reads_redirected t =
-  Array.fold_left
-    (fun acc r -> acc + Stats.reads_redirected (Replica.stats r))
-    0 t.replicas
-
-let read_misses t =
-  Array.fold_left
-    (fun acc r -> acc + Stats.read_misses (Replica.stats r))
-    0 t.replicas
-
-let read_staleness t =
-  let h =
-    Sim.Metrics.Hist.merge
-      (Array.to_list t.replicas
-      |> List.map (fun r ->
-             Stats.stage_hist (Replica.stats r)
-               (Trace.stage_index Trace.Read_staleness)))
-  in
-  let n = Sim.Metrics.Hist.count h in
-  if n = 0 then None
-  else
-    Some
-      (n, Sim.Metrics.Hist.percentile h 50.0, Sim.Metrics.Hist.percentile h 95.0)
+(* Kept for perf/ until the benchmark PR. *)
+let released t = count t Stats.Released
+let entries_flushed t = count t Stats.Entries_flushed
+let replayed_txns t = count t Stats.Replayed_txns
+let reads_served t = count t Stats.Reads_served
+let reads_parked t = count t Stats.Reads_parked
+let reads_redirected t = count t Stats.Reads_redirected
+let read_misses t = count t Stats.Read_misses
 
 let coalesced_proposals t =
   Array.fold_left

@@ -12,7 +12,14 @@
     Throughput and latency cover {e release-committed} transactions only,
     summed over every replica that served during the measurement window
     (so a failover run counts the old leader's releases before the crash
-    and the new leader's after). *)
+    and the new leader's after).
+
+    Every per-replica count is one {!Stats.counter}: {!count} sums it
+    over the replicas, e.g. [Cluster.count c Stats.Replayed_txns].
+    {!reset_window} (run by {!run} at the end of warm-up) zeroes the
+    windowed counters, histograms and series of every replica and of both
+    client-side stats; the cumulative counters ([Busy_replies],
+    [Redirects], [Parked_*]) span the whole run. *)
 
 type t
 
@@ -144,7 +151,11 @@ val handoff : t -> target:int -> bool
 val window : t -> int * int
 (** Measurement window [(start, stop)] of the last {!run}. *)
 
-val released : t -> int
+val count : t -> Stats.counter -> int
+(** One {!Stats.counter} summed over every replica (the client-side
+    stats are not included). Windowed counters cover the last measurement
+    window; see {!Stats} for which are windowed. *)
+
 val throughput : t -> float
 (** Released transactions per virtual second over the last window. *)
 
@@ -155,67 +166,37 @@ val release_rate : t -> (float * float) list
 (** (seconds, releases/sec) in 100 ms buckets, merged across replicas —
     the failover timeline (Fig. 14). *)
 
+val stage_summary : t -> Trace.stage -> (int * int * int * int) option
+(** One pipeline stage's latency summary over the last window, merged
+    across replicas and both client-side stats:
+    [(samples, p50_ns, p95_ns, p99_ns)], [None] when nothing was
+    recorded. [Replay_lag] (durable frontier minus replayed frontier on
+    the transaction-timestamp axis, one sample per follower controller
+    tick) and [Read_staleness] (durable frontier minus read pin at serve
+    time; all zero unless [Config.follower_reads] is on) are recorded
+    with tracing off too; the other stages only when
+    [trace_sample_interval > 0]. *)
+
 val stage_breakdown : t -> (string * int * int * int * int) list
-(** Per-pipeline-stage latency summary over the last window, merged
-    across replicas: [(stage, samples, p50_ns, p95_ns, p99_ns)] for every
-    {!Trace.stage} that recorded at least one sampled span. Empty when
-    tracing is disabled ([trace_sample_interval = 0]). *)
-
-val executed : t -> int
-val user_aborts : t -> int
-
-val entries_flushed : t -> int
-(** Log entries proposed over the window, all replicas —
-    [released / entries_flushed] is the realized average batch size. *)
-
-val deadline_flushes : t -> int
-(** Batches flushed by the [target_batch_delay_ns] deadline event
-    rather than by filling. *)
-
-val event_releases : t -> int
-(** Release passes triggered directly by a durability notification
-    advancing the watermark. *)
+(** {!stage_summary} of every {!Trace.stage} that recorded at least one
+    sample: [(stage, samples, p50_ns, p95_ns, p99_ns)]. *)
 
 val coalesced_proposals : t -> int
 (** Proposals merged into an earlier entry's quorum round by the
     replication layer. *)
 
+(** {2 Counter getters kept for perf/}
+
+    [count t] of one counter each; kept for perf/ until the benchmark
+    PR. *)
+
+val released : t -> int
+val entries_flushed : t -> int
 val replayed_txns : t -> int
-(** Transactions applied through follower replay over the window, all
-    replicas: every transaction with [ts <= upto] in each replayed
-    entry. *)
-
-val replay_lag : t -> (int * int * int) option
-(** Follower-lag summary over the window, merged across replicas:
-    [(samples, p50, p95)] of durable-frontier minus replayed-frontier on
-    the transaction-timestamp axis (which rides virtual ns), one sample
-    per follower controller tick. [None] when no follower replayed
-    anything. *)
-
-(** {2 Follower-read diagnostics}
-
-    All zero unless [Config.follower_reads] is on. *)
-
 val reads_served : t -> int
-(** Snapshot reads answered with [Ok_read], all replicas. *)
-
 val reads_parked : t -> int
-(** Read requests bounced with [Busy]: lease lapsed, admission-control
-    backlog, or retry budget exhausted on snapshot misses. *)
-
 val reads_redirected : t -> int
-(** Read requests bounced with [Not_leader] at a replica that could not
-    serve but knew a leader hint. *)
-
 val read_misses : t -> int
-(** [Snapshot_miss] retries: a read body touched a key whose
-    below-pin version was already reclaimed (the read retried at a
-    fresher pin). *)
-
-val read_staleness : t -> (int * int * int) option
-(** Staleness summary over the last window, merged across replicas:
-    [(samples, p50, p95)] of durable-frontier minus read pin in virtual
-    ns at serve time. [None] when tracing is off or nothing served. *)
 
 (** {2 Checkpoint-integrated recovery}
 

@@ -154,9 +154,6 @@ type t = {
 let id t = t.rid
 let view t = t.view
 let mgen t = t.mgen
-let members t = Paxos.Member.voters t.view
-let is_learner t = t.learner
-let is_draining t = t.draining
 let db t = t.db
 let cpu t = t.cpu
 let stats t = t.stats
@@ -167,7 +164,6 @@ let is_serving t = t.serving
 let served_epoch t = t.srv_epoch
 let is_tainted t = t.tainted
 let replay_epoch t = t.repoch
-let replay_watermark t = t.rwm
 let is_alive t = t.alive
 
 let replay_backlog t = t.backlog
@@ -192,9 +188,6 @@ let session t cid =
       let s = { s_claimed = 0; s_applied = 0; s_released = 0; s_aborted = 0 } in
       Hashtbl.replace t.sessions cid s;
       s
-
-let session_state t ~cid =
-  Option.map (fun s -> (s.s_applied, s.s_released)) (Hashtbl.find_opt t.sessions cid)
 
 let spawn t name f =
   let p = Sim.Engine.spawn t.eng ~name:(Printf.sprintf "%s-%d" name t.rid) f in
@@ -228,43 +221,42 @@ let overloaded t =
   || replay_backlog t >= admission_max_backlog
   || Array.exists (fun q -> Queue.length q >= admission_max_release) t.release_queues
 
-(* Dispatcher-side triage of a client request. The session table is
-   consulted *before* execution: a retry of a released seq is answered
-   from cache; a retry of an in-flight seq is dropped (the release pass
-   will ack it); anything new passes admission control and queues for a
-   worker. *)
-let handle_client_req t ~cid ~seq ~payload =
-  Stats.note_client_request t.stats;
-  if not (t.serving && t.alive) then begin
-    Stats.note_redirect t.stats;
-    Trace.note_disposition t.trace Trace.Redirect;
-    client_reply t ~cid ~seq (Paxos.Msg.Not_leader { hint = leader_hint t })
-  end
+(* Triage of a client request, shared by the dispatcher and the client
+   worker. The session table is consulted *before* execution: a retry of
+   a released seq is answered from cache; a retry of an in-flight seq is
+   dropped (the release pass will ack it) unless it ended in a user abort;
+   a draining leader sends new work to its designated successor; anything
+   else is [`Fresh], for the caller to queue or execute. *)
+let triage t ~cid ~seq =
+  if not (t.serving && t.alive) then `Not_serving
   else begin
     let s = session t cid in
-    if seq <= s.s_released then begin
-      Stats.note_cached_reply t.stats;
+    if seq <= s.s_released then `Released
+    else if seq <= s.s_claimed then `Claimed (seq = s.s_aborted)
+    else if t.draining then `Draining
+    else `Fresh s
+  end
+
+(* Answer a request triage settled without execution. *)
+let settle t ~cid ~seq = function
+  | `Not_serving | `Draining ->
+      Trace.note_disposition t.trace ~count:Stats.Redirects Trace.Redirect;
+      client_reply t ~cid ~seq (Paxos.Msg.Not_leader { hint = leader_hint t })
+  | `Released ->
       Trace.note_disposition t.trace Trace.Cached;
       client_reply t ~cid ~seq Paxos.Msg.Ok_released
-    end
-    else if seq <= s.s_claimed then begin
-      if seq = s.s_aborted then client_reply t ~cid ~seq Paxos.Msg.Aborted
-      (* else: executing or awaiting the watermark; release will ack. *)
-    end
-    else if t.draining then begin
-      (* Planned handoff: in-flight work keeps releasing, but new work
-         goes to the designated successor. *)
-      Stats.note_redirect t.stats;
-      Trace.note_disposition t.trace Trace.Redirect;
-      client_reply t ~cid ~seq (Paxos.Msg.Not_leader { hint = leader_hint t })
-    end
-    else if overloaded t then begin
-      Stats.note_busy_reply t.stats;
-      Trace.note_disposition t.trace Trace.Busy;
+  | `Claimed aborted ->
+      (* Executing or awaiting the watermark: release will ack. *)
+      if aborted then client_reply t ~cid ~seq Paxos.Msg.Aborted
+
+(* Dispatcher: only here does a fresh request meet admission control. *)
+let handle_client_req t ~cid ~seq ~payload =
+  match triage t ~cid ~seq with
+  | `Fresh _ when overloaded t ->
+      Trace.note_disposition t.trace ~count:Stats.Busy_replies Trace.Busy;
       client_reply t ~cid ~seq Paxos.Msg.Busy
-    end
-    else Sim.Sync.Mailbox.send t.client_q (cid, seq, payload)
-  end
+  | `Fresh _ -> Sim.Sync.Mailbox.send t.client_q (cid, seq, payload)
+  | (`Not_serving | `Released | `Claimed _ | `Draining) as d -> settle t ~cid ~seq d
 
 let drop_speculative t =
   Array.iter
@@ -309,7 +301,7 @@ let execute t w ~req body =
           let sess = session t cid in
           if seq > sess.s_applied then sess.s_applied <- seq
       | None -> ());
-      Stats.note_executed t.stats;
+      Stats.add t.stats Stats.Executed 1;
       let txn_log =
         { Store.Wire.ts = tid.Silo.Tid.ts; req; decision = dec; writes = r.Silo.Db.log }
       in
@@ -334,7 +326,7 @@ let execute t w ~req body =
       `Committed
   | Some _ -> `Lapsed
   | None ->
-      Stats.note_user_abort t.stats;
+      Stats.add t.stats Stats.User_aborts 1;
       `Aborted
 
 let worker_loop t w () =
@@ -373,47 +365,30 @@ let client_worker_loop t w op () =
           Sim.Cpu.unregister t.cpu;
           t.worker_active.(w) <- false
         end
-    | Some (cid, seq, payload) ->
-        if not (t.serving && t.alive) then begin
-          if t.alive then begin
-            Stats.note_redirect t.stats;
-            Trace.note_disposition t.trace Trace.Redirect;
-            client_reply t ~cid ~seq (Paxos.Msg.Not_leader { hint = leader_hint t })
-          end
-        end
-        else begin
-          if not t.worker_active.(w) then begin
-            Sim.Cpu.register t.cpu;
-            t.worker_active.(w) <- true
-          end;
-          let sess = session t cid in
-          if seq <= sess.s_released then begin
-            Stats.note_cached_reply t.stats;
-            Trace.note_disposition t.trace Trace.Cached;
-            client_reply t ~cid ~seq Paxos.Msg.Ok_released
-          end
-          else if seq <= sess.s_claimed then begin
-            if seq = sess.s_aborted then client_reply t ~cid ~seq Paxos.Msg.Aborted
-          end
-          else if t.draining then begin
-            Stats.note_redirect t.stats;
-            Trace.note_disposition t.trace Trace.Redirect;
-            client_reply t ~cid ~seq
-              (Paxos.Msg.Not_leader { hint = leader_hint t })
-          end
-          else begin
-            sess.s_claimed <- seq;
-            match execute t w ~req:(Some (cid, seq)) (op ~payload) with
-            | `Committed | `Lapsed ->
-                (* Release acks a commit; after a lapse the client's retry
-                   re-executes at the next leader. *)
-                ()
-            | `Aborted ->
-                (* User abort: no effect anywhere, safe to answer now. *)
-                sess.s_aborted <- seq;
-                client_reply t ~cid ~seq Paxos.Msg.Aborted
-          end
-        end
+    | Some (cid, seq, payload) -> (
+        match triage t ~cid ~seq with
+        | `Not_serving ->
+            (* Deposed while the request sat queued; a dead replica
+               answers nothing. *)
+            if t.alive then settle t ~cid ~seq `Not_serving
+        | (`Fresh _ | `Released | `Claimed _ | `Draining) as d -> (
+            if not t.worker_active.(w) then begin
+              Sim.Cpu.register t.cpu;
+              t.worker_active.(w) <- true
+            end;
+            match d with
+            | `Fresh sess -> (
+                sess.s_claimed <- seq;
+                match execute t w ~req:(Some (cid, seq)) (op ~payload) with
+                | `Committed | `Lapsed ->
+                    (* Release acks a commit; after a lapse the client's
+                       retry re-executes at the next leader. *)
+                    ()
+                | `Aborted ->
+                    (* User abort: no effect anywhere, safe to answer now. *)
+                    sess.s_aborted <- seq;
+                    client_reply t ~cid ~seq Paxos.Msg.Aborted)
+            | (`Released | `Claimed _ | `Draining) as d -> settle t ~cid ~seq d))
   done
 
 (* ---- replay side ---- *)
@@ -489,8 +464,7 @@ let apply_entry ?(upto = max_int) t (entry : Store.Wire.entry) =
     if sampled then
       Trace.note_replay t.trace ~ts:entry.Store.Wire.last_ts ~start:r0
         ~stop:(Sim.Engine.now t.eng);
-    Stats.note_replayed t.stats ~txns:res.Silo.Db.re_txns
-      ~writes:res.Silo.Db.re_writes;
+    Stats.add t.stats Stats.Replayed_txns res.Silo.Db.re_txns;
     Sim.Cpu.unregister t.cpu
   end
 
@@ -710,18 +684,15 @@ let handle_read_req t ~cid ~seq ~payload =
   if not (may_serve_reads t) then begin
     match leader_hint t with
     | Some _ as hint ->
-        Stats.note_read_redirect t.stats;
-        Trace.note_disposition t.trace Trace.Redirect;
+        Trace.note_disposition t.trace ~count:Stats.Reads_redirected Trace.Redirect;
         client_reply t ~cid ~seq (Paxos.Msg.Not_leader { hint })
     | None ->
-        Stats.note_read_parked t.stats;
-        Trace.note_disposition t.trace Trace.Busy;
+        Trace.note_disposition t.trace ~count:Stats.Reads_parked Trace.Busy;
         client_reply t ~cid ~seq Paxos.Msg.Busy
   end
   else if Sim.Sync.Mailbox.length t.read_q >= t.cfg.Config.admission_max_pending
   then begin
-    Stats.note_read_parked t.stats;
-    Trace.note_disposition t.trace Trace.Busy;
+    Trace.note_disposition t.trace ~count:Stats.Reads_parked Trace.Busy;
     client_reply t ~cid ~seq Paxos.Msg.Busy
   end
   else Sim.Sync.Mailbox.send t.read_q (cid, seq, payload)
@@ -776,8 +747,7 @@ let read_worker_loop t w rop () =
              queued: never serve — the snapshot could trail a newer
              leader's released writes. Park the client instead. *)
           if t.alive then begin
-            Stats.note_read_parked t.stats;
-            Trace.note_disposition t.trace Trace.Busy;
+            Trace.note_disposition t.trace ~count:Stats.Reads_parked Trace.Busy;
             client_reply t ~cid ~seq Paxos.Msg.Busy
           end
         end
@@ -795,20 +765,19 @@ let read_worker_loop t w rop () =
             match Silo.Db.read_at t.db ~audit ~pin (fun s -> rop ~payload s) with
             | v, obs -> Some (pin, v, obs)
             | exception Silo.Db.Snapshot_miss ->
-                Stats.note_read_miss t.stats;
+                Stats.add t.stats Stats.Read_misses 1;
                 if n + 1 >= read_retry_limit then None
                 else attempt (n + 1)
           in
           match attempt 0 with
           | Some (pin, value, obs) ->
               if audit then keep_read_audit t seen (pin, obs);
-              Stats.note_read_served t.stats;
+              Stats.add t.stats Stats.Reads_served 1;
               Trace.note_read_serve t.trace ~start ~stop:(Sim.Engine.time ())
                 ~staleness:(t.durable_max - pin);
               client_reply t ~cid ~seq (Paxos.Msg.Ok_read { value })
           | None ->
-              Stats.note_read_parked t.stats;
-              Trace.note_disposition t.trace Trace.Busy;
+              Trace.note_disposition t.trace ~count:Stats.Reads_parked Trace.Busy;
               client_reply t ~cid ~seq Paxos.Msg.Busy
         end
   done
@@ -1338,7 +1307,7 @@ let create cfg eng net ~id:rid ~app ?initial_leader ?membership ?(learner = fals
       match Watermark.compute t.wm ~epoch:t.srv_epoch with
       | Some w when w > t.last_rel_wm ->
           t.last_rel_wm <- w;
-          Stats.note_event_release t.stats;
+          Stats.add t.stats Stats.Event_releases 1;
           release_pass t
       | Some _ | None -> ()
   in

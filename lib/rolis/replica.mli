@@ -58,16 +58,6 @@ val view : t -> Paxos.Member.view
 val mgen : t -> int
 (** Membership generation of {!view}; monotone. *)
 
-val members : t -> int list
-(** Voters of {!view} (union of both configurations while joint). *)
-
-val is_learner : t -> bool
-(** Still non-voting: replicates and replays, never votes or stands. *)
-
-val is_draining : t -> bool
-(** A planned handoff is in progress: new client work is redirected at
-    the designated successor while in-flight work finishes releasing. *)
-
 val db : t -> Silo.Db.t
 val cpu : t -> Sim.Cpu.t
 val stats : t -> Stats.t
@@ -90,7 +80,6 @@ val is_tainted : t -> bool
     {!rebuild} (paper §4.3). *)
 
 val replay_epoch : t -> int
-val replay_watermark : t -> int
 val replay_backlog : t -> int
 (** Durable entries queued but not yet replayed. O(1): maintained
     incrementally on enqueue/dequeue — admission control consults it on
@@ -112,12 +101,6 @@ val durable_frontier : t -> int
     durability. [durable_frontier - replay_frontier] is the follower lag
     sampled into the [Replay_lag] stage histogram. *)
 
-val read_pin : t -> int
-(** The snapshot pin a read served right now would use: the release
-    watermark on a serving leader, the minimum fully-applied frontier
-    ([safe_ts]) on a follower. Monotone; reads never observe state above
-    it. *)
-
 val lease_valid : t -> bool
 (** Whether this replica may serve snapshot reads right now: a serving
     leader with quorum contact, or a follower holding an unexpired
@@ -131,11 +114,6 @@ val read_audits : t -> (int * (int * string * int) list) list
     body made ([-1] = key absent at the pin). Bounded: every 64th serve
     is eligible, and eligible serves feed a fixed-size reservoir whose
     deterministic draw keeps a uniform sample of the whole run. *)
-
-val session_state : t -> cid:int -> (int * int) option
-(** [(applied, released)] highest sequence numbers this replica knows for
-    client session [cid] — from its own execution on a leader, from
-    replay on a follower. [None] if the session is unknown. *)
 
 val journal : t -> (int * int * Store.Wire.entry) list
 (** [(stream, idx, entry)] triples in durability order (requires

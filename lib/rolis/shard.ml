@@ -52,6 +52,24 @@ let parse_parts s =
   if s = "" then []
   else String.split_on_char ',' s |> List.map int_of_string
 
+(* Overlay the 2PC control surface on an app's [client_op]. The control
+   verbs, with [parts] the comma-separated remote participants:
+   - ["!p <xid> <sub>"]: a remote participant stages [sub] as its
+     intent row and votes yes (a vetoed [sub] votes no);
+   - ["!c <xid> <parts> <sub>"]: the coordinator runs its own [sub]
+     through the base op, writes the commit decision row and stamps one
+     [Committed] mark whose [d_parts] lists [parts] — the commit point,
+     one replicated entry, aborting if [veto] rejects [sub] or the base
+     op aborts;
+   - ["!a <xid> <parts>"]: the coordinator records an abort decision;
+   - ["!x <xid>"] / ["!r <xid>"]: a remote applies (and consumes) or
+     cancels its staged intent.
+
+   Anything else dispatches to the base [client_op] unchanged (the
+   zero-cost single-shard path). [veto ~payload] surfaces a
+   deterministic user abort (e.g. TPC-C's 1% NewOrder rollback) before
+   anything commits.
+   Raises [Invalid_argument] if the base app has no [client_op]. *)
 let wrap_app ?(veto = fun ~payload:_ -> false) base =
   let base_op =
     match base.App.client_op with
@@ -139,7 +157,6 @@ type driver = {
 type t = {
   eng : Sim.Engine.t;
   cfg : Config.t;
-  router : Router.t;
   clusters : Cluster.t array;
   drivers : driver array;
   readers : Client.t array; (* read-only sessions, every shard's *)
@@ -148,7 +165,6 @@ type t = {
 }
 
 let engine t = t.eng
-let router t = t.router
 let clusters t = t.clusters
 let cluster t s = t.clusters.(s)
 let shards t = Array.length t.clusters
@@ -332,7 +348,7 @@ let create ?on_durable ?(veto = fun ~payload:_ -> false) ?readers cfg router
               ~gen:(fun () -> read_gen ~shard:s rrng)
               ())
   in
-  let t = { eng; cfg; router; clusters; drivers; readers; stopped; veto } in
+  let t = { eng; cfg; clusters; drivers; readers; stopped; veto } in
   Array.iter
     (fun d ->
       let drng = Sim.Rng.split (Sim.Engine.rng eng) in
@@ -392,7 +408,7 @@ let cross_aborted t = sum_drivers t (fun d -> d.cross_aborted)
 let prepares t = sum_drivers t (fun d -> d.prepares)
 
 let released t =
-  Array.fold_left (fun acc c -> acc + Cluster.released c) 0 t.clusters
+  Array.fold_left (fun acc c -> acc + Cluster.count c Stats.Released) 0 t.clusters
 
 let throughput t =
   (* Logical transactions per second: a cross-shard transaction counts

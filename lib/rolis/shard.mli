@@ -24,26 +24,6 @@ val table_2pc : string
     rows keyed [("i", xid)] holding the staged sub-payload, decision
     rows keyed [("d", xid)] holding ["C"] or ["A"]. *)
 
-val wrap_app : ?veto:(payload:string -> bool) -> App.t -> App.t
-(** Overlay the 2PC control surface on an app's [client_op]. The control
-    verbs, with [parts] the comma-separated remote participants:
-    - ["!p <xid> <sub>"]: a remote participant stages [sub] as its
-      intent row and votes yes (a vetoed [sub] votes no);
-    - ["!c <xid> <parts> <sub>"]: the coordinator runs its own [sub]
-      through the base op, writes the commit decision row and stamps one
-      [Committed] mark whose [d_parts] lists [parts] — the commit point,
-      one replicated entry, aborting if [veto] rejects [sub] or the base
-      op aborts;
-    - ["!a <xid> <parts>"]: the coordinator records an abort decision;
-    - ["!x <xid>"] / ["!r <xid>"]: a remote applies (and consumes) or
-      cancels its staged intent.
-
-    Anything else dispatches to the base [client_op] unchanged (the
-    zero-cost single-shard path). [veto ~payload] surfaces a
-    deterministic user abort (e.g. TPC-C's 1% NewOrder rollback) before
-    anything commits.
-    @raise Invalid_argument if the base app has no [client_op]. *)
-
 (** {2 Deployment} *)
 
 type op =
@@ -80,7 +60,7 @@ val create :
     2PC protocol for a [Multi]: ["!p"] on each remote, the folded ["!c"]
     on the coordinator, ["!x"] on each remote — three replicated rounds
     for a two-shard transaction. [veto] is installed in every shard's
-    {!wrap_app} and also checked by the driver against the coordinator's
+    control surface and also checked by the driver against the coordinator's
     sub before any remote prepares, so a vetoed transaction costs only
     the ["!a"] round. A driver fails the run if a remote apply of a
     committed transaction aborts. [app ~shard] supplies each shard's base
@@ -99,7 +79,6 @@ val create :
     [cfg.clients < 1]. *)
 
 val engine : t -> Sim.Engine.t
-val router : t -> Router.t
 val shards : t -> int
 val clusters : t -> Cluster.t array
 val cluster : t -> int -> Cluster.t

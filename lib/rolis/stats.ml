@@ -2,33 +2,55 @@
    array allocation-free on the hot path. *)
 let max_stages = 20
 
+type counter =
+  | Executed
+  | User_aborts
+  | Released
+  | Serialized_bytes
+  | Entries_flushed
+  | Deadline_flushes
+  | Event_releases
+  | Replayed_txns
+  | Reads_served
+  | Reads_parked
+  | Reads_redirected
+  | Read_misses
+  | Busy_replies
+  | Redirects
+  | Parked_requests
+  | Parked_ns
+
+let slot = function
+  | Executed -> 0
+  | User_aborts -> 1
+  | Released -> 2
+  | Serialized_bytes -> 3
+  | Entries_flushed -> 4
+  | Deadline_flushes -> 5
+  | Event_releases -> 6
+  | Replayed_txns -> 7
+  | Reads_served -> 8
+  | Reads_parked -> 9
+  | Reads_redirected -> 10
+  | Read_misses -> 11
+  | Busy_replies -> 12
+  | Redirects -> 13
+  | Parked_requests -> 14
+  | Parked_ns -> 15
+
+(* The windowed counters occupy the slots below [Busy_replies]; the
+   client-facing ones from [Busy_replies] on are cumulative. *)
+let n_windowed = slot Busy_replies
+let n_counters = slot Parked_ns + 1
+
 type t = {
   eng : Sim.Engine.t;
   mutable window_start : int;
-  mutable executed : int;
-  mutable user_aborts : int;
-  mutable released : int;
-  mutable serialized_bytes : int;
-  mutable replicated_bytes : int;
+  counts : int array;
   mutable spec_bytes : int;
   mutable spec_peak : int;
   mutable spec_sum : float;
   mutable spec_samples : int;
-  mutable replayed_txns : int;
-  mutable replayed_writes : int;
-  mutable client_requests : int;
-  mutable cached_replies : int;
-  mutable busy_replies : int;
-  mutable redirects : int;
-  mutable parked_ns : int;
-  mutable parked_requests : int;
-  mutable entries_flushed : int;
-  mutable deadline_flushes : int;
-  mutable event_releases : int;
-  mutable reads_served : int;
-  mutable reads_parked : int;
-  mutable reads_redirected : int;
-  mutable read_misses : int;
   mutable lat : Sim.Metrics.Hist.t;
   mutable series : Sim.Metrics.Series.t;
   mutable stage_hists : Sim.Metrics.Hist.t array;
@@ -38,53 +60,28 @@ let create eng =
   {
     eng;
     window_start = 0;
-    executed = 0;
-    user_aborts = 0;
-    released = 0;
-    serialized_bytes = 0;
-    replicated_bytes = 0;
+    counts = Array.make n_counters 0;
     spec_bytes = 0;
     spec_peak = 0;
     spec_sum = 0.0;
     spec_samples = 0;
-    replayed_txns = 0;
-    replayed_writes = 0;
-    client_requests = 0;
-    cached_replies = 0;
-    busy_replies = 0;
-    redirects = 0;
-    parked_ns = 0;
-    parked_requests = 0;
-    entries_flushed = 0;
-    deadline_flushes = 0;
-    event_releases = 0;
-    reads_served = 0;
-    reads_parked = 0;
-    reads_redirected = 0;
-    read_misses = 0;
     lat = Sim.Metrics.Hist.create ();
     series = Sim.Metrics.Series.create ~bucket_ns:(100 * Sim.Engine.ms);
     stage_hists = Array.init max_stages (fun _ -> Sim.Metrics.Hist.create ());
   }
 
-let note_executed t = t.executed <- t.executed + 1
-let note_user_abort t = t.user_aborts <- t.user_aborts + 1
+let add t c n =
+  let i = slot c in
+  t.counts.(i) <- t.counts.(i) + n
+
+let get t c = t.counts.(slot c)
 
 let note_submitted t ~bytes =
   t.spec_bytes <- t.spec_bytes + bytes;
   if t.spec_bytes > t.spec_peak then t.spec_peak <- t.spec_bytes
 
-let note_serialized t ~bytes = t.serialized_bytes <- t.serialized_bytes + bytes
-
-let note_replicated t ~bytes =
-  t.replicated_bytes <- t.replicated_bytes + bytes;
-  t.entries_flushed <- t.entries_flushed + 1
-
-let note_deadline_flush t = t.deadline_flushes <- t.deadline_flushes + 1
-let note_event_release t = t.event_releases <- t.event_releases + 1
-
 let note_released t ~start ~latency ~bytes =
-  t.released <- t.released + 1;
+  add t Released 1;
   t.spec_bytes <- t.spec_bytes - bytes;
   (* Transactions executed before the measurement window opened carry
      warm-up queueing in their latency; count their release (throughput)
@@ -102,79 +99,29 @@ let stage_hist t stage =
   if stage < 0 || stage >= max_stages then invalid_arg "Stats.stage_hist: bad index";
   t.stage_hists.(stage)
 
-let note_client_request t = t.client_requests <- t.client_requests + 1
-let note_cached_reply t = t.cached_replies <- t.cached_replies + 1
-let note_busy_reply t = t.busy_replies <- t.busy_replies + 1
-let note_redirect t = t.redirects <- t.redirects + 1
-
-let note_parked t ~ns =
-  t.parked_requests <- t.parked_requests + 1;
-  t.parked_ns <- t.parked_ns + ns
-
-let note_read_served t = t.reads_served <- t.reads_served + 1
-let note_read_parked t = t.reads_parked <- t.reads_parked + 1
-let note_read_redirect t = t.reads_redirected <- t.reads_redirected + 1
-let note_read_miss t = t.read_misses <- t.read_misses + 1
-
-let note_replayed t ~txns ~writes =
-  t.replayed_txns <- t.replayed_txns + txns;
-  t.replayed_writes <- t.replayed_writes + writes
-
 let sample_speculative_memory t =
   t.spec_sum <- t.spec_sum +. float_of_int t.spec_bytes;
   t.spec_samples <- t.spec_samples + 1
 
-let released t = t.released
 let release_series t = t.series
 let latency t = t.lat
-let executed t = t.executed
-let user_aborts t = t.user_aborts
-let replayed_txns t = t.replayed_txns
-let replayed_writes t = t.replayed_writes
-let client_requests t = t.client_requests
-let cached_replies t = t.cached_replies
-let busy_replies t = t.busy_replies
-let redirects t = t.redirects
-let parked_ns t = t.parked_ns
-let parked_requests t = t.parked_requests
-let serialized_bytes t = t.serialized_bytes
-let replicated_bytes t = t.replicated_bytes
 let speculative_bytes t = t.spec_bytes
-let entries_flushed t = t.entries_flushed
-let deadline_flushes t = t.deadline_flushes
-let event_releases t = t.event_releases
-let reads_served t = t.reads_served
-let reads_parked t = t.reads_parked
-let reads_redirected t = t.reads_redirected
-let read_misses t = t.read_misses
 
 let avg_speculative_bytes t =
   if t.spec_samples = 0 then 0.0 else t.spec_sum /. float_of_int t.spec_samples
 
 let peak_speculative_bytes t = t.spec_peak
 
-let throughput t ~start ~stop =
-  let dt = stop - start in
-  if dt <= 0 then 0.0 else float_of_int t.released *. 1e9 /. float_of_int dt
-
 let reset_window t =
   t.window_start <- Sim.Engine.now t.eng;
-  t.released <- 0;
-  t.executed <- 0;
-  t.user_aborts <- 0;
-  t.replayed_txns <- 0;
-  t.replayed_writes <- 0;
-  t.serialized_bytes <- 0;
-  t.replicated_bytes <- 0;
-  t.entries_flushed <- 0;
-  t.deadline_flushes <- 0;
-  t.event_releases <- 0;
-  t.reads_served <- 0;
-  t.reads_parked <- 0;
-  t.reads_redirected <- 0;
-  t.read_misses <- 0;
+  Array.fill t.counts 0 n_windowed 0;
   t.spec_sum <- 0.0;
   t.spec_samples <- 0;
   t.lat <- Sim.Metrics.Hist.create ();
   t.series <- Sim.Metrics.Series.create ~bucket_ns:(100 * Sim.Engine.ms);
   t.stage_hists <- Array.init max_stages (fun _ -> Sim.Metrics.Hist.create ())
+
+(* Kept for perf/ until the benchmark PR. *)
+let busy_replies t = get t Busy_replies
+let redirects t = get t Redirects
+let parked_requests t = get t Parked_requests

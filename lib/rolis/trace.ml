@@ -36,8 +36,6 @@ let all_stages =
     Read_staleness;
   ]
 
-let n_stages = List.length all_stages
-
 let stage_index = function
   | Execute -> 0
   | Serialize -> 1
@@ -73,8 +71,6 @@ let stage_name = function
   | Client_redirect -> "client_redirect"
   | Read_serve -> "read_serve"
   | Read_staleness -> "read_staleness"
-
-let stage_of_name s = List.find_opt (fun st -> stage_name st = s) all_stages
 
 type span = {
   sp_ts : int;
@@ -289,7 +285,7 @@ let note_replay_lag t ~frontier ~durable =
         sp_end = durable;
         sp_dropped = false;
       };
-  (* The stage histogram feeds [Cluster.replay_lag] and the bench-diff lag
+  (* The stage histogram feeds [Cluster.stage_summary] and the bench-diff lag
      gate — record it even with tracing disabled, like the other stage
      stats; only the ring sample is tied to sampling. *)
   Stats.note_stage t.stats ~stage:(stage_index Replay_lag)
@@ -321,7 +317,10 @@ let note_read_serve t ~start ~stop ~staleness =
         }
   end
 
-let note_disposition t stage =
+(* The count is bumped before, and independently of, the sampling
+   decision: a disposition counter must read the same with tracing off. *)
+let note_disposition t ?count stage =
+  Option.iter (fun c -> Stats.add t.stats c 1) count;
   if t.interval > 0 then begin
     let n = t.disp_counter in
     t.disp_counter <- n + 1;

@@ -82,15 +82,13 @@ type stage =
           behind the freshest durable state the read observed *)
 
 val all_stages : stage list
-val n_stages : int
 
 val stage_index : stage -> int
-(** Stable index in [0, n_stages), usable with {!Stats.note_stage}. *)
+(** Stable index in [0, List.length all_stages), usable with
+    {!Stats.note_stage}. *)
 
 val stage_name : stage -> string
 (** Lower-snake-case identifier, e.g. ["replicate_durable"]. *)
-
-val stage_of_name : string -> stage option
 
 type span = {
   sp_ts : int;  (** transaction timestamp; 0 for disposition events *)
@@ -185,9 +183,11 @@ val note_read_serve : t -> start:int -> stop:int -> staleness:int -> unit
     line and the bench staleness metric — while the ring sample follows
     the 1-in-N disposition sampling. *)
 
-val note_disposition : t -> stage -> unit
+val note_disposition : t -> ?count:Stats.counter -> stage -> unit
 (** A [Redirect], [Busy] or [Cached] client disposition, or a
-    [Deadline_flush] batcher event (zero-width event, sampled 1-in-N). *)
+    [Deadline_flush] batcher event: bumps [count] by one in this trace's
+    {!Stats} — always, tracing on or off — and records a zero-width event
+    (sampled 1-in-N; nothing when tracing is disabled). *)
 
 (** {2 Reading the rings} *)
 

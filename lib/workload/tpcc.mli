@@ -81,7 +81,7 @@ val app : params -> Rolis.App.t
 (** {!client_app} without [client_op]: the embedded generator only. *)
 
 val veto : params -> payload:string -> bool
-(** Prepare-time veto for {!Rolis.Shard.wrap_app}: true for a
+(** Prepare-time veto for {!Rolis.Shard.create}'s [?veto]: true for a
     cross-shard NewOrder home half whose seed derives the spec's 1%%
     rollback, so the abort surfaces as a clean global 2PC abort. *)
 

@@ -212,6 +212,9 @@ let test_cfg ?(workers = 4) ?(batch = 50) () =
     election_timeout = 300 * ms;
   }
 
+(* Release commits summed over a cluster's replicas. *)
+let cluster_released c = Rolis.Cluster.count c Rolis.Stats.Released
+
 (* A transfer app over [accounts] accounts, each starting with
    [initial] units; every transaction moves a random amount between two
    random accounts inside one transaction — the paper's Fig. 3 workload.
@@ -278,7 +281,7 @@ let test_basic_release () =
   (* No warm-up here: with a reset window, releases of pre-window
      executions would make the release/execute comparison meaningless. *)
   Rolis.Cluster.run cluster ~duration:(1 * s) ();
-  let released = Rolis.Cluster.released cluster in
+  let released = cluster_released cluster in
   check_bool "transactions released" true (released > 1_000);
   (match Rolis.Cluster.leader cluster with
   | Some r -> check_int "initial leader serves" 0 (Rolis.Replica.id r)
@@ -288,7 +291,8 @@ let test_basic_release () =
   check_bool "median latency sane (>0.5ms, <100ms)" true
     (p50 > ms / 2 && p50 < 100 * ms);
   (* Released never exceeds executed. *)
-  check_bool "release <= execute" true (released <= Rolis.Cluster.executed cluster)
+  check_bool "release <= execute" true
+    (released <= Rolis.Cluster.count cluster Rolis.Stats.Executed)
 
 let test_convergence_after_drain () =
   let stopped = ref false in
@@ -318,7 +322,7 @@ let test_convergence_after_drain () =
   check_backlog "after drain";
   let leader_state = table_state (Rolis.Replica.db (Rolis.Cluster.replica cluster 0)) "accounts" in
   check_bool "some transfers happened" true
-    (Rolis.Cluster.released cluster > 100);
+    (cluster_released cluster > 100);
   for i = 1 to 2 do
     let f = Rolis.Cluster.replica cluster i in
     (* Only the pipeline tail may still be queued: the freshest heartbeat
@@ -454,7 +458,9 @@ let test_released_results_survive_crash () =
   let released_at_crash = ref 0 in
   Sim.Engine.schedule eng (900 * ms) (fun () ->
       released_at_crash :=
-        Rolis.Stats.released (Rolis.Replica.stats (Rolis.Cluster.replica cluster 0));
+        Rolis.Stats.get
+          (Rolis.Replica.stats (Rolis.Cluster.replica cluster 0))
+          Rolis.Stats.Released;
       Rolis.Cluster.crash_replica cluster 0);
   Rolis.Cluster.run cluster ~duration:(3 * s) ();
   match Rolis.Cluster.leader cluster with
@@ -477,7 +483,7 @@ let test_sharded_stream_mode () =
   let app = transfer_app ~accounts ~initial:100 ~stopped in
   let cluster = Rolis.Cluster.create cfg app in
   Rolis.Cluster.run cluster ~duration:(1 * s) ();
-  check_bool "sharded mode releases" true (Rolis.Cluster.released cluster > 200);
+  check_bool "sharded mode releases" true (cluster_released cluster > 200);
   stopped := true;
   Rolis.Cluster.run cluster ~duration:(1 * s) ();
   (* Convergence and conservation must hold with workers sharing streams. *)
@@ -491,7 +497,7 @@ let test_networked_clients_mode () =
   let cfg = { (test_cfg ()) with Rolis.Config.networked_clients = true } in
   let cluster = Rolis.Cluster.create cfg (Rolis.App.counter_app ~keys:100) in
   Rolis.Cluster.run cluster ~duration:(1 * s) ();
-  check_bool "networked mode releases" true (Rolis.Cluster.released cluster > 500);
+  check_bool "networked mode releases" true (cluster_released cluster > 500);
   (* Client-observed latency includes the request/response round trip. *)
   let p50 = Sim.Metrics.Hist.quantile (Rolis.Cluster.latency cluster) 0.5 in
   check_bool "latency includes client RTT" true
@@ -501,10 +507,11 @@ let test_disable_replay_mode () =
   let cfg = { (test_cfg ()) with Rolis.Config.disable_replay = true } in
   let cluster = Rolis.Cluster.create cfg (Rolis.App.counter_app ~keys:100) in
   Rolis.Cluster.run cluster ~duration:(1 * s) ();
-  check_bool "leader throughput unaffected" true (Rolis.Cluster.released cluster > 500);
+  check_bool "leader throughput unaffected" true (cluster_released cluster > 500);
   (* Followers learn durability but never apply. *)
   let f = Rolis.Cluster.replica cluster 1 in
-  check_int "follower applied nothing" 0 (Rolis.Stats.replayed_txns (Rolis.Replica.stats f));
+  check_int "follower applied nothing" 0
+    (Rolis.Stats.get (Rolis.Replica.stats f) Rolis.Stats.Replayed_txns);
   let t = Silo.Db.table (Rolis.Replica.db f) "counters" in
   let all_zero = ref true in
   Store.Table.iter t (fun _ r -> if r.Store.Record.value <> "0" then all_zero := false);
@@ -530,7 +537,7 @@ let test_bulk_replay_convergence () =
     (Rolis.Cluster.replicas cluster);
   stopped := true;
   Rolis.Cluster.run cluster ~duration:(1 * s) ();
-  check_bool "bulk mode releases" true (Rolis.Cluster.released cluster > 100);
+  check_bool "bulk mode releases" true (cluster_released cluster > 100);
   let leader_state =
     table_state (Rolis.Replica.db (Rolis.Cluster.replica cluster 0)) "accounts"
   in
@@ -539,7 +546,7 @@ let test_bulk_replay_convergence () =
     check_bool
       (Printf.sprintf "follower %d replayed in bulk" i)
       true
-      (Rolis.Stats.replayed_txns (Rolis.Replica.stats f) > 0);
+      (Rolis.Stats.get (Rolis.Replica.stats f) Rolis.Stats.Replayed_txns > 0);
     check_bool
       (Printf.sprintf "follower %d state equals leader" i)
       true
@@ -551,8 +558,8 @@ let test_bulk_replay_convergence () =
         (total_money (Rolis.Replica.db r) ~accounts))
     (Rolis.Cluster.replicas cluster);
   (* The lag telemetry sampled on the controller tick has data. *)
-  match Rolis.Cluster.replay_lag cluster with
-  | Some (n, p50, p95) ->
+  match Rolis.Cluster.stage_summary cluster Rolis.Trace.Replay_lag with
+  | Some (n, p50, p95, _) ->
       check_bool "lag samples accumulated" true (n > 0);
       check_bool "lag percentiles ordered" true (0 <= p50 && p50 <= p95)
   | None -> Alcotest.fail "no replay-lag samples"
@@ -579,7 +586,7 @@ let test_parallel_hash_replay_convergence () =
   stopped := true;
   Rolis.Cluster.run cluster ~duration:(1 * s) ();
   check_bool "parallel hash mode releases" true
-    (Rolis.Cluster.released cluster > 100);
+    (cluster_released cluster > 100);
   let leader_db = Rolis.Replica.db (Rolis.Cluster.replica cluster 0) in
   check_bool "table is hash-indexed" true
     (Store.Table.repr (Silo.Db.table leader_db "accounts") = Store.Table.Hash);
@@ -589,7 +596,7 @@ let test_parallel_hash_replay_convergence () =
     check_bool
       (Printf.sprintf "follower %d replayed" i)
       true
-      (Rolis.Stats.replayed_txns (Rolis.Replica.stats f) > 0);
+      (Rolis.Stats.get (Rolis.Replica.stats f) Rolis.Stats.Replayed_txns > 0);
     check_bool
       (Printf.sprintf "follower %d state equals leader" i)
       true
@@ -622,7 +629,7 @@ let test_single_stream_mode () =
   let cfg = { (test_cfg ~workers:4 ()) with Rolis.Config.stream_mode = Rolis.Config.Single } in
   let cluster = Rolis.Cluster.create cfg (Rolis.App.counter_app ~keys:100) in
   Rolis.Cluster.run cluster ~warmup:(200 * ms) ~duration:(1 * s) ();
-  check_bool "strawman releases transactions" true (Rolis.Cluster.released cluster > 500)
+  check_bool "strawman releases transactions" true (cluster_released cluster > 500)
 
 let test_restart_rejoin_convergence () =
   (* Crash a follower mid-run, restart it while the cluster is still under
@@ -640,7 +647,7 @@ let test_restart_rejoin_convergence () =
   Rolis.Cluster.run cluster ~duration:(1_500 * ms) ();
   stopped := true;
   Rolis.Cluster.run cluster ~duration:(1 * s) ();
-  check_bool "progress under churn" true (Rolis.Cluster.released cluster > 100);
+  check_bool "progress under churn" true (cluster_released cluster > 100);
   let r2 = Rolis.Cluster.replica cluster 2 in
   check_bool "restarted replica alive" true (Rolis.Replica.is_alive r2);
   let leader_state =
@@ -813,8 +820,9 @@ let check_golden name cfg app ~duration ~golden =
   let cluster = Rolis.Cluster.create cfg app in
   Rolis.Cluster.run cluster ~duration ();
   let lat = Rolis.Cluster.latency cluster in
-  check_int (name ^ ": released") g_released (Rolis.Cluster.released cluster);
-  check_int (name ^ ": executed") g_executed (Rolis.Cluster.executed cluster);
+  check_int (name ^ ": released") g_released (cluster_released cluster);
+  check_int (name ^ ": executed") g_executed
+    (Rolis.Cluster.count cluster Rolis.Stats.Executed);
   check_int (name ^ ": p50") g_p50 (Sim.Metrics.Hist.quantile lat 0.5);
   check_int (name ^ ": p95") g_p95 (Sim.Metrics.Hist.quantile lat 0.95)
 
@@ -865,7 +873,7 @@ let test_budget_p50_win () =
   let budget = run ~target:(2 * ms) ~max_bytes:default.Rolis.Config.max_batch_bytes in
   let p50 c = Sim.Metrics.Hist.quantile (Rolis.Cluster.latency c) 0.5 in
   check_bool "both made progress" true
-    (Rolis.Cluster.released static > 500 && Rolis.Cluster.released budget > 500);
+    (cluster_released static > 500 && cluster_released budget > 500);
   check_bool
     (Printf.sprintf "2 ms budget p50 (%d ns) at least 2x below static (%d ns)"
        (p50 budget) (p50 static))
@@ -873,8 +881,10 @@ let test_budget_p50_win () =
     (2 * p50 budget <= p50 static);
   (* The event-driven machinery actually carried the run. *)
   let st = Rolis.Replica.stats (Rolis.Cluster.replica budget 0) in
-  check_bool "deadline flushes observed" true (Rolis.Stats.deadline_flushes st > 0);
-  check_bool "event-driven releases observed" true (Rolis.Stats.event_releases st > 0)
+  check_bool "deadline flushes observed" true
+    (Rolis.Stats.get st Rolis.Stats.Deadline_flushes > 0);
+  check_bool "event-driven releases observed" true
+    (Rolis.Stats.get st Rolis.Stats.Event_releases > 0)
 
 (* End-to-end safety of the batching path: leader crash mid-run,
    then drain — money conserved on every survivor, and the incremental
@@ -1318,7 +1328,7 @@ let test_follower_reads_e2e () =
     Array.fold_left
       (fun a r ->
         if Rolis.Replica.id r = leader_id then a
-        else a + Rolis.Stats.reads_served (Rolis.Replica.stats r))
+        else a + Rolis.Stats.get (Rolis.Replica.stats r) Rolis.Stats.Reads_served)
       0 (Rolis.Cluster.replicas c)
   in
   check_bool "followers served reads" true (follower_served > 0);
@@ -1363,7 +1373,9 @@ let test_lease_partition_parks () =
           ())
   in
   Rolis.Cluster.run c ~duration:(1 * s) ();
-  let served () = Rolis.Stats.reads_served (Rolis.Replica.stats (Rolis.Cluster.replica c 2)) in
+  let served () =
+    Rolis.Stats.get (Rolis.Replica.stats (Rolis.Cluster.replica c 2)) Rolis.Stats.Reads_served
+  in
   check_bool "follower served while leased" true (served () > 0);
   Sim.Net.partition net 0 2;
   Sim.Net.partition net 1 2;
@@ -1374,7 +1386,8 @@ let test_lease_partition_parks () =
   Rolis.Cluster.run c ~duration:(1 * s) ();
   check_int "no reads served without a lease" served_mid (served ());
   check_bool "reads parked instead" true
-    (Rolis.Stats.reads_parked (Rolis.Replica.stats (Rolis.Cluster.replica c 2)) > 0);
+    (Rolis.Stats.get (Rolis.Replica.stats (Rolis.Cluster.replica c 2)) Rolis.Stats.Reads_parked
+    > 0);
   (* Heal: a fresh lease arrives with the next heartbeat and serving
      resumes at the current epoch. *)
   Sim.Net.heal net 0 2;
@@ -2259,6 +2272,54 @@ let test_trace_sampling_deterministic () =
   check_bool "stage breakdown covers the pipeline" true
     (List.exists (fun (name, n, _, _, _) -> name = "execute" && n > 0) breakdown)
 
+let all_counters =
+  Rolis.Stats.
+    [
+      Executed; User_aborts; Released; Serialized_bytes; Entries_flushed;
+      Deadline_flushes; Event_releases; Replayed_txns; Reads_served; Reads_parked;
+      Reads_redirected; Read_misses; Busy_replies; Redirects; Parked_requests;
+      Parked_ns;
+    ]
+
+(* Write and read-only sessions against a cluster whose admission queue
+   holds one request and whose leader crashes mid-run: busy replies,
+   redirects, parked requests and read redirects all fire. *)
+let run_client_cluster ~interval =
+  let accounts = 20 in
+  let cfg =
+    {
+      (test_cfg ~workers:2 ()) with
+      Rolis.Config.clients = 6;
+      client_timeout = 50 * ms;
+      client_retry_limit = 3;
+      admission_max_pending = 1;
+      follower_reads = true;
+      read_lease = 150 * ms;
+      trace_sample_interval = interval;
+    }
+  in
+  let stopped = ref false in
+  let c = Rolis.Cluster.create cfg (transfer_app ~accounts ~initial:1_000 ~stopped) in
+  let eng = Rolis.Cluster.engine c and net = Rolis.Cluster.network c in
+  for cid = 0 to cfg.Rolis.Config.clients - 1 do
+    let crng = Sim.Rng.split (Sim.Engine.rng eng) in
+    (* cids 0-3 write transfers; cids 4-5 read balances. *)
+    ignore
+      (if cid < 4 then
+         Rolis.Client.spawn net ~cfg ~cid ~stopped
+           ~stats:(Rolis.Cluster.client_stats c)
+           ~gen:(fun () -> Rolis.Chaos.bank_payload crng ~accounts)
+           ()
+       else
+         Rolis.Client.spawn net ~cfg ~cid ~stopped ~ro:true
+           ~stats:(Rolis.Cluster.client_read_stats c)
+           ~gen:(fun () -> Rolis.Chaos.bank_read_payload crng ~accounts)
+           ())
+  done;
+  Sim.Engine.schedule eng (600 * ms) (fun () -> Rolis.Cluster.crash_replica c 0);
+  Rolis.Cluster.run c ~warmup:(200 * ms) ~duration:(2 * s) ();
+  c
+
 let test_trace_zero_overhead () =
   (* Tracing performs no virtual-time operations, so simulated results
      are bit-identical whether sampling is off or on — the "< 3%
@@ -2266,8 +2327,8 @@ let test_trace_zero_overhead () =
      deterministic setting. *)
   let on = run_traced_cluster ~interval:64 in
   let off = run_traced_cluster ~interval:0 in
-  check_int "released identical with tracing off" (Rolis.Cluster.released on)
-    (Rolis.Cluster.released off);
+  check_int "released identical with tracing off" (cluster_released on)
+    (cluster_released off);
   check_bool "latency histogram identical with tracing off" true
     (Sim.Metrics.Hist.values (Rolis.Cluster.latency on)
     = Sim.Metrics.Hist.values (Rolis.Cluster.latency off));
@@ -2280,7 +2341,41 @@ let test_trace_zero_overhead () =
        (fun (name, _, _, _, _) -> name = "replay_lag")
        (Rolis.Cluster.stage_breakdown off));
   check_bool "lag telemetry survives tracing off" true
-    (Rolis.Cluster.replay_lag off <> None)
+    (Rolis.Cluster.stage_summary off Rolis.Trace.Replay_lag <> None);
+  (* Counters are not tracing either: with client sessions, follower
+     reads, a starved admission queue and a leader crash, every counter
+     of every replica and of both client-side stats reads the same with
+     sampling off. A count that moved into a trace-gated path would
+     differ here. *)
+  let on = run_client_cluster ~interval:4 in
+  let off = run_client_cluster ~interval:0 in
+  let all_stats c =
+    Rolis.Cluster.client_stats c :: Rolis.Cluster.client_read_stats c
+    :: List.map Rolis.Replica.stats (Array.to_list (Rolis.Cluster.replicas c))
+  in
+  List.iter2
+    (fun st_on st_off ->
+      List.iter
+        (fun c ->
+          check_int "counter identical with tracing off" (Rolis.Stats.get st_on c)
+            (Rolis.Stats.get st_off c))
+        all_counters)
+    (all_stats on) (all_stats off);
+  (* The scenario must reach the dispositions it is meant to cover. *)
+  let total c =
+    List.fold_left (fun a st -> a + Rolis.Stats.get st c) 0 (all_stats off)
+  in
+  List.iter
+    (fun (name, c) ->
+      check_bool ("scenario exercises " ^ name) true (total c > 0))
+    Rolis.Stats.
+      [
+        ("busy replies", Busy_replies);
+        ("redirects", Redirects);
+        ("parks", Parked_requests);
+        ("served reads", Reads_served);
+        ("read redirects", Reads_redirected);
+      ]
 
 (* The Fig. 3 scenario through the tracing lens: partition the leader so
    it steps down and abandons its speculative pipeline. Every pending
@@ -2346,11 +2441,27 @@ let test_stats_window_excludes_prewarmup () =
       Rolis.Stats.note_released st ~start:(50 * ms) ~latency:(100 * ms) ~bytes:8;
       Rolis.Stats.note_released st ~start:(120 * ms) ~latency:(30 * ms) ~bytes:8);
   Sim.Engine.run eng;
-  check_int "both releases counted" 2 (Rolis.Stats.released st);
+  check_int "both releases counted" 2 (Rolis.Stats.get st Rolis.Stats.Released);
   check_int "pre-window latency sample excluded" 1
     (Sim.Metrics.Hist.count (Rolis.Stats.latency st));
   check_int "surviving sample is the post-window one" (30 * ms)
     (Sim.Metrics.Hist.percentile (Rolis.Stats.latency st) 50.0)
+
+(* Which counters the end-of-warm-up reset zeroes: everything the
+   pipeline and the read path count is per window; the client-facing
+   admission, redirect and park totals span the whole run. *)
+let test_stats_reset_window_counters () =
+  let eng = Sim.Engine.create () in
+  let st = Rolis.Stats.create eng in
+  List.iter (fun c -> Rolis.Stats.add st c 3) all_counters;
+  Rolis.Stats.reset_window st;
+  let cumulative = Rolis.Stats.[ Busy_replies; Redirects; Parked_requests; Parked_ns ] in
+  List.iter
+    (fun c ->
+      check_int "counter after reset_window"
+        (if List.mem c cumulative then 3 else 0)
+        (Rolis.Stats.get st c))
+    all_counters
 
 let () =
   Alcotest.run "rolis"
@@ -2493,5 +2604,7 @@ let () =
         [
           Alcotest.test_case "window excludes pre-warm-up latency" `Quick
             test_stats_window_excludes_prewarmup;
+          Alcotest.test_case "reset_window zeroes the windowed counters" `Quick
+            test_stats_reset_window_counters;
         ] );
     ]

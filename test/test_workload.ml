@@ -249,7 +249,8 @@ let test_tpcc_on_cluster_with_failover () =
   let eng = Rolis.Cluster.engine cluster in
   Sim.Engine.schedule eng (800 * ms) (fun () -> Rolis.Cluster.crash_replica cluster 0);
   Rolis.Cluster.run cluster ~duration:(3 * s) ();
-  check_bool "released transactions" true (Rolis.Cluster.released cluster > 50);
+  check_bool "released transactions" true
+    (Rolis.Cluster.count cluster Rolis.Stats.Released > 50);
   match Rolis.Cluster.leader cluster with
   | None -> Alcotest.fail "no leader after failover"
   | Some r ->
