@@ -82,14 +82,22 @@ let () =
     else None
   in
   let part_path d name = Filename.concat d (name ^ ".json") in
-  (* Run one experiment where it is, and report its wall time and the
-     simulator's event rate over it (host cost, not gated). *)
+  (* Run one experiment where it is, and report its wall time, the
+     simulator's event rate over it and the process's peak major heap
+     (host cost, not gated). In a forked child the peak is the
+     experiment's own; with --no-fork it is the largest so far. *)
   let timed name run =
     let t = Unix.gettimeofday () and e0 = Sim.Engine.events_fired () in
     run ~quick;
     let dt = Unix.gettimeofday () -. t and events = Sim.Engine.events_fired () - e0 in
-    Printf.printf "  [%s done in %.1fs, %d events, %.0f events/s]\n%!" name dt events
+    let heap_mb =
+      float_of_int ((Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8))
+      /. 1e6
+    in
+    Printf.printf "  [%s done in %.1fs, %d events, %.0f events/s, peak heap %.0f MB]\n%!"
+      name dt events
       (if dt > 0. then float_of_int events /. dt else 0.)
+      heap_mb
   in
   let t0 = Unix.gettimeofday () in
   (* Each experiment runs in its own forked child: simulated TPC-C

@@ -6,10 +6,20 @@
     payload, and the embedded per-worker generator (the paper's
     closed-loop Silo workers), which draws payloads from a per-worker RNG.
 
-    [setup] runs identically on every replica before the simulation
-    starts (replicas begin in sync, as in the paper's setup; adding an
-    out-of-sync replica goes through {!Replica.rebuild}). Bodies run
-    under {!Silo.Db.run} on the leader. *)
+    Replicas begin in sync, as in the paper's setup: before the
+    simulation starts, replica 0 of each group runs [setup] on its fresh
+    database, and the group's other replicas start from a copy of the
+    tables it loaded ({!Silo.Db.copy_tables}). A replica rebuilt later
+    by {!Cluster.restart_replica} runs [setup] again before
+    {!Replica.rebuild} brings it up to date. So [setup] must load the
+    same tables every time it runs, and therefore it must:
+    - only create tables and insert records into them;
+    - make no commits ({!Silo.Db.run}) and no attachments
+      ({!Silo.Db.attach}) — {!Cluster.create} refuses either;
+    - draw nothing from the engine RNG (a load needing randomness uses
+      its own fixed-seed {!Sim.Rng.t}, as TPC-C's does).
+
+    Bodies run under {!Silo.Db.run} on the leader. *)
 
 type t = {
   name : string;

@@ -373,9 +373,16 @@ let create ?(initial_leader = Some 0) ?on_durable ?eng cfg app =
   let hook id =
     Option.map (fun f ~stream ~idx entry -> f ~replica:id ~stream ~idx entry) on_durable
   in
+  let replica ?image id =
+    Replica.create cfg eng net ~id ~app ?image ?initial_leader ?on_durable:(hook id) ()
+  in
+  (* One load per group: replica 0 runs [App.setup], and every other pool
+     slot, spares included, starts from a copy of its tables, taken before
+     the engine runs anything. *)
+  let first = replica 0 in
   let replicas =
     Array.init pool (fun id ->
-        Replica.create cfg eng net ~id ~app ?initial_leader ?on_durable:(hook id) ())
+        if id = 0 then first else replica ~image:(Replica.db first) id)
   in
   for id = cfg.Config.replicas to pool - 1 do
     Sim.Net.crash net id;

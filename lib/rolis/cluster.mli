@@ -30,10 +30,13 @@ val create :
   Config.t ->
   App.t ->
   t
-(** Build replicas, load the application on each, spawn all processes.
-    [initial_leader] defaults to [Some 0] (skip the cold-start election);
-    pass [None] to start leaderless. [on_durable] observes every
-    durability commit on every replica (see {!Check.Oracle}). The network
+(** Build replicas, load the application once, spawn all processes.
+    Replica 0 runs [App.setup]; every other pool slot, spares included,
+    starts from a copy of replica 0's tables ({!Replica.create}'s
+    [image]), taken before the engine runs. [initial_leader] defaults to
+    [Some 0] (skip the cold-start election); pass [None] to start
+    leaderless. [on_durable] observes every durability commit on every
+    replica (see {!Check.Oracle}). The network
     carries [pool + clients] nodes, where [pool = replicas +
     spare_replicas]: spare slots are created dark (crashed at birth) and
     only join through {!add_replica}; client sessions occupy
@@ -41,7 +44,10 @@ val create :
     {!network}, passing {!client_stats}. [eng] hosts the cluster on an
     existing engine instead of creating one — how a {!Shard} deployment
     runs many groups on one virtual clock; omitted, behaviour (and every
-    drawn random number) is exactly the historical single-cluster path. *)
+    drawn random number) is exactly the historical single-cluster path.
+    @raise Invalid_argument if [App.setup] broke its contract ({!App.t}):
+    with more than one pool slot, a setup that attached state to the
+    database or committed a transaction is refused. *)
 
 val engine : t -> Sim.Engine.t
 val network : t -> Paxos.Msg.t Sim.Net.t
@@ -108,8 +114,9 @@ val crash_replica : t -> int -> unit
 
 val restart_replica : ?learner:bool -> t -> int -> unit
 (** Rebuild replica [i] from scratch (crashing it first if still alive):
-    fresh database and streams, seeded by {!Replica.rebuild} from the
-    newest persisted image plus the journal tail above its cover (when
+    fresh database loaded by [App.setup] (no live replica still holds
+    the initial state to copy) and fresh streams, seeded by
+    {!Replica.rebuild} from the newest persisted image plus the journal tail above its cover (when
     [checkpoint_interval > 0] and an image exists) or from the
     per-stream union of every alive peer's journal — with the old
     incarnation first among the donors when it was still alive, so its

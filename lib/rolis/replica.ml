@@ -1118,8 +1118,8 @@ let heartbeat_tick t () =
 
 (* ---- construction ---- *)
 
-let create cfg eng net ~id:rid ~app ?initial_leader ?membership ?(learner = false)
-    ?on_durable () =
+let create cfg eng net ~id:rid ~app ?image ?initial_leader ?membership
+    ?(learner = false) ?on_durable () =
   Config.validate cfg;
   let cpu = Sim.Cpu.create eng ~cores:cfg.Config.cores () in
   let is_initial_leader = initial_leader = Some rid in
@@ -1128,7 +1128,9 @@ let create cfg eng net ~id:rid ~app ?initial_leader ?membership ?(learner = fals
       ~physical_deletes:is_initial_leader
       ~hash_tables:cfg.Config.hash_tables ()
   in
-  app.App.setup db;
+  (match image with
+  | Some src -> Silo.Db.copy_tables ~src db
+  | None -> app.App.setup db);
   let nstreams = Config.nstreams cfg in
   (* Default membership: the base replica set. Spare pool slots exist on
      the network but are not voters until a reconfiguration adds them. *)

@@ -33,21 +33,29 @@ val create :
   Paxos.Msg.t Sim.Net.t ->
   id:int ->
   app:App.t ->
+  ?image:Silo.Db.t ->
   ?initial_leader:int ->
   ?membership:Paxos.Member.view * int ->
   ?learner:bool ->
   ?on_durable:(stream:int -> idx:int -> Store.Wire.entry -> unit) ->
   unit ->
   t
-(** Builds the replica's state and spawns its processes. [app.setup] runs
-    immediately on the fresh database. [on_durable] observes every
-    durability commit (stream, index, entry) in commit order — the hook
-    the invariant checker's oracle uses to cross-check agreement.
+(** Builds the replica's state and spawns its processes. The fresh
+    database is seeded immediately: without [image], [app.setup] loads
+    it; with [image] — another replica's database holding only what its
+    [app.setup] loaded — it starts from a {!Silo.Db.copy_tables} of that
+    image instead, so one load serves a whole group. {!Cluster.create}
+    seeds replica 0 by [setup] and the rest from its image.
+    [on_durable] observes every durability commit (stream, index, entry)
+    in commit order — the hook the invariant checker's oracle uses to
+    cross-check agreement.
     [membership] seeds the voting view and its generation (default: the
     stable set [0 .. replicas-1] at generation 0 — spare pool slots are
     not voters); [learner] starts the replica non-voting and
     election-ineligible until a replicated configuration makes it a
-    voter. *)
+    voter.
+    @raise Invalid_argument if [image] holds more than a load (see
+    {!Silo.Db.copy_tables}). *)
 
 val id : t -> int
 

@@ -78,6 +78,11 @@ let engine t = t.eng
 let cpu t = t.cpu
 let costs t = t.cost_model
 
+let add_table t table =
+  Hashtbl.add t.by_name (Store.Table.name table) table;
+  t.by_id <- Array.append t.by_id [| table |];
+  t.table_list <- table :: t.table_list
+
 let create_table t name =
   if Hashtbl.mem t.by_name name then
     invalid_arg (Printf.sprintf "Db.create_table: duplicate table %s" name);
@@ -86,10 +91,23 @@ let create_table t name =
     if List.mem name t.hash_tables then Store.Table.Hash else Store.Table.Btree
   in
   let table = Store.Table.create ~repr ~id ~name () in
-  Hashtbl.add t.by_name name table;
-  t.by_id <- Array.append t.by_id [| table |];
-  t.table_list <- table :: t.table_list;
+  add_table t table;
   table
+
+(* Tables land in id order, so the copy's [table_by_id] resolves the
+   table ids that wire entries carry exactly as the source's does. *)
+let copy_tables ~src t =
+  let refuse why = invalid_arg ("Db.copy_tables: " ^ why) in
+  if Array.length t.by_id > 0 then refuse "the target already has tables";
+  if src.attached <> [] then refuse "the source has attachments";
+  if src.ts_counter <> 0 then refuse "the source has committed";
+  Array.iter
+    (fun table ->
+      let name = Store.Table.name table in
+      if List.mem name t.hash_tables <> (Store.Table.repr table = Store.Table.Hash)
+      then refuse ("index representation of " ^ name ^ " differs");
+      add_table t (Store.Table.copy table))
+    src.by_id
 
 let set_read_floor t f = t.read_floor <- f
 
@@ -446,20 +464,10 @@ let no_write = { Store.Wire.table = 0; key = ""; value = None }
 (* Sentinel for "no record", compared physically; never bound to a key. *)
 let absent = Store.Record.make ""
 
-(* Follower replay of one durable log entry. The write-sets of every
-   transaction with [ts <= upto] are flattened into one array and
-   stable-sorted by (table, key): transactions appear in timestamp order
-   and keys are unique within one write-set, so each key's versions come
-   out as a contiguous, ts-ascending run. Each table's key runs are swept
-   through its B-tree with a cursor, and every version of a key is
-   CAS-installed in ts order — exactly the per-key sequence
-   [apply_replay] runs transaction by transaction, so a pinned snapshot
-   reader keeps the intermediate version a later write of the same entry
-   overwrites. One CPU charge for the whole entry replaces the
-   per-transaction charges; it counts index work per distinct key. *)
-let apply_replay_entry t (entry : Store.Wire.entry) ?(ways = 1) ~upto () =
-  if ways < 1 then invalid_arg "Db.apply_replay_entry: ways must be >= 1";
-  let epoch = entry.Store.Wire.epoch in
+(* The writes of every transaction with [ts <= upto], flattened in log
+   order, each beside its transaction's timestamp; and how many
+   transactions contributed. *)
+let flatten_upto (entry : Store.Wire.entry) ~upto =
   let txns = ref 0 and n = ref 0 in
   List.iter
     (fun (txn : Store.Wire.txn_log) ->
@@ -468,10 +476,7 @@ let apply_replay_entry t (entry : Store.Wire.entry) ?(ways = 1) ~upto () =
         n := !n + List.length txn.writes
       end)
     entry.Store.Wire.txns;
-  let n = !n in
-  (* [ws.(i)] is the i-th logged write, [tss.(i)] its transaction's
-     timestamp; [ord] is the (table, key) order over them. *)
-  let ws = Array.make n no_write and tss = Array.make n 0 in
+  let ws = Array.make !n no_write and tss = Array.make !n 0 in
   let i = ref 0 in
   List.iter
     (fun (txn : Store.Wire.txn_log) ->
@@ -483,13 +488,80 @@ let apply_replay_entry t (entry : Store.Wire.entry) ?(ways = 1) ~upto () =
             incr i)
           txn.writes)
     entry.Store.Wire.txns;
-  let ord = Array.init n Fun.id in
-  Array.stable_sort
-    (fun a b ->
-      let wa = ws.(a) and wb = ws.(b) in
-      let c = Int.compare wa.table wb.table in
-      if c <> 0 then c else String.compare wa.key wb.key)
-    ord;
+  (!txns, ws, tss)
+
+let write_compare (a : Store.Wire.write) (b : Store.Wire.write) =
+  let c = Int.compare a.table b.table in
+  if c <> 0 then c else String.compare a.key b.key
+
+(* The (table, key) order of [ws] that [Array.stable_sort] would give,
+   built by merging the maximal ascending runs of [ws] pairwise, the left
+   run winning ties. [install] logs each write-set sorted, so every
+   transaction is at most one run: an entry of [r] runs costs about
+   [n log2 r] comparisons instead of a full sort's [n log2 n]. *)
+let merge_order ws =
+  let n = Array.length ws in
+  (* Run [r] is [src.(starts.(r)) .. src.(starts.(r + 1) - 1)]. *)
+  let starts = Array.make (n + 1) n in
+  let runs = ref 0 in
+  for i = 0 to n - 1 do
+    if i = 0 || write_compare ws.(i - 1) ws.(i) > 0 then begin
+      starts.(!runs) <- i;
+      incr runs
+    end
+  done;
+  let src = ref (Array.init n Fun.id)
+  and dst = ref (if !runs > 1 then Array.make n 0 else [||]) in
+  while !runs > 1 do
+    let a = !src and b = !dst in
+    let pairs = (!runs + 1) / 2 in
+    for p = 0 to pairs - 1 do
+      let lo = starts.(2 * p) and mid = starts.((2 * p) + 1) in
+      let hi = if (2 * p) + 2 <= !runs then starts.((2 * p) + 2) else mid in
+      let i = ref lo and j = ref mid in
+      for k = lo to hi - 1 do
+        if !j >= hi || (!i < mid && write_compare ws.(a.(!i)) ws.(a.(!j)) <= 0)
+        then begin
+          b.(k) <- a.(!i);
+          incr i
+        end
+        else begin
+          b.(k) <- a.(!j);
+          incr j
+        end
+      done;
+      starts.(p) <- lo
+    done;
+    starts.(pairs) <- n;
+    runs := pairs;
+    src := b;
+    dst := a
+  done;
+  !src
+
+let replay_order entry ~upto =
+  let _, ws, tss = flatten_upto entry ~upto in
+  Array.map (fun i -> (ws.(i), tss.(i))) (merge_order ws)
+
+(* Follower replay of one durable log entry. The write-sets of every
+   transaction with [ts <= upto] are flattened into one array and put in
+   stable (table, key) order: transactions appear in timestamp order
+   and keys are unique within one write-set, so each key's versions come
+   out as a contiguous, ts-ascending run. Each table's key runs are swept
+   through its B-tree with a cursor, and every version of a key is
+   CAS-installed in ts order — exactly the per-key sequence
+   [apply_replay] runs transaction by transaction, so a pinned snapshot
+   reader keeps the intermediate version a later write of the same entry
+   overwrites. One CPU charge for the whole entry replaces the
+   per-transaction charges; it counts index work per distinct key. *)
+let apply_replay_entry t (entry : Store.Wire.entry) ?(ways = 1) ~upto () =
+  if ways < 1 then invalid_arg "Db.apply_replay_entry: ways must be >= 1";
+  let epoch = entry.Store.Wire.epoch in
+  (* [ws.(i)] is the i-th logged write, [tss.(i)] its transaction's
+     timestamp; [ord] is the (table, key) order over them. *)
+  let txns, ws, tss = flatten_upto entry ~upto in
+  let n = Array.length ws in
+  let ord = merge_order ws in
   (* Distinct keys: key [j]'s versions are [ord.(starts.(j))] up to
      (excluding) [ord.(starts.(j + 1))]; the unused tail stays [n]. *)
   let starts = Array.make (n + 1) n in
@@ -665,7 +737,7 @@ let apply_replay_entry t (entry : Store.Wire.entry) ?(ways = 1) ~upto () =
     Sim.Sync.Waitgroup.wait wg
   end;
   {
-    re_txns = !txns;
+    re_txns = txns;
     re_writes = n;
     re_installed = !installed;
     re_seeks = !seeks;

@@ -70,6 +70,16 @@ val costs : t -> Costs.t
 val create_table : t -> string -> Store.Table.t
 (** @raise Invalid_argument if the name is taken. *)
 
+val copy_tables : src:t -> t -> unit
+(** [copy_tables ~src t] gives the fresh database [t] a {!Store.Table.copy}
+    of every table of [src], in id order, so that table ids mean the same
+    in both. The copies share [src]'s key and value strings but no
+    record. This is how a replica starts from another's loaded tables
+    instead of loading its own; [src] must hold nothing but the load.
+    @raise Invalid_argument if [t] already has tables, if [src] has
+    attachments or has issued a timestamp ({!last_ts} [<> 0]), or if
+    the two databases' [hash_tables] disagree on a table. *)
+
 val table : t -> string -> Store.Table.t
 (** @raise Not_found for unknown names. *)
 
@@ -145,6 +155,13 @@ val apply_replay_entry :
     sequential path. Final state and reported counts are
     [ways]-independent; only the virtual-time shape changes.
     @raise Invalid_argument if [ways < 1]. *)
+
+val replay_order : Store.Wire.entry -> upto:int -> (Store.Wire.write * int) array
+(** The writes {!apply_replay_entry} installs for [entry], each with its
+    transaction's timestamp, in the order it installs them: the writes of
+    every transaction with [ts <= upto], flattened in log order, then
+    stably ordered by (table, key) — a merge of the runs the flattened
+    list is already sorted in, since each write-set is logged sorted. *)
 
 val set_read_floor : t -> (unit -> int) option -> unit
 (** Wire the snapshot read-pin floor. [Some f] turns on prior-version

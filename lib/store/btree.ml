@@ -562,6 +562,36 @@ let to_list t =
   iter t (fun k v -> acc := (k, v) :: !acc);
   List.rev !acc
 
+(* ---- structural copy ---- *)
+
+(* Node for node, in key order, so each copied leaf can be chained
+   behind the one copied before it. Keys and separators are immutable
+   strings and are shared; only the arrays are fresh, and a leaf's are
+   cut to its [len]. *)
+let copy f t =
+  let last = ref None in
+  let rec go = function
+    | Leaf l ->
+        let c =
+          {
+            keys = Array.sub l.keys 0 l.len;
+            vals = Array.init l.len (fun i -> f l.vals.(i));
+            len = l.len;
+            next = None;
+          }
+        in
+        Option.iter (fun (p : 'a leaf) -> p.next <- Some c) !last;
+        last := Some c;
+        Leaf c
+    | Node n ->
+        Node
+          {
+            seps = Array.copy n.seps;
+            kids = Array.init (Array.length n.kids) (fun i -> go n.kids.(i));
+          }
+  in
+  { root = go t.root; size = t.size }
+
 (* ---- invariant checking (tests) ---- *)
 
 let check_invariants t =

@@ -58,6 +58,15 @@ val iter : 'a t -> (string -> 'a -> unit) -> unit
 val to_list : 'a t -> (string * 'a) list
 (** Ascending; for tests. *)
 
+val copy : ('a -> 'b) -> 'a t -> 'b t
+(** [copy f t] is a tree of the same shape as [t] — the same leaves
+    holding the same keys, the same separators — with every value mapped
+    through [f] (called once per binding, in ascending key order). The
+    key and separator strings are shared with [t]; each leaf gets
+    exact-size arrays of its live entries, and the leaf chain is rebuilt.
+    The copy is independent of [t]: later inserts and removes on either
+    leave the other untouched. *)
+
 (** {2 Cursors and sorted bulk application}
 
     The follower-replay fast path: a watermark-released log entry is a

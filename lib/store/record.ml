@@ -25,6 +25,8 @@ let make ?(epoch = 0) ?(ts = 0) value =
     snap_ts = -1;
   }
 
+let copy t = { t with value = t.value }
+
 let is_locked t = t.locker >= 0
 
 let try_lock t ~worker =

@@ -29,6 +29,10 @@ type t = {
 
 val make : ?epoch:int -> ?ts:int -> string -> t
 
+val copy : t -> t
+(** A fresh record with every field of the argument; the value strings
+    are shared (strings are immutable, so only the record is copied). *)
+
 val is_locked : t -> bool
 val try_lock : t -> worker:int -> bool
 (** Idempotent for the same worker (re-entrant within one commit). *)

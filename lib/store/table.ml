@@ -22,6 +22,19 @@ let create ?(repr = Btree) ~id ~name () =
   in
   { table_id = id; table_name = name; index; bytes = 0; removals = 0 }
 
+(* Every record is copied and every key shared. [Hashtbl.copy] keeps the
+   bucket layout of the source; the records are then swapped in place. *)
+let copy t =
+  let index =
+    match t.index with
+    | Tree tr -> Tree (Btree.copy Record.copy tr)
+    | Htbl h ->
+        let h = Hashtbl.copy h in
+        Hashtbl.filter_map_inplace (fun _ r -> Some (Record.copy r)) h;
+        Htbl h
+  in
+  { t with index }
+
 let id t = t.table_id
 let name t = t.table_name
 let repr t = match t.index with Tree _ -> Btree | Htbl _ -> Hash

@@ -21,6 +21,12 @@ type repr = Btree | Hash  (** index representation, fixed at creation *)
 val create : ?repr:repr -> id:int -> name:string -> unit -> t
 (** [repr] defaults to [Btree], the behavior-compatible representation. *)
 
+val copy : t -> t
+(** A table with the same id, name, representation, bytes and records,
+    independent of the argument: each record is {!Record.copy}'d, while
+    the key and value strings are shared. A B-tree keeps its shape
+    ({!Btree.copy}), a hash index its bucket layout. *)
+
 val id : t -> int
 val name : t -> string
 

@@ -723,6 +723,121 @@ let test_voluntary_restart_keeps_accepted () =
   check_bool "no other survivor holds it" false
     (holds_accepted (Rolis.Cluster.replica cluster 2))
 
+(* ---------- one load per group ---------- *)
+
+let load_tpcc =
+  {
+    Workload.Tpcc.default with
+    Workload.Tpcc.warehouses = 2;
+    items = 200;
+    customers_per_district = 20;
+    init_orders_per_district = 20;
+  }
+
+(* Every record of [db], field by field, each table in [iter] order. *)
+let db_contents db =
+  List.map
+    (fun t ->
+      let rows = ref [] in
+      Store.Table.iter t (fun k (r : Store.Record.t) ->
+          rows := (k, r.value, r.epoch, r.ts, r.version, r.deleted) :: !rows);
+      (Store.Table.id t, Store.Table.name t, Store.Table.repr t, List.rev !rows))
+    (Silo.Db.tables db)
+
+let iter_records db f =
+  List.iter (fun t -> Store.Table.iter t (fun _ r -> f r)) (Silo.Db.tables db)
+
+(* No record is reachable from two databases. Each database stamps its
+   own mark into every record's [version], in turn; a record shared with
+   a database stamped later would then show that database's mark. The
+   versions are restored afterwards. *)
+let records_disjoint dbs =
+  let saved =
+    List.map
+      (fun db ->
+        let vs = ref [] in
+        iter_records db (fun r -> vs := r.Store.Record.version :: !vs);
+        List.rev !vs)
+      dbs
+  in
+  List.iteri
+    (fun i db -> iter_records db (fun r -> r.Store.Record.version <- -1 - i))
+    dbs;
+  let ok = ref true in
+  List.iteri
+    (fun i db ->
+      iter_records db (fun r -> if r.Store.Record.version <> -1 - i then ok := false))
+    dbs;
+  List.iter2
+    (fun db vs ->
+      let vs = ref vs in
+      iter_records db (fun r ->
+          match !vs with
+          | v :: rest ->
+              r.Store.Record.version <- v;
+              vs := rest
+          | [] -> assert false))
+    dbs saved;
+  !ok
+
+(* Replica 0 loads; the other replicas, the spare too, copy its tables.
+   Each must hold exactly what its own load would have, in records of its
+   own — and so must a replica rebuilt by [restart_replica], which loads
+   again. *)
+let test_replicas_born_equal () =
+  let cfg =
+    {
+      (test_cfg ~workers:2 ()) with
+      Rolis.Config.spare_replicas = 1;
+      hash_tables = [ "item" ];
+    }
+  in
+  let cluster = Rolis.Cluster.create cfg (Workload.Tpcc.app load_tpcc) in
+  let expected =
+    let eng = Sim.Engine.create () in
+    let db =
+      Silo.Db.create eng (Sim.Cpu.create eng ~cores:1 ())
+        ~hash_tables:cfg.Rolis.Config.hash_tables ()
+    in
+    Workload.Tpcc.setup load_tpcc db;
+    db_contents db
+  in
+  let dbs () =
+    Array.to_list (Array.map Rolis.Replica.db (Rolis.Cluster.replicas cluster))
+  in
+  check_int "pool" 4 (List.length (dbs ()));
+  let born_equal what =
+    List.iteri
+      (fun i db ->
+        check_bool (Printf.sprintf "%s: replica %d equals a fresh load" what i) true
+          (db_contents db = expected))
+      (dbs ());
+    check_bool (what ^ ": no record shared") true (records_disjoint (dbs ()))
+  in
+  born_equal "at birth";
+  Rolis.Cluster.restart_replica cluster 1;
+  born_equal "after restart";
+  (* The copies serve: a short run converges. *)
+  Rolis.Cluster.run cluster ~duration:(300 * ms) ();
+  check_bool "committed on the copies" true (cluster_released cluster > 0)
+
+type Silo.Db.attachment += Test_loaded
+
+let test_setup_attach_refused () =
+  let base = Rolis.App.counter_app ~keys:4 in
+  let app =
+    {
+      base with
+      Rolis.App.setup =
+        (fun db ->
+          base.Rolis.App.setup db;
+          Silo.Db.attach db Test_loaded);
+    }
+  in
+  match Rolis.Cluster.create (test_cfg ()) app with
+  | _ -> Alcotest.fail "a setup that attaches state was accepted"
+  | exception Invalid_argument _ -> ()
+
 (* ---------- batching ---------- *)
 
 (* Drive a standalone batcher over a schedule of inter-submit gaps (ts is
@@ -2490,6 +2605,10 @@ let () =
             test_bulk_replay_convergence;
           Alcotest.test_case "parallel replay over hash index" `Quick
             test_parallel_hash_replay_convergence;
+          Alcotest.test_case "replicas born equal and disjoint" `Quick
+            test_replicas_born_equal;
+          Alcotest.test_case "setup that attaches refused" `Quick
+            test_setup_attach_refused;
         ] );
       ( "failover",
         [

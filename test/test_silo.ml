@@ -570,6 +570,65 @@ let test_read_tombstone_compacted () =
    must fall back to the full sweep: the database must end exactly as
    per-transaction replay with the compaction between the two entries
    leaves it, for sequential and sliced replay. *)
+(* Replay's merged write order is the stable (table, key) sort of the
+   flattened writes. Most generated write-sets are logged the way
+   [install] logs them (sorted, one version per key); the rest are left in
+   draw order, duplicates and all, so runs also break inside a
+   transaction. Keys repeat across transactions, and [upto] cuts the
+   entry anywhere. *)
+let replay_order_qcheck =
+  let write_gen =
+    QCheck.Gen.(
+      map3
+        (fun table key value -> { Store.Wire.table; key; value })
+        (int_range 0 2)
+        (map (String.make 1) (char_range 'a' 'f'))
+        (opt (map string_of_int small_nat)))
+  in
+  let cmp (a : Store.Wire.write) (b : Store.Wire.write) =
+    compare (a.table, a.key) (b.table, b.key)
+  in
+  let txn_gen =
+    QCheck.Gen.(
+      map3
+        (fun ts logged writes ->
+          let writes =
+            if logged then List.sort_uniq cmp writes else writes
+          in
+          { Store.Wire.ts; req = None; decision = None; writes })
+        (int_range 1 50)
+        (frequencyl [ (3, true); (1, false) ])
+        (list_size (0 -- 8) write_gen))
+  in
+  let print (txns, upto) =
+    Printf.sprintf "upto=%d %s" upto
+      (String.concat " | "
+         (List.map
+            (fun (t : Store.Wire.txn_log) ->
+              Printf.sprintf "ts=%d:%s" t.ts
+                (String.concat ","
+                   (List.map
+                      (fun (w : Store.Wire.write) ->
+                        Printf.sprintf "%d/%s" w.table w.key)
+                      t.writes)))
+            txns))
+  in
+  QCheck.Test.make ~name:"replay merge order = stable sort" ~count:500
+    (QCheck.make ~print
+       QCheck.Gen.(pair (list_size (1 -- 12) txn_gen) (int_range 0 55)))
+    (fun (txns, upto) ->
+      let entry = Store.Wire.make_entry ~epoch:1 txns in
+      let expected =
+        List.concat_map
+          (fun (t : Store.Wire.txn_log) ->
+            if t.ts <= upto then List.map (fun w -> (w, t.ts)) t.writes else [])
+          txns
+        |> List.stable_sort (fun (a, _) (b, _) -> cmp a b)
+      in
+      let got = Array.to_list (Silo.Db.replay_order entry ~upto) in
+      List.length got = List.length expected
+      && List.for_all2 (fun (w, ts) (w', ts') -> w == w' && ts = ts') got expected)
+
 let test_replay_compact_during_charge () =
   let mk ts writes = { Store.Wire.ts; req = None; decision = None; writes } in
   let w key value = { Store.Wire.table = 0; key; value } in
@@ -728,5 +787,6 @@ let () =
             test_parallel_replay_ways_equivalence;
           Alcotest.test_case "compact during the charge" `Quick
             test_replay_compact_during_charge;
+          qc replay_order_qcheck;
         ] );
     ]

@@ -861,6 +861,122 @@ let hash_btree_equiv_qcheck =
       in
       Store.Table.count bt = Store.Table.count ht && listing bt = listing ht)
 
+(* ---------- structural copy ---------- *)
+
+(* A random table history: inserts of absent keys, physical removes, and
+   installs into present records. Up to 200 keys over leaves of 32 make
+   splits, merges and leaves with spare capacity. *)
+type table_op = T_ins of string * string | T_rem of string | T_mut of string * string
+
+let table_ops_arb =
+  let open QCheck.Gen in
+  let key = map (Printf.sprintf "%03d") (int_range 0 199) in
+  let value = map (Printf.sprintf "v%d") small_nat in
+  let op =
+    frequency
+      [
+        (5, map2 (fun k v -> T_ins (k, v)) key value);
+        (3, map (fun k -> T_rem k) key);
+        (2, map2 (fun k v -> T_mut (k, v)) key value);
+      ]
+  in
+  let print ops =
+    String.concat ";"
+      (List.map
+         (function
+           | T_ins (k, v) -> Printf.sprintf "I(%s,%s)" k v
+           | T_rem k -> Printf.sprintf "R(%s)" k
+           | T_mut (k, v) -> Printf.sprintf "M(%s,%s)" k v)
+         ops)
+  in
+  QCheck.make ~print (list_size (0 -- 500) op)
+
+let apply_table_op t = function
+  | T_ins (k, v) ->
+      if Store.Table.get t k = None then Store.Table.insert t k (Store.Record.make v)
+  | T_rem k -> Store.Table.remove_phys t k
+  | T_mut (k, v) -> (
+      match Store.Table.get t k with
+      | Some r ->
+          Store.Record.install r ~epoch:2 ~ts:(r.Store.Record.ts + 1) ~value:(Some v)
+      | None -> ())
+
+let table_pairs t =
+  let acc = ref [] in
+  Store.Table.iter t (fun k r -> acc := (k, r) :: !acc);
+  List.rev !acc
+
+(* Every record field by field, in [iter] order. *)
+let table_contents t =
+  List.map
+    (fun (k, (r : Store.Record.t)) -> (k, r.value, r.deleted, r.epoch, r.ts, r.version))
+    (table_pairs t)
+
+(* The walks a B-tree copy must reproduce from every probe key: a bounded
+   [fold_range] and an [iter_from] cut after 40 keys. *)
+let tree_walks tr =
+  List.init 11 (fun i ->
+      let lo = Printf.sprintf "%03d" (i * 20) and hi = Printf.sprintf "%03d" ((i * 20) + 35) in
+      let range =
+        Store.Btree.fold_range tr ~lo ~hi ~init:[] ~f:(fun acc k _ -> k :: acc)
+      in
+      let from = ref [] in
+      Store.Btree.iter_from tr lo (fun k _ ->
+          from := k :: !from;
+          List.length !from < 40);
+      (range, !from))
+
+let table_copy_qcheck repr =
+  let name = match repr with Store.Table.Btree -> "btree" | Store.Table.Hash -> "hash" in
+  QCheck.Test.make ~count:150
+    ~name:(Printf.sprintf "table copy (%s): equal, shares strings, independent" name)
+    (QCheck.triple table_ops_arb table_ops_arb table_ops_arb)
+    (fun (history, on_src, on_copy) ->
+      let src = Store.Table.create ~repr ~id:3 ~name:"t" () in
+      List.iter (apply_table_op src) history;
+      let c = Store.Table.copy src in
+      let trees_ok () =
+        match repr with
+        | Store.Table.Hash -> true
+        | Store.Table.Btree ->
+            Store.Btree.check_invariants (Store.Table.tree src);
+            Store.Btree.check_invariants (Store.Table.tree c);
+            true
+      in
+      let same_table =
+        Store.Table.id c = 3
+        && Store.Table.name c = "t"
+        && Store.Table.repr c = repr
+        && Store.Table.count c = Store.Table.count src
+        && Store.Table.bytes c = Store.Table.bytes src
+      in
+      let sp = table_pairs src and cp = table_pairs c in
+      let shared =
+        List.length sp = List.length cp
+        && List.for_all2
+             (fun (k, (r : Store.Record.t)) (k', (r' : Store.Record.t)) ->
+               k == k' && r != r' && r.value == r'.value)
+             sp cp
+      in
+      let same_walks =
+        match repr with
+        | Store.Table.Hash -> true
+        | Store.Table.Btree ->
+            let ts = Store.Table.tree src and tc = Store.Table.tree c in
+            List.map fst (Store.Btree.to_list ts) = List.map fst (Store.Btree.to_list tc)
+            && tree_walks ts = tree_walks tc
+      in
+      let checked_at_birth = trees_ok () in
+      let born = table_contents src in
+      let equal_at_birth = table_contents c = born in
+      List.iter (apply_table_op src) on_src;
+      let copy_kept = table_contents c = born in
+      let src_now = table_contents src in
+      List.iter (apply_table_op c) on_copy;
+      let src_kept = table_contents src = src_now in
+      checked_at_birth && trees_ok () && same_table && shared && same_walks && equal_at_birth && copy_kept
+      && src_kept)
+
 (* ---------- Wire ---------- *)
 
 let sample_entry () =
@@ -1043,6 +1159,11 @@ let () =
           Alcotest.test_case "iter ascending" `Quick test_hash_iter_ascending;
           Alcotest.test_case "apply_sorted_run" `Quick test_hash_apply_sorted_run;
           qc hash_btree_equiv_qcheck;
+        ] );
+      ( "copy",
+        [
+          qc (table_copy_qcheck Store.Table.Btree);
+          qc (table_copy_qcheck Store.Table.Hash);
         ] );
       ( "wire",
         [
