@@ -44,7 +44,7 @@ let total db =
   let t = Silo.Db.table db "accounts" in
   let sum = ref 0 in
   Store.Table.iter t (fun _ r ->
-      if not r.Store.Record.deleted then sum := !sum + int_of_string r.Store.Record.value);
+      if not (Store.Record.is_deleted r) then sum := !sum + int_of_string r.Store.Record.value);
   !sum
 
 let () =

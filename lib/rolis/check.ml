@@ -143,7 +143,7 @@ let table_dump db =
   |> List.concat_map (fun t ->
          let acc = ref [] in
          Store.Table.iter t (fun k r ->
-             if not r.Store.Record.deleted then
+             if not (Store.Record.is_deleted r) then
                acc := (Store.Table.name t, k, r.Store.Record.value) :: !acc);
          List.rev !acc)
 
@@ -493,7 +493,7 @@ let money cluster ~table ~expected =
          let t = Silo.Db.table (Replica.db r) table in
          let sum = ref 0 and bad = ref 0 in
          Store.Table.iter t (fun _ rec_ ->
-             if not rec_.Store.Record.deleted then
+             if not (Store.Record.is_deleted rec_) then
                match int_of_string_opt rec_.Store.Record.value with
                | Some v -> sum := !sum + v
                | None -> incr bad);
@@ -521,7 +521,7 @@ let money_sharded clusters ~table ~expected =
         let t = Silo.Db.table (Replica.db r) table in
         let sum = ref 0 and bad = ref 0 in
         Store.Table.iter t (fun _ rec_ ->
-            if not rec_.Store.Record.deleted then
+            if not (Store.Record.is_deleted rec_) then
               match int_of_string_opt rec_.Store.Record.value with
               | Some v -> sum := !sum + v
               | None -> incr bad);

@@ -55,14 +55,14 @@ let write db ?(threads = 4) ?(disk_mb_per_s = 500) ?(rows_per_yield = 512)
                     and disk-write time per burst of rows. *)
                  let rows = ref [] in
                  Store.Table.iter table (fun k (r : Store.Record.t) ->
-                     if (not r.deleted) || not live_only then
+                     if not (Store.Record.is_deleted r && live_only) then
                        rows :=
                          {
                            r_key = k;
                            r_value = r.value;
                            r_epoch = r.epoch;
                            r_ts = r.ts;
-                           r_deleted = r.deleted;
+                           r_deleted = Store.Record.is_deleted r;
                          }
                          :: !rows);
                  let all = Array.of_list (List.rev !rows) in
@@ -130,9 +130,10 @@ let install_table ~into (ti : table_image) =
              None
          | None ->
              let rec_ =
-               Store.Record.make ~epoch:row.r_epoch ~ts:row.r_ts row.r_value
+               if row.r_deleted then
+                 Store.Record.tombstone ~epoch:row.r_epoch ~ts:row.r_ts ()
+               else Store.Record.make ~epoch:row.r_epoch ~ts:row.r_ts row.r_value
              in
-             if row.r_deleted then rec_.Store.Record.deleted <- true;
              incr installed;
              Store.Table.account_growth table
                (Store.Record.byte_size ~key:row.r_key rec_);

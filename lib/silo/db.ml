@@ -158,13 +158,6 @@ let validate txn =
 
 (* ---- install ---- *)
 
-(* Bytes attributable to a record's occupied prior-version slot; mirrors
-   the slot term of [Store.Record.byte_size]. *)
-let slot_bytes (r : Store.Record.t) =
-  if r.Store.Record.snap_ts >= 0 then
-    32 + String.length r.Store.Record.snap_value
-  else 0
-
 let ws_cmp (a : Txn.write_entry) (b : Txn.write_entry) =
   let c = compare (Store.Table.id a.w_table) (Store.Table.id b.w_table) in
   if c <> 0 then c else compare a.w_key b.w_key
@@ -203,13 +196,13 @@ let install_existing t table key (r : Store.Record.t) ~epoch ~ts ~value =
       Store.Table.account_growth table delta;
       if value = None && t.physical_deletes then Store.Table.remove_phys table key
   | Some floor ->
-      let before = String.length r.Store.Record.value + slot_bytes r in
+      let before = String.length r.Store.Record.value + Store.Record.slot_bytes r in
       Store.Record.install_retain r ~floor:(floor ()) ~epoch ~ts ~value;
-      let after = String.length r.Store.Record.value + slot_bytes r in
+      let after = String.length r.Store.Record.value + Store.Record.slot_bytes r in
       Store.Table.account_growth table (after - before);
       (* A retained tombstone must stay in the index: a pinned reader
          still resolves the prior version through it. *)
-      if value = None && t.physical_deletes && r.Store.Record.snap_ts < 0 then
+      if value = None && t.physical_deletes && not (Store.Record.has_prior r) then
         Store.Table.remove_phys table key
 
 let fresh_record ~epoch ~ts v =
@@ -285,7 +278,7 @@ let install t (txn : Txn.t) ~epoch ~ts : Store.Wire.write list =
         let key = w.Txn.w_key in
         let value = w.Txn.w_value in
         (match (w.Txn.w_read, value) with
-        | Some r, _ when not r.Store.Record.deleted ->
+        | Some r, _ when not (Store.Record.is_deleted r) ->
             install_existing t table key r ~epoch ~ts ~value
         | None, Some _ ->
             (* Blind puts into one table (a new order's lines, or one
@@ -420,13 +413,13 @@ let cas_existing t table r ~epoch ~ts ~value =
       end
       else false
   | Some floor ->
-      let before = String.length r.Store.Record.value + slot_bytes r in
+      let before = String.length r.Store.Record.value + Store.Record.slot_bytes r in
       let applied =
         Store.Record.cas_apply_retain r ~floor:(floor ()) ~epoch ~ts ~value
       in
       (* Both outcomes can move bytes: an applied write swaps value and
          slot, a rejected ts-crossed write can still land in the slot. *)
-      let after = String.length r.Store.Record.value + slot_bytes r in
+      let after = String.length r.Store.Record.value + Store.Record.slot_bytes r in
       if after <> before then Store.Table.account_growth table (after - before);
       applied
 

@@ -116,7 +116,7 @@ let get t table key =
       let found = Store.Table.get table key in
       track_read t id table key found;
       match found with
-      | Some r when not r.Store.Record.deleted ->
+      | Some r when not (Store.Record.is_deleted r) ->
           let v = r.Store.Record.value in
           t.nvalue_bytes <- t.nvalue_bytes + String.length v;
           Some v

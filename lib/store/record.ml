@@ -1,54 +1,30 @@
+type prior = { p_value : string; p_ts : int }
+
 type t = {
   mutable value : string;
-  mutable deleted : bool;
   mutable epoch : int;
   mutable ts : int;
   mutable version : int;
-  mutable locker : int;
-  mutable snap_value : string;
-  mutable snap_deleted : bool;
-  mutable snap_epoch : int;
-  mutable snap_ts : int;
+  mutable prior : prior;
 }
 
-let make ?(epoch = 0) ?(ts = 0) value =
-  {
-    value;
-    deleted = false;
-    epoch;
-    ts;
-    version = 0;
-    locker = -1;
-    snap_value = "";
-    snap_deleted = false;
-    snap_epoch = 0;
-    snap_ts = -1;
-  }
+(* The value of a deleted record: a string of its own, so that only a
+   physical comparison matches it. It is empty, so [byte_size] counts no
+   value bytes for a tombstone. *)
+let tomb = Bytes.unsafe_to_string (Bytes.create 0)
 
+let no_prior = { p_value = ""; p_ts = -1 }
+
+let make ?(epoch = 0) ?(ts = 0) value =
+  { value; epoch; ts; version = 0; prior = no_prior }
+
+let tombstone ?epoch ?ts () = make ?epoch ?ts tomb
+let is_deleted t = t.value == tomb
+let live v = if v == tomb then None else Some v
 let copy t = { t with value = t.value }
 
-let is_locked t = t.locker >= 0
-
-let try_lock t ~worker =
-  if t.locker = worker then true
-  else if t.locker >= 0 then false
-  else begin
-    t.locker <- worker;
-    true
-  end
-
-let unlock t ~worker =
-  if t.locker <> worker then invalid_arg "Record.unlock: not the lock holder";
-  t.locker <- -1
-
 let stamp t ~epoch ~ts ~value =
-  (match value with
-  | Some v ->
-      t.value <- v;
-      t.deleted <- false
-  | None ->
-      t.value <- "";
-      t.deleted <- true);
+  t.value <- (match value with Some v -> v | None -> tomb);
   t.epoch <- epoch;
   t.ts <- ts;
   t.version <- t.version + 1
@@ -64,11 +40,7 @@ let cas_apply t ~epoch ~ts ~value =
   end
   else false
 
-let snap_clear t =
-  t.snap_value <- "";
-  t.snap_deleted <- false;
-  t.snap_epoch <- 0;
-  t.snap_ts <- -1
+let snap_clear t = t.prior <- no_prior
 
 (* Retain the current version in the prior-version slot before it is
    overwritten by a write stamped [ts]. A snapshot read is pinned at some
@@ -78,13 +50,7 @@ let snap_clear t =
    bounds the chain at depth one: the slot always holds the newest
    version still below the read-pin floor (or is empty). *)
 let retain t ~floor ~ts =
-  if floor < ts then begin
-    t.snap_value <- t.value;
-    t.snap_deleted <- t.deleted;
-    t.snap_epoch <- t.epoch;
-    t.snap_ts <- t.ts
-  end
-  else snap_clear t
+  t.prior <- (if floor < ts then { p_value = t.value; p_ts = t.ts } else no_prior)
 
 let stamp_retain t ~floor ~epoch ~ts ~value =
   retain t ~floor ~ts;
@@ -105,17 +71,8 @@ let cas_apply_retain t ~floor ~epoch ~ts ~value =
        pinned between the two timestamps must observe. Park the loser in
        the slot instead of dropping it, keeping the slot's invariant
        (newest known version below the current stamp). *)
-    (if ts > t.snap_ts && ts < t.ts then begin
-       (match value with
-       | Some v ->
-           t.snap_value <- v;
-           t.snap_deleted <- false
-       | None ->
-           t.snap_value <- "";
-           t.snap_deleted <- true);
-       t.snap_epoch <- epoch;
-       t.snap_ts <- ts
-     end);
+    if ts > t.prior.p_ts && ts < t.ts then
+      t.prior <- { p_value = (match value with Some v -> v | None -> tomb); p_ts = ts };
     false
   end
 
@@ -125,19 +82,21 @@ type snapshot = Visible of string option * int | Miss
    (watermarks never regress at an epoch seal), so visibility at a pin is
    a pure [ts] comparison. *)
 let read_at t ~pin =
-  if t.ts <= pin then Visible ((if t.deleted then None else Some t.value), t.ts)
-  else if t.snap_ts < 0 then
-    (* The slot is only empty above a pin when the record was created
-       above it (reclamation clears the slot only once the floor — hence
-       every live pin — has passed the current stamp). *)
-    Visible (None, -1)
-  else if t.snap_ts <= pin then
-    Visible ((if t.snap_deleted then None else Some t.snap_value), t.snap_ts)
-  else Miss
+  if t.ts <= pin then Visible (live t.value, t.ts)
+  else
+    let p = t.prior in
+    if p.p_ts < 0 then
+      (* The slot is only empty above a pin when the record was created
+         above it (reclamation clears the slot only once the floor — hence
+         every live pin — has passed the current stamp). *)
+      Visible (None, -1)
+    else if p.p_ts <= pin then Visible (live p.p_value, p.p_ts)
+    else Miss
+
+let has_prior t = t.prior.p_ts >= 0
+let slot_bytes t = if has_prior t then 32 + String.length t.prior.p_value else 0
 
 (* Rough heap footprint: record header + stamped fields + strings. The
    prior-version slot contributes only while occupied — with snapshot
    reads off it never is, keeping historical accounting unchanged. *)
-let byte_size ~key t =
-  64 + String.length key + String.length t.value
-  + (if t.snap_ts >= 0 then 32 + String.length t.snap_value else 0)
+let byte_size ~key t = 64 + String.length key + String.length t.value + slot_bytes t

@@ -1,44 +1,51 @@
 (** Versioned record — the unit of concurrency control and replay.
 
-    Each key in a table maps to one [Record.t] carrying:
+    Each key in a table maps to one [Record.t] of five fields (six heap
+    words with the header):
 
-    - the current value (or a tombstone after deletion);
-    - the [(epoch, ts)] pair of its last writer, used by follower replay's
-      compare-and-swap (paper §3.4): an apply only wins if its
+    - [value], the current value, or the private tombstone string after a
+      deletion ({!is_deleted});
+    - [epoch] and [ts], the stamp of its last writer, used by follower
+      replay's compare-and-swap (paper §3.4): an apply only wins if its
       [(epoch, ts)] is strictly newer;
-    - an OCC [version] counter bumped on every install, used by read-set
+    - [version], an OCC counter bumped on every install, used by read-set
       validation on the leader;
-    - a write-lock owner field (Silo locks the write-set at commit); and
-    - a bounded prior-version slot ([snap_*]) holding the newest
-      overwritten version still above the snapshot read-pin floor, so
-      read-only transactions pinned at a watermark can read below
-      concurrent replay installs. *)
+    - [prior], a bounded prior-version slot holding the newest overwritten
+      version still above the snapshot read-pin floor, so read-only
+      transactions pinned at a watermark can read below concurrent replay
+      installs. An empty slot is one shared sentinel; an occupied one is an
+      immutable block, so {!copy} shares it.
+
+    There is no lock word: commit validates and installs its write-set
+    with no yield in between and charges [Silo.Costs.lock_ns] per write, so no
+    record is ever seen locked. *)
+
+type prior = private { p_value : string; p_ts : int }
+(** A retained prior version: its value (the tombstone string when it was
+    a deletion) and its stamp; [p_ts = -1] is the empty slot. *)
 
 type t = {
   mutable value : string;
-  mutable deleted : bool;
   mutable epoch : int;
   mutable ts : int;
   mutable version : int;
-  mutable locker : int;  (** worker id holding the write lock; -1 = free *)
-  mutable snap_value : string;  (** prior version retained for snapshot reads *)
-  mutable snap_deleted : bool;
-  mutable snap_epoch : int;
-  mutable snap_ts : int;  (** stamp of the retained version; -1 = slot empty *)
+  mutable prior : prior;  (** prior version retained for snapshot reads *)
 }
 
 val make : ?epoch:int -> ?ts:int -> string -> t
+(** A live record with an empty prior-version slot and [version = 0]. *)
+
+val tombstone : ?epoch:int -> ?ts:int -> unit -> t
+(** A deleted record: [make] with the tombstone as its value. *)
+
+val is_deleted : t -> bool
+(** Whether the current version is a tombstone. The tombstone's [value]
+    reads as [""]; only this test tells it from a live empty value. *)
 
 val copy : t -> t
 (** A fresh record with every field of the argument; the value strings
-    are shared (strings are immutable, so only the record is copied). *)
-
-val is_locked : t -> bool
-val try_lock : t -> worker:int -> bool
-(** Idempotent for the same worker (re-entrant within one commit). *)
-
-val unlock : t -> worker:int -> unit
-(** @raise Invalid_argument if [worker] does not hold the lock. *)
+    and the prior-version block are shared (they are immutable, so only
+    the record is copied). *)
 
 val install : t -> epoch:int -> ts:int -> value:string option -> unit
 (** Leader-side install at commit: set value ([None] = tombstone), stamp
@@ -67,6 +74,13 @@ val cas_apply_retain :
 
 val snap_clear : t -> unit
 (** Empty the prior-version slot (reclaims its bytes). *)
+
+val has_prior : t -> bool
+(** Whether the prior-version slot is occupied. *)
+
+val slot_bytes : t -> int
+(** The prior-version slot's share of {!byte_size}: 32 bytes plus the
+    retained value while occupied, else 0. *)
 
 type snapshot = Visible of string option * int | Miss
 

@@ -64,7 +64,7 @@ let get t key =
 
 let get_live t key =
   match get t key with
-  | Some r when not r.Record.deleted -> Some r
+  | Some r when not (Record.is_deleted r) -> Some r
   | Some _ | None -> None
 
 let insert t key r =
@@ -109,7 +109,7 @@ let scan t ~lo ~hi ?(limit = max_int) () =
       Btree.iter_from tr lo (fun k r ->
           if compare k hi >= 0 || !n >= limit then false
           else begin
-            if not r.Record.deleted then begin
+            if not (Record.is_deleted r) then begin
               acc := (k, r) :: !acc;
               incr n
             end;
@@ -131,7 +131,7 @@ let max_live t ~lo ~hi =
       let rec probe below =
         match Btree.find_last_lt tr below with
         | Some (k, r) when compare k lo >= 0 ->
-            if r.Record.deleted then probe k else Some (k, r)
+            if Record.is_deleted r then probe k else Some (k, r)
         | Some _ | None -> None
       in
       probe hi
@@ -143,7 +143,7 @@ let min_live t ~lo ~hi =
       let result = ref None in
       Btree.iter_from tr lo (fun k r ->
           if compare k hi >= 0 then false
-          else if r.Record.deleted then true
+          else if Record.is_deleted r then true
           else begin
             result := Some (k, r);
             false
@@ -173,7 +173,7 @@ let iter t f =
 
 let compact t =
   let dead = ref [] in
-  iter t (fun k r -> if r.Record.deleted then dead := (k, r) :: !dead);
+  iter t (fun k r -> if Record.is_deleted r then dead := (k, r) :: !dead);
   List.iter
     (fun (k, r) ->
       (match t.index with

@@ -33,7 +33,7 @@ val name : t -> string
 val repr : t -> repr
 
 val get : t -> string -> Record.t option
-(** The record for [key], including tombstones ([deleted = true]). *)
+(** The record for [key], including tombstones ({!Record.is_deleted}). *)
 
 val get_live : t -> string -> Record.t option
 (** Like {!get} but [None] for tombstones. *)

@@ -695,7 +695,7 @@ let consistency_errors p db =
         has an order. 3. Global balance equation. *)
   let delivered_amount = ref 0 in
   Store.Table.iter oorder (fun key r ->
-      if not r.Store.Record.deleted then begin
+      if not (Store.Record.is_deleted r) then begin
         match Store.Keycodec.decode key with
         | [ I w; I d; I o ] ->
             let ol_cnt = Row.int_at r.Store.Record.value 2 in
@@ -711,7 +711,7 @@ let consistency_errors p db =
         | _ -> err "bad order key"
       end);
   Store.Table.iter new_order (fun key r ->
-      if not r.Store.Record.deleted then
+      if not (Store.Record.is_deleted r) then
         match Store.Keycodec.decode key with
         | [ I w; I d; I o ] ->
             if Store.Table.get_live oorder (k_order w d o) = None then
@@ -719,7 +719,7 @@ let consistency_errors p db =
         | _ -> err "bad new_order key");
   let balance_sum = ref 0 in
   Store.Table.iter customer (fun _ r ->
-      if not r.Store.Record.deleted then begin
+      if not (Store.Record.is_deleted r) then begin
         let row = r.Store.Record.value in
         balance_sum :=
           !balance_sum + Row.int_at row 0 + Row.int_at row 1

@@ -270,7 +270,7 @@ let table_state db name =
   let t = Silo.Db.table db name in
   let acc = ref [] in
   Store.Table.iter t (fun k r ->
-      if not r.Store.Record.deleted then acc := (k, r.Store.Record.value) :: !acc);
+      if not (Store.Record.is_deleted r) then acc := (k, r.Store.Record.value) :: !acc);
   List.rev !acc
 
 (* ---------- end-to-end ---------- *)
@@ -469,7 +469,7 @@ let test_released_results_survive_crash () =
       let t = Silo.Db.table (Rolis.Replica.db r) "counters" in
       let sum = ref 0 in
       Store.Table.iter t (fun _ rec_ ->
-          if not rec_.Store.Record.deleted then
+          if not (Store.Record.is_deleted rec_) then
             sum := !sum + int_of_string rec_.Store.Record.value);
       check_bool "released increments survived" true (!sum >= !released_at_crash);
       check_bool "sanity: something was released" true (!released_at_crash > 100)
@@ -740,7 +740,7 @@ let db_contents db =
     (fun t ->
       let rows = ref [] in
       Store.Table.iter t (fun k (r : Store.Record.t) ->
-          rows := (k, r.value, r.epoch, r.ts, r.version, r.deleted) :: !rows);
+          rows := (k, r.value, r.epoch, r.ts, r.version, Store.Record.is_deleted r) :: !rows);
       (Store.Table.id t, Store.Table.name t, Store.Table.repr t, List.rev !rows))
     (Silo.Db.tables db)
 
@@ -1537,8 +1537,9 @@ let test_checkpoint_roundtrip () =
     Store.Table.insert t (Store.Keycodec.encode [ Store.Keycodec.I i ]) r
   done;
   (* A tombstone must not survive the checkpoint. *)
-  (Store.Table.get t (Store.Keycodec.encode [ Store.Keycodec.I 0 ]) |> Option.get)
-    .Store.Record.deleted <- true;
+  Store.Record.install
+    (Store.Table.get t (Store.Keycodec.encode [ Store.Keycodec.I 0 ]) |> Option.get)
+    ~epoch:1 ~ts:0 ~value:None;
   let duration = ref 0 in
   let checked = ref false in
   let _p =
@@ -1634,7 +1635,7 @@ let stamp_dump db =
                  r.Store.Record.value,
                  r.Store.Record.epoch,
                  r.Store.Record.ts,
-                 r.Store.Record.deleted )
+                 Store.Record.is_deleted r )
                :: !acc);
          !acc)
   |> List.sort compare
@@ -1656,15 +1657,17 @@ let checkpoint_image_multiset_qcheck =
             Store.Keycodec.encode [ Store.Keycodec.I (Random.State.int st 400) ]
           in
           if Store.Table.get t key = None then begin
-            let r =
-              Store.Record.make
-                ~epoch:(1 + Random.State.int st 3)
-                ~ts:(Random.State.int st 10_000)
-                (String.make
-                   (1 + Random.State.int st 12)
-                   (Char.chr (97 + Random.State.int st 26)))
+            let epoch = 1 + Random.State.int st 3 in
+            let ts = Random.State.int st 10_000 in
+            let value =
+              String.make
+                (1 + Random.State.int st 12)
+                (Char.chr (97 + Random.State.int st 26))
             in
-            if Random.State.int st 5 = 0 then r.Store.Record.deleted <- true;
+            let r =
+              if Random.State.int st 5 = 0 then Store.Record.tombstone ~epoch ~ts ()
+              else Store.Record.make ~epoch ~ts value
+            in
             Store.Table.insert t key r
           end
         done
@@ -2083,7 +2086,7 @@ let intent_rows dep =
             Store.Table.iter
               (Silo.Db.table (Rolis.Replica.db r) Rolis.Shard.table_2pc)
               (fun k rec_ ->
-                if not rec_.Store.Record.deleted then
+                if not (Store.Record.is_deleted rec_) then
                   match Store.Keycodec.decode k with
                   | Store.Keycodec.S "i" :: _ -> incr n
                   | _ -> ());

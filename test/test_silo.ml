@@ -144,7 +144,7 @@ let test_physical_vs_tombstone_delete () =
       in
       Sim.Engine.run eng;
       match Store.Table.get t "k" with
-      | Some r -> check_bool "tombstoned" true r.Store.Record.deleted
+      | Some r -> check_bool "tombstoned" true (Store.Record.is_deleted r)
       | None -> Alcotest.fail "tombstone expected")
 
 let test_next_ts_monotone () =
@@ -181,7 +181,7 @@ let test_replay_cas_semantics () =
       check_int "two applies won" 2 !applied;
       match Store.Table.get t "k" with
       | Some r ->
-          check_bool "tombstoned by epoch-2 delete" true r.Store.Record.deleted;
+          check_bool "tombstoned by epoch-2 delete" true (Store.Record.is_deleted r);
           check_int "stamped epoch" 2 r.Store.Record.epoch
       | None -> Alcotest.fail "record should exist as tombstone")
 
@@ -221,12 +221,12 @@ let test_bulk_replay_entry () =
       Sim.Engine.run eng;
       (match Store.Table.get t "k1" with
       | Some r ->
-          check_bool "k1 tombstoned by ts-30 delete" true r.Store.Record.deleted
+          check_bool "k1 tombstoned by ts-30 delete" true (Store.Record.is_deleted r)
       | None -> Alcotest.fail "k1 should exist as tombstone");
       match Store.Table.get t "k2" with
       | Some r ->
           check_bool "k2 kept the last writer" true
-            ((not r.Store.Record.deleted) && r.Store.Record.value = "b")
+            ((not (Store.Record.is_deleted r)) && r.Store.Record.value = "b")
       | None -> Alcotest.fail "k2 should exist")
 
 (* An entry straddling the epoch boundary is applied twice: first
@@ -241,7 +241,7 @@ let test_bulk_replay_upto_truncation () =
         Sim.Engine.run eng;
         List.map
           (fun (k, (r : Store.Record.t)) ->
-            (k, r.Store.Record.value, r.Store.Record.deleted))
+            (k, r.Store.Record.value, Store.Record.is_deleted r))
           (Store.Btree.to_list (Store.Table.tree t)))
   in
   let mk ts writes = { Store.Wire.ts; req = None; decision = None; writes } in
@@ -359,7 +359,7 @@ let test_parallel_replay_ways_equivalence () =
     Sim.Engine.run eng;
     let dump = ref [] in
     Store.Table.iter t (fun k (r : Store.Record.t) ->
-        dump := (k, r.Store.Record.value, r.Store.Record.deleted) :: !dump);
+        dump := (k, r.Store.Record.value, Store.Record.is_deleted r) :: !dump);
     (!installed, List.rev !dump)
   in
   List.iter
@@ -515,18 +515,18 @@ let test_insert_over_retained_tombstone () =
                     Silo.Txn.delete txn t "k";
                     Silo.Txn.delete txn t "k2");
                 let tomb = Option.get (Store.Table.get t "k") in
-                check_bool "tombstone retained" true tomb.Store.Record.deleted;
+                check_bool "tombstone retained" true (Store.Record.is_deleted tomb);
                 let version = tomb.Store.Record.version and ts = tomb.Store.Record.ts in
                 run (fun txn -> write txn t);
                 let r = Option.get (Store.Table.get t "k") in
                 let name what = Printf.sprintf "%s: %s" mode what in
                 check_bool (name "same record revived") true (r == tomb);
-                check_bool (name "live") false r.Store.Record.deleted;
+                check_bool (name "live") false (Store.Record.is_deleted r);
                 Alcotest.(check string) (name "value") "v2" r.Store.Record.value;
                 check_int (name "version bumped") (version + 1) r.Store.Record.version;
                 check_bool (name "tombstone retained in the slot") true
-                  r.Store.Record.snap_deleted;
-                check_int (name "slot stamp") ts r.Store.Record.snap_ts;
+                  (Store.Record.read_at r ~pin:ts = Store.Record.Visible (None, ts));
+                check_int (name "slot stamp") ts r.Store.Record.prior.p_ts;
                 let bytes = ref 0 in
                 Store.Table.iter t (fun key r -> bytes := !bytes + Store.Record.byte_size ~key r);
                 check_int (name "bytes accounted") !bytes (Store.Table.bytes t))
@@ -652,7 +652,7 @@ let test_replay_compact_during_charge () =
         let dump = ref [] in
         Store.Table.iter t (fun k (r : Store.Record.t) ->
             dump :=
-              (k, r.Store.Record.value, r.Store.Record.deleted, r.Store.Record.epoch,
+              (k, r.Store.Record.value, Store.Record.is_deleted r, r.Store.Record.epoch,
                r.Store.Record.ts)
               :: !dump);
         (List.rev !dump, Store.Table.bytes t))

@@ -558,17 +558,6 @@ let test_btree_apply_sorted_validation () =
 
 (* ---------- Record ---------- *)
 
-let test_record_lock () =
-  let r = Store.Record.make "v" in
-  check_bool "lock free" true (Store.Record.try_lock r ~worker:1);
-  check_bool "reentrant" true (Store.Record.try_lock r ~worker:1);
-  check_bool "other blocked" false (Store.Record.try_lock r ~worker:2);
-  Store.Record.unlock r ~worker:1;
-  check_bool "now free" true (Store.Record.try_lock r ~worker:2);
-  Alcotest.check_raises "wrong unlocker"
-    (Invalid_argument "Record.unlock: not the lock holder") (fun () ->
-      Store.Record.unlock r ~worker:1)
-
 let test_record_cas () =
   let r = Store.Record.make ~epoch:1 ~ts:100 "old" in
   check_bool "older write loses" false
@@ -581,7 +570,7 @@ let test_record_cas () =
   check_bool "value updated" true (r.Store.Record.value = "new");
   check_bool "newer epoch beats bigger ts" true
     (Store.Record.cas_apply r ~epoch:2 ~ts:1 ~value:None);
-  check_bool "tombstoned" true r.Store.Record.deleted
+  check_bool "tombstoned" true (Store.Record.is_deleted r)
 
 let record_cas_monotone_qcheck =
   QCheck.Test.make ~name:"record stamp never regresses under random CAS" ~count:200
@@ -608,7 +597,7 @@ let test_record_snapshot_retention () =
     (Store.Record.read_at r ~pin:50 = Store.Record.Miss);
   (* Once the floor has passed the current stamp, retention reclaims. *)
   ignore (Store.Record.cas_apply_retain r ~floor:300 ~epoch:1 ~ts:300 ~value:(Some "v300"));
-  check_bool "slot reclaimed" true (r.Store.Record.snap_ts = -1);
+  check_bool "slot reclaimed" true (r.Store.Record.prior.p_ts = -1);
   check_bool "below-pin key absent" true
     (match Store.Record.read_at r ~pin:250 with
     | Store.Record.Visible (None, -1) -> true
@@ -636,7 +625,7 @@ let test_record_reject_refresh () =
   (* A second, even older loser must not displace the newer slot entry. *)
   check_bool "older loser rejected" false
     (Store.Record.cas_apply_retain r ~floor:90 ~epoch:1 ~ts:150 ~value:(Some "v150"));
-  check_bool "slot keeps newer loser" true (r.Store.Record.snap_ts = 200)
+  check_bool "slot keeps newer loser" true (r.Store.Record.prior.p_ts = 200)
 
 let test_record_byte_size_slot () =
   let r = Store.Record.make ~epoch:1 ~ts:100 "aaaa" in
@@ -677,14 +666,241 @@ let record_read_at_qcheck =
             [ 0; 10; 20; 30; 40; 50; 60 ])
         writes)
 
+(* The record as it was before its prior version moved out of line and
+   its tombstone flag folded into the value: nine inline fields (the
+   never-taken lock word left out). The reference the six-word record
+   must match on every observable read. *)
+module Old_record = struct
+  type t = {
+    mutable value : string;
+    mutable deleted : bool;
+    mutable epoch : int;
+    mutable ts : int;
+    mutable version : int;
+    mutable snap_value : string;
+    mutable snap_deleted : bool;
+    mutable snap_epoch : int;
+    mutable snap_ts : int;
+  }
+
+  let make ~epoch ~ts value =
+    {
+      value;
+      deleted = false;
+      epoch;
+      ts;
+      version = 0;
+      snap_value = "";
+      snap_deleted = false;
+      snap_epoch = 0;
+      snap_ts = -1;
+    }
+
+  let copy t = { t with value = t.value }
+
+  let stamp t ~epoch ~ts ~value =
+    (match value with
+    | Some v ->
+        t.value <- v;
+        t.deleted <- false
+    | None ->
+        t.value <- "";
+        t.deleted <- true);
+    t.epoch <- epoch;
+    t.ts <- ts;
+    t.version <- t.version + 1
+
+  let newer ~epoch ~ts t = epoch > t.epoch || (epoch = t.epoch && ts > t.ts)
+
+  let snap_clear t =
+    t.snap_value <- "";
+    t.snap_deleted <- false;
+    t.snap_epoch <- 0;
+    t.snap_ts <- -1
+
+  let retain t ~floor ~ts =
+    if floor < ts then begin
+      t.snap_value <- t.value;
+      t.snap_deleted <- t.deleted;
+      t.snap_epoch <- t.epoch;
+      t.snap_ts <- t.ts
+    end
+    else snap_clear t
+
+  let cas_apply t ~epoch ~ts ~value =
+    newer ~epoch ~ts t && (stamp t ~epoch ~ts ~value; true)
+
+  let install_retain t ~floor ~epoch ~ts ~value =
+    retain t ~floor ~ts;
+    stamp t ~epoch ~ts ~value
+
+  let cas_apply_retain t ~floor ~epoch ~ts ~value =
+    if newer ~epoch ~ts t then begin
+      install_retain t ~floor ~epoch ~ts ~value;
+      true
+    end
+    else begin
+      if ts > t.snap_ts && ts < t.ts then begin
+        t.snap_value <- Option.value value ~default:"";
+        t.snap_deleted <- value = None;
+        t.snap_epoch <- epoch;
+        t.snap_ts <- ts
+      end;
+      false
+    end
+
+  let read_at t ~pin =
+    if t.ts <= pin then
+      Store.Record.Visible ((if t.deleted then None else Some t.value), t.ts)
+    else if t.snap_ts < 0 then Store.Record.Visible (None, -1)
+    else if t.snap_ts <= pin then
+      Store.Record.Visible ((if t.snap_deleted then None else Some t.snap_value), t.snap_ts)
+    else Store.Record.Miss
+
+  let byte_size ~key t =
+    64 + String.length key + String.length t.value
+    + if t.snap_ts >= 0 then 32 + String.length t.snap_value else 0
+end
+
+type record_op =
+  | R_make of int * int * string option
+  | R_install of int * int * int * string option
+  | R_install_retain of int * int * int * int * string option
+  | R_cas of int * int * int * string option
+  | R_cas_retain of int * int * int * int * string option
+  | R_snap_clear of int
+  | R_copy of int
+
+(* Small stamp and floor ranges, so crossed writes (the parked-loser
+   branch), retention and reclamation all happen often. *)
+let record_ops_arb =
+  let open QCheck.Gen in
+  let i = int_range 0 7 and epoch = int_range 0 2 and ts = int_range (-1) 30 in
+  let floor = int_range 0 30 in
+  let value = opt ~ratio:0.8 (map (Printf.sprintf "v%d") (int_range 0 999)) in
+  let op =
+    frequency
+      [
+        (1, map3 (fun e t v -> R_make (e, t, v)) epoch ts value);
+        (2, map3 (fun i (e, t) v -> R_install (i, e, t, v)) i (pair epoch ts) value);
+        ( 3,
+          map3
+            (fun i (e, t) (f, v) -> R_install_retain (i, f, e, t, v))
+            i (pair epoch ts) (pair floor value) );
+        (2, map3 (fun i (e, t) v -> R_cas (i, e, t, v)) i (pair epoch ts) value);
+        ( 5,
+          map3
+            (fun i (e, t) (f, v) -> R_cas_retain (i, f, e, t, v))
+            i (pair epoch ts) (pair floor value) );
+        (1, map (fun i -> R_snap_clear i) i);
+        (1, map (fun i -> R_copy i) i);
+      ]
+  in
+  let print_v = function Some v -> v | None -> "-" in
+  let print (ops, _) =
+    String.concat ";"
+      (List.map
+         (function
+           | R_make (e, t, v) -> Printf.sprintf "make(%d,%d,%s)" e t (print_v v)
+           | R_install (i, e, t, v) -> Printf.sprintf "install%d(%d,%d,%s)" i e t (print_v v)
+           | R_install_retain (i, f, e, t, v) ->
+               Printf.sprintf "install_retain%d(f%d,%d,%d,%s)" i f e t (print_v v)
+           | R_cas (i, e, t, v) -> Printf.sprintf "cas%d(%d,%d,%s)" i e t (print_v v)
+           | R_cas_retain (i, f, e, t, v) ->
+               Printf.sprintf "cas_retain%d(f%d,%d,%d,%s)" i f e t (print_v v)
+           | R_snap_clear i -> Printf.sprintf "clear%d" i
+           | R_copy i -> Printf.sprintf "copy%d" i)
+         ops)
+  in
+  QCheck.make ~print (pair (list_size (1 -- 60) op) (list_size (1 -- 8) (int_range (-2) 32)))
+
+let record_matches_old_qcheck =
+  QCheck.Test.make ~name:"six-word record = nine-field reference" ~count:500 record_ops_arb
+    (fun (ops, pins) ->
+      (* Parallel pools of (reference, record) pairs, one per [make] or
+         [copy]; an op names its record modulo the pool size. *)
+      let pool = ref [| (Old_record.make ~epoch:0 ~ts:0 "init", Store.Record.make "init") |] in
+      let add p = pool := Array.append !pool [| p |] in
+      let get i = !pool.(i mod Array.length !pool) in
+      let same (o, (r : Store.Record.t)) =
+        o.Old_record.value = r.value
+        && o.deleted = Store.Record.is_deleted r
+        && o.epoch = r.epoch && o.ts = r.ts && o.version = r.version
+        && Old_record.byte_size ~key:"key" o = Store.Record.byte_size ~key:"key" r
+        && List.for_all (fun pin -> Old_record.read_at o ~pin = Store.Record.read_at r ~pin) pins
+      in
+      List.for_all
+        (fun op ->
+          let agree =
+            match op with
+            | R_make (epoch, ts, Some v) ->
+                add (Old_record.make ~epoch ~ts v, Store.Record.make ~epoch ~ts v);
+                true
+            | R_make (epoch, ts, None) ->
+                let o = Old_record.make ~epoch ~ts "" in
+                o.deleted <- true;
+                add (o, Store.Record.tombstone ~epoch ~ts ());
+                true
+            | R_install (i, epoch, ts, value) ->
+                let o, r = get i in
+                Old_record.stamp o ~epoch ~ts ~value;
+                Store.Record.install r ~epoch ~ts ~value;
+                true
+            | R_install_retain (i, floor, epoch, ts, value) ->
+                let o, r = get i in
+                Old_record.install_retain o ~floor ~epoch ~ts ~value;
+                Store.Record.install_retain r ~floor ~epoch ~ts ~value;
+                true
+            | R_cas (i, epoch, ts, value) ->
+                let o, r = get i in
+                Old_record.cas_apply o ~epoch ~ts ~value
+                = Store.Record.cas_apply r ~epoch ~ts ~value
+            | R_cas_retain (i, floor, epoch, ts, value) ->
+                let o, r = get i in
+                Old_record.cas_apply_retain o ~floor ~epoch ~ts ~value
+                = Store.Record.cas_apply_retain r ~floor ~epoch ~ts ~value
+            | R_snap_clear i ->
+                let o, r = get i in
+                Old_record.snap_clear o;
+                Store.Record.snap_clear r;
+                true
+            | R_copy i ->
+                let o, r = get i in
+                add (Old_record.copy o, Store.Record.copy r);
+                true
+          in
+          agree && Array.for_all same !pool)
+        ops)
+
+(* The layout and the accounting pinned: a record is five fields, an
+   empty prior slot is one shared block, and [byte_size] (which feeds
+   [Table.bytes], the checkpoint and mem5 accounting) counts a tombstone,
+   alone and in the slot, as it counted the [""] a deletion stored. A
+   fresh record and an occupied slot are pinned by "byte_size slot
+   overhead". *)
+let test_record_layout () =
+  let r = Store.Record.make "v" in
+  check_int "five fields" 5 (Obj.size (Obj.repr r));
+  check_bool "empty slots shared" true (r.prior == (Store.Record.make "w").prior);
+  let tomb = Store.Record.tombstone ~epoch:1 ~ts:5 () in
+  check_bool "tombstone deleted" true (Store.Record.is_deleted tomb);
+  check_bool "live empty value is not a tombstone" false
+    (Store.Record.is_deleted (Store.Record.make ""));
+  check_int "tombstone" (64 + 3) (Store.Record.byte_size ~key:"key" tomb);
+  ignore (Store.Record.cas_apply_retain tomb ~floor:0 ~epoch:1 ~ts:9 ~value:(Some "bb"));
+  check_int "tombstone in the slot" (64 + 3 + 2 + 32) (Store.Record.byte_size ~key:"key" tomb);
+  check_bool "copy shares the slot" true ((Store.Record.copy tomb).prior == tomb.prior);
+  let t = Store.Table.create ~id:0 ~name:"t" () in
+  Store.Table.insert t "key" (Store.Record.make "aaaa");
+  Store.Table.insert t "k2" (Store.Record.tombstone ());
+  check_int "table bytes" (64 + 3 + 4 + (64 + 2)) (Store.Table.bytes t)
+
 (* ---------- Table ---------- *)
 
 let test_table_tombstones () =
   let t = Store.Table.create ~id:0 ~name:"t" () in
   Store.Table.insert t "a" (Store.Record.make "1");
-  let r = Store.Record.make "2" in
-  Store.Table.insert t "b" r;
-  r.Store.Record.deleted <- true;
+  Store.Table.insert t "b" (Store.Record.tombstone ());
   check_bool "get sees tombstone" true (Store.Table.get t "b" <> None);
   check_bool "get_live hides tombstone" true (Store.Table.get_live t "b" = None);
   check_int "scan skips tombstone" 1 (List.length (Store.Table.scan t ~lo:"" ~hi:"z" ()));
@@ -694,9 +910,7 @@ let test_table_tombstones () =
 
 let test_table_min_live () =
   let t = Store.Table.create ~id:0 ~name:"t" () in
-  let r1 = Store.Record.make "1" in
-  r1.Store.Record.deleted <- true;
-  Store.Table.insert t "a" r1;
+  Store.Table.insert t "a" (Store.Record.tombstone ());
   Store.Table.insert t "b" (Store.Record.make "2");
   match Store.Table.min_live t ~lo:"" ~hi:"z" with
   | Some ("b", _) -> ()
@@ -728,9 +942,7 @@ let test_hash_point_ops () =
   let t = Store.Table.create ~repr:Store.Table.Hash ~id:7 ~name:"item" () in
   check_bool "repr" true (Store.Table.repr t = Store.Table.Hash);
   Store.Table.insert t "a" (Store.Record.make "1");
-  let r = Store.Record.make "2" in
-  Store.Table.insert t "b" r;
-  r.Store.Record.deleted <- true;
+  Store.Table.insert t "b" (Store.Record.tombstone ());
   check_bool "get sees tombstone" true (Store.Table.get t "b" <> None);
   check_bool "get_live hides tombstone" true (Store.Table.get_live t "b" = None);
   check_int "count" 2 (Store.Table.count t);
@@ -821,18 +1033,16 @@ let hash_btree_equiv_qcheck =
       let value t k =
         match Store.Table.get t k with
         | None -> None
-        | Some r -> Some (r.Store.Record.value, r.Store.Record.deleted)
+        | Some r -> Some (r.Store.Record.value, Store.Record.is_deleted r)
       in
       let upsert t k v =
         match Store.Table.get t k with
-        | Some r ->
-            r.Store.Record.value <- v;
-            r.Store.Record.deleted <- false
+        | Some r -> r.Store.Record.value <- v
         | None -> Store.Table.insert t k (Store.Record.make v)
       in
       let tombstone t k =
         match Store.Table.get t k with
-        | Some r -> r.Store.Record.deleted <- true
+        | Some r -> Store.Record.install r ~epoch:0 ~ts:0 ~value:None
         | None -> ()
       in
       List.for_all
@@ -856,7 +1066,7 @@ let hash_btree_equiv_qcheck =
       let listing t =
         let acc = ref [] in
         Store.Table.iter t (fun k r ->
-            acc := (k, r.Store.Record.value, r.Store.Record.deleted) :: !acc);
+            acc := (k, r.Store.Record.value, Store.Record.is_deleted r) :: !acc);
         List.rev !acc
       in
       Store.Table.count bt = Store.Table.count ht && listing bt = listing ht)
@@ -909,7 +1119,7 @@ let table_pairs t =
 (* Every record field by field, in [iter] order. *)
 let table_contents t =
   List.map
-    (fun (k, (r : Store.Record.t)) -> (k, r.value, r.deleted, r.epoch, r.ts, r.version))
+    (fun (k, (r : Store.Record.t)) -> (k, r.value, Store.Record.is_deleted r, r.epoch, r.ts, r.version))
     (table_pairs t)
 
 (* The walks a B-tree copy must reproduce from every probe key: a bounded
@@ -1135,7 +1345,7 @@ let () =
         ] );
       ( "record",
         [
-          Alcotest.test_case "locking" `Quick test_record_lock;
+          Alcotest.test_case "layout" `Quick test_record_layout;
           Alcotest.test_case "cas" `Quick test_record_cas;
           Alcotest.test_case "snapshot retention" `Quick
             test_record_snapshot_retention;
@@ -1144,6 +1354,7 @@ let () =
             test_record_byte_size_slot;
           qc record_cas_monotone_qcheck;
           qc record_read_at_qcheck;
+          qc record_matches_old_qcheck;
         ] );
       ( "table",
         [
