@@ -38,7 +38,6 @@ let experiments : (string * string * (quick:bool -> unit)) list =
     ("hashidx", "hash-index vs B-tree point lookups (YCSB-C / TPC-C item)", Hashidx.run);
     ("reads", "follower-read capacity: serving replicas sweep + WAN routing", Reads.run);
     ("shards", "sharded scale-out: aggregate throughput + cross-shard 2PC penalty", Shards.run);
-    ("micro", "Bechamel micro-benchmarks", Micro.run);
   ]
 
 let () =
@@ -83,19 +82,28 @@ let () =
   in
   let part_path d name = Filename.concat d (name ^ ".json") in
   (* Run one experiment where it is, and report its wall time, the
-     simulator's event rate over it and the process's peak major heap
-     (host cost, not gated). In a forked child the peak is the
-     experiment's own; with --no-fork it is the largest so far. *)
+     simulator's events over it (process resumptions, other thunks, and
+     timers cancelled before they fired) with their rate, and the
+     process's peak major heap (host cost, not gated). In a forked child
+     the peak is the experiment's own; with --no-fork it is the largest
+     so far. *)
   let timed name run =
-    let t = Unix.gettimeofday () and e0 = Sim.Engine.events_fired () in
+    let t = Unix.gettimeofday () in
+    let e0 = Sim.Engine.events_fired ()
+    and r0 = Sim.Engine.resumptions ()
+    and c0 = Sim.Engine.cancelled () in
     run ~quick;
     let dt = Unix.gettimeofday () -. t and events = Sim.Engine.events_fired () - e0 in
+    let resumptions = Sim.Engine.resumptions () - r0 in
     let heap_mb =
       float_of_int ((Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8))
       /. 1e6
     in
-    Printf.printf "  [%s done in %.1fs, %d events, %.0f events/s, peak heap %.0f MB]\n%!"
-      name dt events
+    Printf.printf
+      "  [%s done in %.1fs, %d events (%d resumptions, %d thunks), %d cancelled, \
+       %.0f events/s, peak heap %.0f MB]\n%!"
+      name dt events resumptions (events - resumptions)
+      (Sim.Engine.cancelled () - c0)
       (if dt > 0. then float_of_int events /. dt else 0.)
       heap_mb
   in

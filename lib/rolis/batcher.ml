@@ -29,10 +29,9 @@ type t = {
   mutable last_arrival : int;
   mutable iat_ewma : int;
   mutable target : int;
-  (* Generation guard for the scheduled per-batch deadline flush: any
-     flush (full, byte-cap, heartbeat) bumps it, so a stale
-     deadline event finds a different generation and does nothing. *)
-  mutable deadline_gen : int;
+  (* The pending batch's deadline flush; any flush (full, byte-cap,
+     heartbeat) or [clear] cancels it. *)
+  mutable deadline : Sim.Engine.timer option;
 }
 
 let create cfg ?(coalesce_factor = fun () -> 1.0) ~cpu ~stats ~trace ~epoch
@@ -54,10 +53,17 @@ let create cfg ?(coalesce_factor = fun () -> 1.0) ~cpu ~stats ~trace ~epoch
     last_arrival = 0;
     iat_ewma = 0;
     target = 1;
-    deadline_gen = 0;
+    deadline = None;
   }
 
 let pending t = t.count
+
+let cancel_deadline t =
+  match t.deadline with
+  | Some tm ->
+      Sim.Engine.cancel t.eng tm;
+      t.deadline <- None
+  | None -> ()
 
 (* Build and propose the pending batch. Atomic: no yields, so no
    transaction can slip in between this flush and a subsequent no-op.
@@ -66,7 +72,7 @@ let pending t = t.count
    future events, never suspends. *)
 let flush t =
   if t.count > 0 then begin
-    t.deadline_gen <- t.deadline_gen + 1;
+    cancel_deadline t;
     if Trace.has_pending t.trace then
       List.iter
         (fun (txn : Store.Wire.txn_log) ->
@@ -85,15 +91,14 @@ let flush t =
    non-empty batch has one, so no batch outlives the budget whatever the
    stream's rate. *)
 let schedule_deadline t ~now =
-  let gen = t.deadline_gen in
-  Sim.Engine.schedule t.eng
-    (now + t.cfg.Config.target_batch_delay_ns)
-    (fun () ->
-      if t.deadline_gen = gen && t.count > 0 then begin
-        Trace.note_disposition t.trace ~count:Stats.Deadline_flushes
-          Trace.Deadline_flush;
-        flush t
-      end)
+  t.deadline <-
+    Some
+      (Sim.Engine.schedule_timer t.eng
+         (now + t.cfg.Config.target_batch_delay_ns)
+         (fun () ->
+           Trace.note_disposition t.trace ~count:Stats.Deadline_flushes
+             Trace.Deadline_flush;
+           flush t))
 
 (* Sizing: expected arrivals inside the delay budget, clamped to
    [1, batch_size]. With no rate estimate yet (fewer than two submits
@@ -153,7 +158,7 @@ let charge_submit_cost t ~bytes =
       Sim.Sync.Mutex.unlock mu
 
 let clear t =
-  t.deadline_gen <- t.deadline_gen + 1;
+  cancel_deadline t;
   t.txns <- [];
   t.count <- 0;
   t.bytes <- 0

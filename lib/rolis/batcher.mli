@@ -23,8 +23,10 @@
     expected within [target_batch_delay_ns]; the first transaction of
     every batch also schedules a deadline event at
     [oldest + target_batch_delay_ns] which flushes whatever is pending, so
-    no batch outlives the budget. Batches are additionally capped at
-    [max_batch_bytes] wire bytes and at [batch_size] transactions. With a
+    no batch outlives the budget. A batch that leaves earlier (full,
+    byte cap, heartbeat, or {!clear}) cancels its deadline event.
+    Batches are additionally capped at [max_batch_bytes] wire bytes and
+    at [batch_size] transactions. With a
     budget at or above the fill time and a byte cap that does not bind,
     every batch after the stream's first (flushed alone, before there is
     a rate estimate) fills to exactly [batch_size]: the paper's static

@@ -1,4 +1,11 @@
-type event = { at : int; seq : int; thunk : unit -> unit }
+type event = { at : int; seq : int; mutable thunk : unit -> unit }
+type timer = event
+
+(* The thunk of a cancelled event. Compared physically, it marks the
+   event dead without a field of its own; the queue drops such events
+   when they reach the top, or all at once when they make up more than
+   half of it. *)
+let cancelled_thunk () = ()
 
 type t = {
   mutable clock : int;
@@ -7,7 +14,12 @@ type t = {
   root_rng : Rng.t;
   mutable next_pid : int;
   mutable running : bool;
-  mutable last_fired : int; (* instant of the last event fired; -1 before any *)
+  (* (at, seq) of the last event fired; at = -1 before any. Events fire
+     in (at, seq) order and none is scheduled behind the last one fired,
+     so an event has fired iff it is not after this pair. *)
+  mutable last_fired : int;
+  mutable last_seq : int;
+  mutable dead : int; (* cancelled events still in [queue] *)
 }
 
 type proc = {
@@ -35,22 +47,45 @@ let create ?(seed = 42L) () =
     next_pid = 0;
     running = false;
     last_fired = -1;
+    last_seq = 0;
+    dead = 0;
   }
 
 (* Host-cost counters over every engine of the process: a process runs
    one engine at a time on one thread, so plain ints suffice. *)
 let fired_total = ref 0
 let ties_total = ref 0
+let resumptions_total = ref 0
+let cancelled_total = ref 0
 let events_fired () = !fired_total
 let ties () = !ties_total
+let resumptions () = !resumptions_total
+let cancelled () = !cancelled_total
 
 let now t = t.clock
 let rng t = t.root_rng
 
-let schedule t at thunk =
+let schedule_timer t at thunk =
   let at = if at < t.clock then t.clock else at in
   t.seq <- t.seq + 1;
-  Heap.push t.queue { at; seq = t.seq; thunk }
+  let ev = { at; seq = t.seq; thunk } in
+  Heap.push t.queue ev;
+  ev
+
+let schedule t at thunk = ignore (schedule_timer t at thunk)
+
+let fired t ev = ev.at < t.last_fired || (ev.at = t.last_fired && ev.seq <= t.last_seq)
+
+let cancel t ev =
+  if ev.thunk != cancelled_thunk && not (fired t ev) then begin
+    ev.thunk <- cancelled_thunk;
+    t.dead <- t.dead + 1;
+    incr cancelled_total;
+    if 2 * t.dead > Heap.length t.queue then begin
+      Heap.filter t.queue (fun ev -> ev.thunk != cancelled_thunk);
+      t.dead <- 0
+    end
+  end
 
 let proc_name p = Printf.sprintf "%s#%d" p.name p.pid
 let alive p = not p.dead
@@ -76,6 +111,7 @@ let exec_process (p : proc) (f : unit -> unit) : unit =
                   let wake (v : a) =
                     if (not !fired) && not p.dead then begin
                       fired := true;
+                      incr resumptions_total;
                       continue k v
                     end
                     else fired := true
@@ -106,7 +142,11 @@ let run ?until ?(max_events = max_int) t =
           let past_deadline =
             match until with Some u -> ev.at > u | None -> false
           in
-          if past_deadline || !fired >= max_events then continue_run := false
+          if ev.thunk == cancelled_thunk then begin
+            ignore (Heap.pop_exn t.queue);
+            t.dead <- t.dead - 1
+          end
+          else if past_deadline || !fired >= max_events then continue_run := false
           else begin
             ignore (Heap.pop_exn t.queue);
             t.clock <- ev.at;
@@ -114,6 +154,7 @@ let run ?until ?(max_events = max_int) t =
             incr fired_total;
             if ev.at = t.last_fired then incr ties_total;
             t.last_fired <- ev.at;
+            t.last_seq <- ev.seq;
             ev.thunk ()
           end
         end
@@ -145,9 +186,3 @@ let ns = 1
 let us = 1_000
 let ms = 1_000_000
 let s = 1_000_000_000
-
-let pp_time fmt t =
-  if t >= s then Format.fprintf fmt "%.3fs" (float_of_int t /. float_of_int s)
-  else if t >= ms then Format.fprintf fmt "%.3fms" (float_of_int t /. float_of_int ms)
-  else if t >= us then Format.fprintf fmt "%.3fus" (float_of_int t /. float_of_int us)
-  else Format.fprintf fmt "%dns" t

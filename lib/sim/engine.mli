@@ -17,6 +17,9 @@ type t
 type proc
 (** Handle to a spawned process. *)
 
+type timer
+(** Handle to one scheduled event, for {!cancel}. *)
+
 exception Process_failure of string * exn
 (** An exception escaped a process body: the simulation model has a bug.
     Carries the process name and the original exception. *)
@@ -35,6 +38,21 @@ val schedule : t -> int -> (unit -> unit) -> unit
     (clamped to [now t] if in the past). The thunk runs outside any
     process; it may spawn processes or wake suspended ones. *)
 
+val schedule_timer : t -> int -> (unit -> unit) -> timer
+(** [schedule_timer t at thunk] is {!schedule} that also returns a handle
+    to the event. The event takes its place in the [(at, seq)] order
+    exactly as {!schedule}'s would. *)
+
+val cancel : t -> timer -> unit
+(** [cancel t tm] removes [tm]'s event, scheduled on [t], from [t]'s
+    queue: it never runs and is counted neither in {!events_fired} nor
+    in {!ties}. Every other event keeps its instant and its place in the
+    order, so cancelling an event whose thunk would do nothing leaves the
+    simulation unchanged. A no-op if the event has already fired
+    (including from inside its own thunk) or was cancelled before.
+    Amortised O(1): dead entries are dropped when they reach the top of
+    the queue, and all at once when they are more than half of it. *)
+
 val spawn : t -> ?name:string -> (unit -> unit) -> proc
 (** [spawn t f] schedules process [f] to start at the current time. The
     process may use the effect-based operations below. An exception
@@ -51,12 +69,28 @@ val proc_name : proc -> string
 val run : ?until:int -> ?max_events:int -> t -> unit
 (** [run t] executes events until the queue drains, or virtual time would
     exceed [until], or [max_events] events have fired. When [until] is
-    given the clock is advanced to exactly [until] on return. *)
+    given the clock is advanced to exactly [until] on return. Without
+    [until], a drain leaves the clock at the last event that ran:
+    cancelled events move neither the clock nor the [max_events] count,
+    so a drain stops at the last live event even if a cancelled timeout
+    was due later. *)
 
 val events_fired : unit -> int
 (** Events fired so far by every engine of this process (a host-cost
     counter: it grows by one per scheduled thunk, process wakeup or
-    message delivery that {!run} executes). *)
+    message delivery that {!run} executes). Cancelled events are not
+    counted. *)
+
+val resumptions : unit -> int
+(** Process resumptions so far: first [wake]s of a {!suspend} that
+    continued a live process. Every wake is called from an event thunk
+    ({!Sync} delivers each from an event of its own), so these are the
+    events that resumed a process; the rest of {!events_fired} ran other
+    thunks, process starts included. *)
+
+val cancelled : unit -> int
+(** Events removed by {!cancel} before they fired, over every engine of
+    this process. *)
 
 val ties : unit -> int
 (** How many of {!events_fired} fired at the same virtual instant as the
@@ -92,6 +126,3 @@ val us : int
 val ms : int
 val s : int
 (** Unit helpers: [5 * ms] is five virtual milliseconds. *)
-
-val pp_time : Format.formatter -> int -> unit
-(** Render a virtual time compactly ("12.5ms"). *)

@@ -68,5 +68,25 @@ let pop_exn h =
   top
 
 let pop h = if h.size = 0 then None else Some (pop_exn h)
-let clear h = h.size <- 0
-let to_list h = Array.to_list (Array.sub h.data 0 h.size)
+
+(* Keep the elements [keep] accepts, in place, then heapify bottom-up
+   (Floyd): O(n). The vacated tail is overwritten so that it holds no
+   reference to a dropped element. *)
+let filter h keep =
+  let data = h.data and n = ref 0 in
+  for i = 0 to h.size - 1 do
+    let x = data.(i) in
+    if keep x then begin
+      data.(!n) <- x;
+      incr n
+    end
+  done;
+  let old = h.size in
+  h.size <- !n;
+  if !n = 0 then h.data <- [||]
+  else begin
+    Array.fill data !n (old - !n) data.(0);
+    for i = (!n / 2) - 1 downto 0 do
+      sift_down h i data.(i)
+    done
+  end

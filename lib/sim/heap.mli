@@ -25,7 +25,8 @@ val pop : 'a t -> 'a option
 val pop_exn : 'a t -> 'a
 (** @raise Invalid_argument on an empty heap. *)
 
-val clear : 'a t -> unit
-
-val to_list : 'a t -> 'a list
-(** Elements in unspecified order; for inspection and tests. *)
+val filter : 'a t -> ('a -> bool) -> unit
+(** [filter h keep] drops every element [keep] rejects, in O(length).
+    Afterwards [h] pops the kept elements in [cmp] order; among equal
+    elements the order may differ from before, so [cmp] should be a total
+    order when pop order matters. *)

@@ -39,13 +39,6 @@ module Hist = struct
       !sum /. float_of_int t.size
     end
 
-  let max_value t =
-    if t.size = 0 then 0
-    else begin
-      ensure_sorted t;
-      t.data.(t.size - 1)
-    end
-
   let min_value t =
     if t.size = 0 then 0
     else begin

@@ -11,7 +11,6 @@ module Hist : sig
   val add : t -> int -> unit
   val count : t -> int
   val mean : t -> float
-  val max_value : t -> int
   val min_value : t -> int
   val quantile : t -> float -> int
   (** [quantile h q] with [0 <= q <= 1]; nearest-rank. 0 when empty. *)

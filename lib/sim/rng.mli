@@ -33,8 +33,5 @@ val bool : t -> bool
 val exponential : t -> mean:float -> float
 (** Exponentially distributed with the given mean; used for network jitter. *)
 
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
-
 val pick : t -> 'a array -> 'a
 (** Uniformly chosen element. @raise Invalid_argument on an empty array. *)

@@ -32,9 +32,6 @@ module Ivar = struct
         in
         flush ()
 
-  let is_filled t = t.value <> None
-  let peek t = t.value
-
   let read t =
     match t.value with
     | Some v -> v
@@ -48,9 +45,13 @@ module Mailbox = struct
     eng : Engine.t;
     msgs : 'a Queue.t;
     waiters : 'a waiter Queue.t;
+    (* Timeouts since [waiters] was last rebuilt: an upper bound on the
+       timed-out waiters it holds ([send] may have skipped some). *)
+    mutable timed_out : int;
   }
 
-  let create eng = { eng; msgs = Queue.create (); waiters = Queue.create () }
+  let create eng =
+    { eng; msgs = Queue.create (); waiters = Queue.create (); timed_out = 0 }
 
   let send t msg =
     match claim_waiter t.waiters with
@@ -66,24 +67,48 @@ module Mailbox = struct
         Engine.suspend (fun ~wake ->
             Queue.add { active = true; deliver = deferred_wake t.eng wake } t.waiters)
 
+  (* A timed-out waiter stays queued until [send] skips it. Once timeouts
+     since the last rebuild are more than half the queue, rebuild it
+     without them: O(length) for at least length/2 timeouts, and a
+     mailbox that never receives holds O(live) waiters. *)
+  let drop_timed_out t =
+    let live = Queue.create () in
+    Queue.iter (fun w -> if w.active then Queue.add w live) t.waiters;
+    Queue.clear t.waiters;
+    Queue.transfer live t.waiters;
+    t.timed_out <- 0
+
   let recv_timeout t d =
     match Queue.take_opt t.msgs with
     | Some v -> Some v
     | None ->
-        Engine.suspend (fun ~wake ->
-            let w =
-              { active = true; deliver = (fun v -> deferred_wake t.eng wake (Some v)) }
-            in
-            Queue.add w t.waiters;
-            Engine.schedule t.eng
-              (Engine.now t.eng + d)
-              (fun () ->
-                if w.active then begin
-                  w.active <- false;
-                  wake None
-                end))
+        let timer = ref None in
+        let r =
+          Engine.suspend (fun ~wake ->
+              let w =
+                { active = true; deliver = (fun v -> deferred_wake t.eng wake (Some v)) }
+              in
+              Queue.add w t.waiters;
+              timer :=
+                Some
+                  (Engine.schedule_timer t.eng
+                     (Engine.now t.eng + d)
+                     (fun () ->
+                       if w.active then begin
+                         w.active <- false;
+                         t.timed_out <- t.timed_out + 1;
+                         if 2 * t.timed_out > Queue.length t.waiters then
+                           drop_timed_out t;
+                         wake None
+                       end)))
+        in
+        (match (r, !timer) with
+        | Some _, Some tm -> Engine.cancel t.eng tm
+        | _ -> ());
+        r
 
   let length t = Queue.length t.msgs
+  let waiters t = Queue.length t.waiters
   let clear t = Queue.clear t.msgs
 end
 
@@ -113,12 +138,6 @@ module Mutex = struct
     match claim_waiter t.waiters with
     | Some w -> w.deliver () (* ownership transfers to the waiter *)
     | None -> t.held <- false
-
-  let is_locked t = t.held
-
-  let with_lock t f =
-    lock t;
-    Fun.protect ~finally:(fun () -> unlock t) f
 end
 
 module Condition = struct

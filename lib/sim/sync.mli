@@ -14,8 +14,6 @@ module Ivar : sig
   val fill : 'a t -> 'a -> unit
   (** @raise Invalid_argument if already filled. *)
 
-  val is_filled : 'a t -> bool
-  val peek : 'a t -> 'a option
   val read : 'a t -> 'a
   (** Blocks until filled. *)
 end
@@ -31,10 +29,21 @@ module Mailbox : sig
   (** Blocks until a message is available. *)
 
   val recv_timeout : 'a t -> int -> 'a option
-  (** [recv_timeout mb d] waits at most [d] ns; [None] on timeout. *)
+  (** [recv_timeout mb d] waits at most [d] ns; [None] on timeout. When a
+      message wins the wait, the timeout event is cancelled
+      ({!Engine.cancel}): it never fires, so a later drain ([Engine.run]
+      without [~until]) stops at the last live event instead of at the
+      abandoned deadline. *)
 
   val try_recv : 'a t -> 'a option
   val length : 'a t -> int
+  (** Messages queued. *)
+
+  val waiters : 'a t -> int
+  (** Receivers queued, counting timed-out ones not yet dropped: those
+      are dropped once they outnumber the live ones, so this stays within
+      about twice the receivers actually blocked. *)
+
   val clear : 'a t -> unit
 end
 
@@ -47,8 +56,6 @@ module Mutex : sig
   val lock : t -> unit
   val try_lock : t -> bool
   val unlock : t -> unit
-  val is_locked : t -> bool
-  val with_lock : t -> (unit -> 'a) -> 'a
 end
 
 module Condition : sig

@@ -878,6 +878,24 @@ let drive_batcher cfg gaps =
   in
   (entries, submit_at, ts_order = List.init (List.length gaps) (fun i -> i + 1))
 
+(* The per-batch deadline: the first batch (no
+   rate estimate yet, target 1) leaves at once and cancels its deadline;
+   the second (target 20 after a 100 us gap) neither fills nor is flushed
+   early, so its deadline event flushes it exactly one budget after its
+   submit. *)
+let test_batcher_deadline_flush () =
+  let cfg = test_cfg ~workers:1 ~batch:100 () in
+  let target = cfg.Rolis.Config.target_batch_delay_ns in
+  let c0 = Sim.Engine.cancelled () in
+  let gap = 100 * Sim.Engine.us in
+  let entries, submit_at, lossless = drive_batcher cfg [ gap; gap ] in
+  check_bool "lossless" true lossless;
+  Alcotest.(check (list (pair int int)))
+    "flush times and sizes"
+    [ (Hashtbl.find submit_at 1, 1); (Hashtbl.find submit_at 2 + target, 1) ]
+    (List.map (fun (at, e) -> (at, List.length e.Store.Wire.txns)) entries);
+  check_int "first deadline cancelled" 1 (Sim.Engine.cancelled () - c0)
+
 (* Over random arrival schedules every submitted transaction is flushed
    exactly once and in order, and none waits in a batch longer than
    target_batch_delay_ns: the per-batch deadline event guarantees it. *)
@@ -2628,6 +2646,8 @@ let () =
       ( "batching",
         [
           QCheck_alcotest.to_alcotest batcher_adaptive_qcheck;
+          Alcotest.test_case "deadline flush of a lone batch" `Quick
+            test_batcher_deadline_flush;
           QCheck_alcotest.to_alcotest batcher_static_qcheck;
           Alcotest.test_case "golden (counter)" `Quick test_golden_counter;
           Alcotest.test_case "golden (tpcc)" `Quick test_golden_tpcc;

@@ -138,27 +138,229 @@ let test_engine_fifo_ties () =
   Sim.Engine.run eng;
   Alcotest.(check (list int)) "FIFO among equal times" [ 1; 2; 3; 4; 5 ] (List.rev !log)
 
-(* Five thunks at t=10 (four ties), one at t=20, then a process that
-   starts at t=20 (a tie with the thunk there) and wakes at t=30; a
-   later [run ~until] that moves the clock without firing adds nothing,
-   and an event at the moved-to instant is not a tie of an unfired one. *)
+(* Five thunks at t=10 (four ties), a timer and a thunk at t=20 (one
+   tie), then a process that starts at t=20 (another tie) and wakes at
+   t=30 (the one resumption); a timer at t=10 cancelled before the run
+   is neither fired nor a tie, and cancelling a timer that already fired
+   does nothing. A later [run ~until] that moves the clock without firing
+   adds nothing, and an event at the moved-to instant is not a tie of an
+   unfired one. *)
 let test_engine_counters () =
-  let e0 = Sim.Engine.events_fired () and t0 = Sim.Engine.ties () in
+  let e0 = Sim.Engine.events_fired ()
+  and t0 = Sim.Engine.ties ()
+  and r0 = Sim.Engine.resumptions ()
+  and c0 = Sim.Engine.cancelled () in
   let eng = Sim.Engine.create () in
   for _ = 1 to 5 do
     Sim.Engine.schedule eng 10 ignore
   done;
+  let tm =
+    Sim.Engine.schedule_timer eng 10 (fun () -> Alcotest.fail "cancelled timer ran")
+  in
+  Sim.Engine.cancel eng tm;
+  let fired = Sim.Engine.schedule_timer eng 20 ignore in
   Sim.Engine.schedule eng 20 (fun () ->
       ignore (Sim.Engine.spawn eng (fun () -> Sim.Engine.sleep 10)));
   Sim.Engine.run eng;
-  check_int "events fired" 8 (Sim.Engine.events_fired () - e0);
-  check_int "ties" 5 (Sim.Engine.ties () - t0);
+  Sim.Engine.cancel eng fired;
+  Sim.Engine.cancel eng tm;
+  check_int "events fired" 9 (Sim.Engine.events_fired () - e0);
+  check_int "ties" 6 (Sim.Engine.ties () - t0);
+  check_int "resumptions" 1 (Sim.Engine.resumptions () - r0);
+  check_int "cancelled" 1 (Sim.Engine.cancelled () - c0);
   Sim.Engine.run ~until:100 eng;
-  check_int "no event, no count" 8 (Sim.Engine.events_fired () - e0);
+  check_int "no event, no count" 9 (Sim.Engine.events_fired () - e0);
   Sim.Engine.schedule eng 100 ignore;
   Sim.Engine.run eng;
-  check_int "one more event" 9 (Sim.Engine.events_fired () - e0);
-  check_int "not a tie" 5 (Sim.Engine.ties () - t0)
+  check_int "one more event" 10 (Sim.Engine.events_fired () - e0);
+  check_int "not a tie" 6 (Sim.Engine.ties () - t0)
+
+(* A drain stops at the last live event: the answered wait's timeout
+   (due at t=100) is cancelled and does not move the clock. *)
+let test_drain_clock () =
+  let eng = Sim.Engine.create () in
+  let mb = Sim.Sync.Mailbox.create eng in
+  let got = ref None in
+  let _p =
+    Sim.Engine.spawn eng (fun () -> got := Sim.Sync.Mailbox.recv_timeout mb 100)
+  in
+  Sim.Engine.schedule eng 20 (fun () -> Sim.Sync.Mailbox.send mb 5);
+  Sim.Engine.run eng;
+  check_bool "answered" true (!got = Some 5);
+  check_int "clock at the answer" 20 (Sim.Engine.now eng)
+
+(* Half the queue cancelled forces the rebuild: the survivors still fire
+   in (at, seq) order, ties in scheduling order. *)
+let test_cancel_compaction_order () =
+  let eng = Sim.Engine.create () in
+  let log = ref [] in
+  let timers =
+    List.init 200 (fun i ->
+        let at = i * 7919 mod 13 in
+        (i, Sim.Engine.schedule_timer eng at (fun () -> log := i :: !log)))
+  in
+  List.iter (fun (i, tm) -> if i mod 3 <> 0 then Sim.Engine.cancel eng tm) timers;
+  Sim.Engine.run eng;
+  let expected =
+    List.filter (fun i -> i mod 3 = 0) (List.init 200 Fun.id)
+    |> List.stable_sort (fun a b -> compare ((a * 7919) mod 13) ((b * 7919) mod 13))
+  in
+  Alcotest.(check (list int)) "survivors in order" expected (List.rev !log);
+  check_int "clock at last survivor" 12 (Sim.Engine.now eng)
+
+(* Random programs over one engine, run twice: with {!Sim.Engine.cancel}
+   and {!Sim.Sync.Mailbox.recv_timeout}, and against a reference in which
+   a cancelled timer still fires as a no-op and the mailbox is the
+   original one whose answered timeouts stay queued. [Timer] thunks cancel
+   a timer made so far (possibly one that has fired, or themselves) and
+   add a cancellable child; [Recv] processes wait twice on one shared
+   mailbox. Every live step logs (label, clock): the logs must match, the
+   drain must stop at the last live step, and each cancel must account
+   for exactly one reference event. *)
+type prog_op =
+  | Plain of int
+  | Send of int * int
+  | Timer of int * int option * int option
+  | Cancel of int
+  | Recv of int * int
+
+let reference_mailbox eng =
+  let msgs = Queue.create () and waiters = Queue.create () in
+  let rec claim () =
+    match Queue.take_opt waiters with
+    | None -> None
+    | Some (active, deliver) ->
+        if !active then begin
+          active := false;
+          Some deliver
+        end
+        else claim ()
+  in
+  let send v =
+    match claim () with Some deliver -> deliver v | None -> Queue.add v msgs
+  in
+  let recv_timeout d =
+    match Queue.take_opt msgs with
+    | Some v -> Some v
+    | None ->
+        Sim.Engine.suspend (fun ~wake ->
+            let active = ref true in
+            let deliver v =
+              Sim.Engine.schedule eng (Sim.Engine.now eng) (fun () -> wake (Some v))
+            in
+            Queue.add (active, deliver) waiters;
+            Sim.Engine.schedule eng
+              (Sim.Engine.now eng + d)
+              (fun () ->
+                if !active then begin
+                  active := false;
+                  wake None
+                end))
+  in
+  (send, recv_timeout)
+
+let run_program ~reference ops =
+  let e0 = Sim.Engine.events_fired () and c0 = Sim.Engine.cancelled () in
+  let eng = Sim.Engine.create () in
+  let log = ref [] in
+  let note label = log := (label, Sim.Engine.now eng) :: !log in
+  (* [timer at f] schedules [f] and returns the function that cancels it. *)
+  let timer, send, recv_timeout =
+    if reference then
+      let send, recv = reference_mailbox eng in
+      ( (fun at f ->
+          let cancelled = ref false in
+          Sim.Engine.schedule eng at (fun () -> if not !cancelled then f ());
+          fun () -> cancelled := true),
+        send,
+        recv )
+    else
+      let mb = Sim.Sync.Mailbox.create eng in
+      ( (fun at f ->
+          let tm = Sim.Engine.schedule_timer eng at f in
+          fun () -> Sim.Engine.cancel eng tm),
+        Sim.Sync.Mailbox.send mb,
+        Sim.Sync.Mailbox.recv_timeout mb )
+  in
+  let cancels = Hashtbl.create 16 in
+  let add_timer at f = Hashtbl.replace cancels (Hashtbl.length cancels) (timer at f) in
+  let cancel_nth c =
+    let n = Hashtbl.length cancels in
+    if n > 0 then (Hashtbl.find cancels (c mod n)) ()
+  in
+  List.iteri
+    (fun i op ->
+      match op with
+      | Plain at ->
+          Sim.Engine.schedule eng at (fun () -> note (Printf.sprintf "plain %d" i))
+      | Send (at, v) ->
+          Sim.Engine.schedule eng at (fun () ->
+              note (Printf.sprintf "send %d" i);
+              send v)
+      | Timer (at, c, child) ->
+          add_timer at (fun () ->
+              note (Printf.sprintf "timer %d" i);
+              Option.iter cancel_nth c;
+              Option.iter
+                (fun dt ->
+                  add_timer (Sim.Engine.now eng + dt) (fun () ->
+                      note (Printf.sprintf "child %d" i)))
+                child)
+      | Cancel c -> cancel_nth c
+      | Recv (start, d) ->
+          ignore
+            (Sim.Engine.spawn eng (fun () ->
+                 Sim.Engine.sleep start;
+                 for round = 1 to 2 do
+                   let r = recv_timeout d in
+                   note
+                     (Printf.sprintf "recv %d.%d %s" i round
+                        (match r with None -> "timeout" | Some v -> string_of_int v))
+                 done)))
+    ops;
+  Sim.Engine.run eng;
+  ( List.rev !log,
+    Sim.Engine.now eng,
+    Sim.Engine.events_fired () - e0,
+    Sim.Engine.cancelled () - c0 )
+
+let print_op =
+  let opt = function None -> "-" | Some n -> string_of_int n in
+  function
+  | Plain at -> Printf.sprintf "Plain %d" at
+  | Send (at, v) -> Printf.sprintf "Send (%d, %d)" at v
+  | Timer (at, c, child) -> Printf.sprintf "Timer (%d, %s, %s)" at (opt c) (opt child)
+  | Cancel c -> Printf.sprintf "Cancel %d" c
+  | Recv (start, d) -> Printf.sprintf "Recv (%d, %d)" start d
+
+let cancel_qcheck =
+  let open QCheck in
+  let t = Gen.int_range 0 100 in
+  let op =
+    Gen.frequency
+      [
+        (2, Gen.map (fun at -> Plain at) t);
+        (2, Gen.map2 (fun at v -> Send (at, v)) t Gen.small_nat);
+        ( 3,
+          Gen.map3
+            (fun at c child -> Timer (at, c, child))
+            t (Gen.opt Gen.small_nat)
+            (Gen.opt (Gen.int_range 0 40)) );
+        (3, Gen.map (fun c -> Cancel c) Gen.small_nat);
+        ( 2,
+          Gen.map2
+            (fun start d -> Recv (start, d))
+            (Gen.int_range 0 50) (Gen.int_range 0 60) );
+      ]
+  in
+  Test.make ~name:"cancelled events vanish; live ones keep order and clock" ~count:500
+    (make ~print:(Print.list print_op) Gen.(list_size (int_range 0 40) op))
+    (fun ops ->
+      let log, now, fired, cancelled = run_program ~reference:false ops in
+      let ref_log, _, ref_fired, _ = run_program ~reference:true ops in
+      log = ref_log
+      && now = List.fold_left (fun m (_, at) -> max m at) 0 log
+      && fired + cancelled = ref_fired)
 
 let test_process_sleep () =
   let eng = Sim.Engine.create () in
@@ -340,6 +542,30 @@ let test_mailbox_timeout_no_double_delivery () =
   in
   Sim.Engine.run eng;
   check_bool "message kept" true (!r = Some 7)
+
+(* A receiver that times out 10,000 times on an idle mailbox leaves at
+   most its own live waiter queued; the one send then reaches it, and
+   its cancelled timeout leaves the drain at the send. *)
+let test_mailbox_timed_out_waiters_dropped () =
+  let eng = Sim.Engine.create () in
+  let mb = Sim.Sync.Mailbox.create eng in
+  let timeouts = ref 0 and got = ref None and queued = ref (-1) in
+  let _p =
+    Sim.Engine.spawn eng (fun () ->
+        for _ = 1 to 10_000 do
+          if Sim.Sync.Mailbox.recv_timeout mb 10 = None then incr timeouts
+        done;
+        got := Sim.Sync.Mailbox.recv_timeout mb Sim.Engine.s)
+  in
+  Sim.Engine.schedule eng 100_005 (fun () ->
+      queued := Sim.Sync.Mailbox.waiters mb;
+      Sim.Sync.Mailbox.send mb 42);
+  Sim.Engine.run eng;
+  check_int "all timed out" 10_000 !timeouts;
+  check_int "only the live waiter queued" 1 !queued;
+  check_bool "send reached it" true (!got = Some 42);
+  check_int "no waiter left" 0 (Sim.Sync.Mailbox.waiters mb);
+  check_int "drain ends at the send" 100_005 (Sim.Engine.now eng)
 
 let test_mutex_exclusion () =
   let eng = Sim.Engine.create () in
@@ -765,6 +991,10 @@ let () =
           Alcotest.test_case "time order" `Quick test_engine_time_order;
           Alcotest.test_case "FIFO ties" `Quick test_engine_fifo_ties;
           Alcotest.test_case "event and tie counters" `Quick test_engine_counters;
+          Alcotest.test_case "drain stops at last live event" `Quick test_drain_clock;
+          Alcotest.test_case "cancel compaction keeps order" `Quick
+            test_cancel_compaction_order;
+          qc cancel_qcheck;
           Alcotest.test_case "process sleep" `Quick test_process_sleep;
           Alcotest.test_case "run until" `Quick test_run_until;
           Alcotest.test_case "kill process" `Quick test_kill_process;
@@ -781,6 +1011,8 @@ let () =
           Alcotest.test_case "mailbox timeout" `Quick test_mailbox_timeout;
           Alcotest.test_case "timeout no double delivery" `Quick
             test_mailbox_timeout_no_double_delivery;
+          Alcotest.test_case "timed-out waiters dropped" `Quick
+            test_mailbox_timed_out_waiters_dropped;
           Alcotest.test_case "mutex exclusion" `Quick test_mutex_exclusion;
           Alcotest.test_case "semaphore" `Quick test_semaphore;
           Alcotest.test_case "condition" `Quick test_condition;
