@@ -32,6 +32,8 @@ type t = {
          populated only by 2PC control transactions, so the common path
          never touches it beyond a lookup in an empty table *)
   mutable install_scratch : Txn.write_entry array;
+  mutable probe_scratch : Store.Record.t option array;
+      (* [snap_get_many]'s index results, reused across reads *)
   mutable cur_epoch : int;
   mutable ts_counter : int;
   mutable read_floor : (unit -> int) option;
@@ -60,6 +62,7 @@ let create eng cpu ?(costs = Costs.default) ?(physical_deletes = true)
     txn_pool = Hashtbl.create 16;
     pending_decisions = Hashtbl.create 4;
     install_scratch = [||];
+    probe_scratch = [||];
     cur_epoch = 1;
     ts_counter = 0;
     read_floor = None;
@@ -742,6 +745,7 @@ let apply_replay_entry t (entry : Store.Wire.entry) ?(ways = 1) ~upto () =
 exception Snapshot_miss
 
 type snap = {
+  s_db : t;
   s_pin : int;
   mutable s_reads : int;
   s_audited : bool;
@@ -750,10 +754,11 @@ type snap = {
 
 let snap_pin s = s.s_pin
 
-let snap_get s table key =
+(* One point read of [key], whose index lookup gave [found]. *)
+let snap_read s table key found =
   s.s_reads <- s.s_reads + 1;
   let v, ts =
-    match Store.Table.get table key with
+    match found with
     | None -> (None, -1)
     | Some r -> (
         match Store.Record.read_at r ~pin:s.s_pin with
@@ -763,8 +768,24 @@ let snap_get s table key =
   if s.s_audited then s.s_obs <- (Store.Table.id table, key, ts) :: s.s_obs;
   v
 
+let snap_get s table key = snap_read s table key (Store.Table.get table key)
+
+(* The index lookups touch no record and no counter, so doing them all
+   first and then reading key by key is [snap_get] in order. *)
+let snap_get_many s table keys =
+  let n = Array.length keys in
+  let db = s.s_db in
+  if Array.length db.probe_scratch < n then db.probe_scratch <- Array.make n None;
+  let found = db.probe_scratch in
+  Store.Table.get_many table keys found;
+  let out = Array.make n None in
+  for i = 0 to n - 1 do
+    out.(i) <- snap_read s table keys.(i) found.(i)
+  done;
+  out
+
 let read_at t ?(audit = false) ~pin f =
-  let s = { s_pin = pin; s_reads = 0; s_audited = audit; s_obs = [] } in
+  let s = { s_db = t; s_pin = pin; s_reads = 0; s_audited = audit; s_obs = [] } in
   (* The body is yield-free (no locks, no validation): the cost is
      consumed after it, so a pinned read never spans an install — which
      is what lets retention reclaim slots against the bare floor. *)

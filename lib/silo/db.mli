@@ -185,6 +185,14 @@ val snap_get : snap -> Store.Table.t -> string -> string option
     validation. [None] = key absent (or deleted) at the pin.
     @raise Snapshot_miss if the pinned version was reclaimed. *)
 
+val snap_get_many : snap -> Store.Table.t -> string array -> string option array
+(** [snap_get_many s table keys] is [Array.map (snap_get s table) keys]:
+    the same values, read count and audit observations, in the same
+    order; on a reclaimed version the reads up to and including that key
+    are counted and {!Snapshot_miss} is raised. The index lookups run
+    batched ({!Store.Table.get_many}) before the reads.
+    @raise Snapshot_miss as {!snap_get} does. *)
+
 val read_at :
   t ->
   ?audit:bool ->

@@ -7,6 +7,8 @@ type timer = event
    half of it. *)
 let cancelled_thunk () = ()
 
+let no_timer = { at = 0; seq = 0; thunk = cancelled_thunk }
+
 type t = {
   mutable clock : int;
   mutable seq : int;

@@ -20,6 +20,10 @@ type proc
 type timer
 (** Handle to one scheduled event, for {!cancel}. *)
 
+val no_timer : timer
+(** A handle to no event: cancelling it is a no-op. It fills a timer
+    slot before the timer is scheduled. *)
+
 exception Process_failure of string * exn
 (** An exception escaped a process body: the simulation model has a bug.
     Carries the process name and the original exception. *)

@@ -1,4 +1,10 @@
-type 'a waiter = { mutable active : bool; deliver : 'a -> unit }
+type 'a waiter = {
+  mutable active : bool;
+  mutable deliver : 'a -> unit;
+  mutable timer : Engine.timer; (* a timed receive's timeout, else [no_timer] *)
+}
+
+let waiter deliver = { active = true; deliver; timer = Engine.no_timer }
 
 (* Deliver through the event queue so that the waker never yields. *)
 let deferred_wake eng wake v = Engine.schedule eng (Engine.now eng) (fun () -> wake v)
@@ -37,7 +43,7 @@ module Ivar = struct
     | Some v -> v
     | None ->
         Engine.suspend (fun ~wake ->
-            Queue.add { active = true; deliver = deferred_wake t.eng wake } t.waiters)
+            Queue.add (waiter (deferred_wake t.eng wake)) t.waiters)
 end
 
 module Mailbox = struct
@@ -65,7 +71,7 @@ module Mailbox = struct
     | Some v -> v
     | None ->
         Engine.suspend (fun ~wake ->
-            Queue.add { active = true; deliver = deferred_wake t.eng wake } t.waiters)
+            Queue.add (waiter (deferred_wake t.eng wake)) t.waiters)
 
   (* A timed-out waiter stays queued until [send] skips it. Once timeouts
      since the last rebuild are more than half the queue, rebuild it
@@ -82,29 +88,25 @@ module Mailbox = struct
     match Queue.take_opt t.msgs with
     | Some v -> Some v
     | None ->
-        let timer = ref None in
+        (* The waiter is made before the suspension so that its timer
+           is still at hand when a message resumes the receiver. *)
+        let w = waiter ignore in
         let r =
           Engine.suspend (fun ~wake ->
-              let w =
-                { active = true; deliver = (fun v -> deferred_wake t.eng wake (Some v)) }
-              in
+              w.deliver <- (fun v -> deferred_wake t.eng wake (Some v));
               Queue.add w t.waiters;
-              timer :=
-                Some
-                  (Engine.schedule_timer t.eng
-                     (Engine.now t.eng + d)
-                     (fun () ->
-                       if w.active then begin
-                         w.active <- false;
-                         t.timed_out <- t.timed_out + 1;
-                         if 2 * t.timed_out > Queue.length t.waiters then
-                           drop_timed_out t;
-                         wake None
-                       end)))
+              w.timer <-
+                Engine.schedule_timer t.eng
+                  (Engine.now t.eng + d)
+                  (fun () ->
+                    if w.active then begin
+                      w.active <- false;
+                      t.timed_out <- t.timed_out + 1;
+                      if 2 * t.timed_out > Queue.length t.waiters then drop_timed_out t;
+                      wake None
+                    end))
         in
-        (match (r, !timer) with
-        | Some _, Some tm -> Engine.cancel t.eng tm
-        | _ -> ());
+        (match r with Some _ -> Engine.cancel t.eng w.timer | None -> ());
         r
 
   let length t = Queue.length t.msgs
@@ -131,7 +133,7 @@ module Mutex = struct
   let lock t =
     if not (try_lock t) then
       Engine.suspend (fun ~wake ->
-          Queue.add { active = true; deliver = deferred_wake t.eng wake } t.waiters)
+          Queue.add (waiter (deferred_wake t.eng wake)) t.waiters)
 
   let unlock t =
     if not t.held then invalid_arg "Mutex.unlock: not locked";
@@ -147,7 +149,7 @@ module Condition = struct
 
   let wait t mu =
     Engine.suspend (fun ~wake ->
-        Queue.add { active = true; deliver = deferred_wake t.eng wake } t.waiters;
+        Queue.add (waiter (deferred_wake t.eng wake)) t.waiters;
         Mutex.unlock mu);
     Mutex.lock mu
 
@@ -185,7 +187,7 @@ module Semaphore = struct
   let acquire t =
     if not (try_acquire t) then
       Engine.suspend (fun ~wake ->
-          Queue.add { active = true; deliver = deferred_wake t.eng wake } t.waiters)
+          Queue.add (waiter (deferred_wake t.eng wake)) t.waiters)
 
   let release t =
     match claim_waiter t.waiters with
@@ -225,5 +227,5 @@ module Waitgroup = struct
   let wait t =
     if t.count > 0 then
       Engine.suspend (fun ~wake ->
-          Queue.add { active = true; deliver = deferred_wake t.eng wake } t.waiters)
+          Queue.add (waiter (deferred_wake t.eng wake)) t.waiters)
 end

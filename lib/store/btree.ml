@@ -27,10 +27,18 @@ and 'a inner = {
   mutable kids : 'a node array;
 }
 
-type 'a t = { mutable root : 'a node; mutable size : int }
+type 'a t = {
+  mutable root : 'a node;
+  mutable size : int;
+  mutable lanes : 'a node array; (* [find_many]'s per-key positions *)
+}
 
 let create () =
-  { root = Leaf { keys = [||]; vals = [||]; len = 0; next = None }; size = 0 }
+  {
+    root = Leaf { keys = [||]; vals = [||]; len = 0; next = None };
+    size = 0;
+    lanes = [||];
+  }
 let length t = t.size
 let is_empty t = t.size = 0
 
@@ -127,6 +135,61 @@ let rec find_node node k =
 
 let find t k = find_node t.root k
 let mem t k = find t k <> None
+
+(* A cold descent pays its cache misses one after another: each level's
+   node, separator array and separator strings are reached through the
+   level above. Masstree hides that latency by prefetching a node before
+   searching it, which OCaml cannot express. [find_many] gets the overlap
+   another way. Each round moves every key one level down, and first
+   touches, for every key, the loads its search will start with: the
+   node, its arrays and its middle separator. That touch pass is short
+   per key and its keys' loads do not depend on each other, so the
+   processor has the misses of many keys in flight at once, and the
+   searches that follow find those lines cached. All leaves sit at the
+   same depth, so every key reaches its leaf in the same round. The
+   positions live in [t.lanes], reused from call to call and reset to the
+   root on the way out, so a probe allocates only the [Some] that [find]
+   would. *)
+let find_many t keys out =
+  let n = Array.length keys in
+  if Array.length out < n then invalid_arg "Btree.find_many: output shorter than keys";
+  if Array.length t.lanes < n then t.lanes <- Array.make n t.root
+  else Array.fill t.lanes 0 n t.root;
+  let lanes = t.lanes in
+  (* Summed and handed to [Sys.opaque_identity] so the touches stay. *)
+  let touched = ref 0 in
+  let inner = ref (n > 0 && match t.root with Node _ -> true | Leaf _ -> false) in
+  while !inner do
+    for i = 0 to n - 1 do
+      match lanes.(i) with
+      | Node nd ->
+          let seps = nd.seps in
+          let mid = seps.(Array.length seps lsr 1) in
+          touched := !touched + String.length mid + Array.length nd.kids
+      | Leaf _ -> ()
+    done;
+    for i = 0 to n - 1 do
+      match lanes.(i) with
+      | Node nd -> lanes.(i) <- nd.kids.(child_index nd keys.(i))
+      | Leaf _ -> ()
+    done;
+    inner := match lanes.(0) with Node _ -> true | Leaf _ -> false
+  done;
+  for i = 0 to n - 1 do
+    match lanes.(i) with
+    | Leaf l when l.len > 0 ->
+        touched := !touched + String.length l.keys.(l.len lsr 1) + Array.length l.vals
+    | Leaf _ | Node _ -> ()
+  done;
+  ignore (Sys.opaque_identity !touched);
+  for i = 0 to n - 1 do
+    match lanes.(i) with
+    | Leaf l ->
+        let j = bsearch l.keys l.len keys.(i) in
+        out.(i) <- (if j >= 0 then Some l.vals.(j) else None);
+        lanes.(i) <- t.root
+    | Node _ -> assert false (* every leaf is at the same depth *)
+  done
 
 (* ---- insert ---- *)
 
@@ -590,7 +653,7 @@ let copy f t =
             kids = Array.init (Array.length n.kids) (fun i -> go n.kids.(i));
           }
   in
-  { root = go t.root; size = t.size }
+  { root = go t.root; size = t.size; lanes = [||] }
 
 (* ---- invariant checking (tests) ---- *)
 

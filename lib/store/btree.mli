@@ -24,6 +24,15 @@ val find : 'a t -> string -> 'a option
 
 val mem : 'a t -> string -> bool
 
+val find_many : 'a t -> string array -> 'a option array -> unit
+(** [find_many t keys out] stores [find t keys.(i)] at [out.(i)] for
+    every index of [keys]: the first [Array.length keys] slots of [out]
+    become [Array.map (find t) keys]; later slots are untouched. Keys may
+    repeat and need no order. The descents run in lockstep, one level per
+    round for all keys, so the cache misses of different keys overlap;
+    for a batch of cold probes this is faster than [find] key by key.
+    @raise Invalid_argument if [out] is shorter than [keys]. *)
+
 val insert : 'a t -> string -> 'a -> 'a option
 (** [insert t k v] sets [k -> v] and returns the previous binding. *)
 

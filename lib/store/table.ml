@@ -62,6 +62,16 @@ let get t key =
   | Tree tr -> Btree.find tr key
   | Htbl h -> Hashtbl.find_opt h key
 
+(* A hash probe is one bucket walk with no level to overlap, so the hash
+   arm stays key by key. *)
+let get_many t keys out =
+  match t.index with
+  | Tree tr -> Btree.find_many tr keys out
+  | Htbl h ->
+      if Array.length out < Array.length keys then
+        invalid_arg "Table.get_many: output shorter than keys";
+      Array.iteri (fun i k -> out.(i) <- Hashtbl.find_opt h k) keys
+
 let get_live t key =
   match get t key with
   | Some r when not (Record.is_deleted r) -> Some r

@@ -35,6 +35,12 @@ val repr : t -> repr
 val get : t -> string -> Record.t option
 (** The record for [key], including tombstones ({!Record.is_deleted}). *)
 
+val get_many : t -> string array -> Record.t option array -> unit
+(** [get_many t keys out] stores [get t keys.(i)] at [out.(i)] for every
+    index of [keys] ({!Btree.find_many} on a B-tree, one probe per key on
+    a hash index); later slots of [out] are untouched.
+    @raise Invalid_argument if [out] is shorter than [keys]. *)
+
 val get_live : t -> string -> Record.t option
 (** Like {!get} but [None] for tombstones. *)
 

@@ -87,16 +87,29 @@ let payloads p ~rng ~worker:_ =
     let ro = Sim.Rng.float rng 1.0 < p.read_ratio in
     txn_payload p ~ro (fun () -> pick_key p chooser rng)
 
+(* The keys of a read payload, parsed straight into an array. *)
+let read_keys payload =
+  let len = String.length payload in
+  let n = ref 1 in
+  for i = 0 to len - 1 do
+    if payload.[i] = ' ' then incr n
+  done;
+  let keys = Array.make !n "" and k = ref 0 and start = ref 0 in
+  for i = 0 to len do
+    if i = len || payload.[i] = ' ' then begin
+      keys.(!k) <- key (int_of_string (String.sub payload !start (i - !start)));
+      incr k;
+      start := i + 1
+    end
+  done;
+  keys
+
 let read_op db ~payload snap =
   let table = Silo.Db.table db table_name in
-  let last = ref "" in
-  List.iter
-    (fun s ->
-      match Silo.Db.snap_get snap table (key (int_of_string s)) with
-      | Some v -> last := v
-      | None -> ())
-    (String.split_on_char ' ' payload);
-  !last
+  Array.fold_left
+    (fun last v -> match v with Some v -> v | None -> last)
+    ""
+    (Silo.Db.snap_get_many snap table (read_keys payload))
 
 let client_app p =
   Rolis.App.make ~name:"ycsb++" ~setup:(setup p) ~payloads:(payloads p) ~op:(op p)

@@ -754,6 +754,108 @@ let oracle_qcheck =
       in
       List.for_all (fun i -> final i = serial.(i)) (List.init nkeys Fun.id))
 
+(* [snap_get_many] against [snap_get] key by key: each key's history is
+   installed with retention (floor 0, so every overwrite keeps its
+   predecessor), which gives pins that see the current version, the
+   prior one, nothing, or miss. A miss mid-batch must count the reads up
+   to it, which the charged virtual time shows. *)
+type key_history = (int * bool) list (* (ts step, deleted) per install *)
+
+let snap_batch_gen =
+  let open QCheck.Gen in
+  let deleted = frequency [ (4, return false); (1, return true) ] in
+  let install = pair (int_range 1 8) deleted in
+  triple
+    (array_repeat 8 (list_size (0 -- 3) install))
+    (list_size (0 -- 14) (int_range 0 9))
+    (int_range 0 30)
+
+let snap_batch_arb =
+  let print (hs, probes, pin) =
+    Printf.sprintf "histories=%s probes=%s pin=%d"
+      (String.concat "|"
+         (Array.to_list
+            (Array.map
+               (fun h ->
+                 let step (d, del) = Printf.sprintf "%d%s" d (if del then "x" else "") in
+                 String.concat "," (List.map step h))
+               hs)))
+      (String.concat "," (List.map string_of_int probes))
+      pin
+  in
+  QCheck.make ~print snap_batch_gen
+
+let snap_get_many_qcheck hash =
+  let repr = if hash then "hash" else "btree" in
+  QCheck.Test.make ~count:300
+    ~name:(Printf.sprintf "snap_get_many = snap_get in order (%s)" repr)
+    snap_batch_arb
+    (fun ((histories : key_history array), probes, pin) ->
+      let eng = Sim.Engine.create () in
+      let cpu = Sim.Cpu.create eng ~cores:8 ~efficiency:(fun ~active:_ -> 1.0) () in
+      let db = Silo.Db.create eng cpu ~hash_tables:(if hash then [ "t" ] else []) () in
+      let t = Silo.Db.create_table db "t" in
+      Array.iteri
+        (fun i h ->
+          let key = Printf.sprintf "k%d" i and ts = ref 0 in
+          List.iteri
+            (fun j (step, deleted) ->
+              ts := !ts + step;
+              let ts = !ts in
+              let value = if deleted then None else Some (Printf.sprintf "v%d.%d" i j) in
+              match Store.Table.get t key with
+              | None ->
+                  let r = Store.Record.make ~ts "" in
+                  Store.Record.install r ~epoch:0 ~ts ~value;
+                  Store.Table.insert t key r
+              | Some r -> Store.Record.install_retain r ~floor:0 ~epoch:0 ~ts ~value)
+            h)
+        histories;
+      let keys = Array.of_list (List.map (Printf.sprintf "k%d") probes) in
+      let read body =
+        let t0 = Sim.Engine.now eng in
+        let r =
+          match Silo.Db.read_at db ~audit:true ~pin body with
+          | vs, obs -> Some (vs, obs)
+          | exception Silo.Db.Snapshot_miss -> None
+        in
+        (r, Sim.Engine.now eng - t0)
+      in
+      let seq = ref (None, 0) and many = ref (None, 0) in
+      ignore
+        (Sim.Engine.spawn eng (fun () ->
+             seq := read (fun s -> Array.map (Silo.Db.snap_get s t) keys);
+             many := read (fun s -> Silo.Db.snap_get_many s t keys)));
+      Sim.Engine.run eng;
+      !seq = !many)
+
+(* The read count stops at the first miss: [ok; miss; ok] charges two
+   reads. *)
+let test_snap_get_many_miss_count () =
+  with_db (fun eng _cpu db ->
+      let t = Silo.Db.create_table db "t" in
+      Store.Table.insert t "a" (Store.Record.make ~ts:1 "a1");
+      let r = Store.Record.make ~ts:5 "b5" in
+      Store.Record.install_retain r ~floor:0 ~epoch:0 ~ts:20 ~value:(Some "b20");
+      Store.Record.install_retain r ~floor:0 ~epoch:0 ~ts:30 ~value:(Some "b30");
+      Store.Table.insert t "b" r;
+      let costs = Silo.Costs.default in
+      let charged = ref 0 and missed = ref false in
+      ignore
+        (Sim.Engine.spawn eng (fun () ->
+             let t0 = Sim.Engine.now eng in
+             let batch s = Silo.Db.snap_get_many s t [| "a"; "b"; "a" |] in
+             (match Silo.Db.read_at db ~pin:10 batch with
+             | _ -> ()
+             | exception Silo.Db.Snapshot_miss -> missed := true);
+             charged := Sim.Engine.now eng - t0));
+      Sim.Engine.run eng;
+      check_bool "missed" true !missed;
+      check_int "two reads charged"
+        (costs.Silo.Costs.txn_begin_ns + (2 * costs.Silo.Costs.snapshot_read_ns))
+        !charged;
+      check_int "one miss" 1 (Silo.Db.snapshot_misses db))
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "silo"
@@ -776,6 +878,13 @@ let () =
             test_read_tombstone_compacted;
           Alcotest.test_case "monotone timestamps" `Quick test_next_ts_monotone;
           qc oracle_qcheck;
+        ] );
+      ( "snap",
+        [
+          Alcotest.test_case "batched miss counts reads" `Quick
+            test_snap_get_many_miss_count;
+          qc (snap_get_many_qcheck false);
+          qc (snap_get_many_qcheck true);
         ] );
       ( "replay",
         [

@@ -141,10 +141,10 @@ let test_engine_fifo_ties () =
 (* Five thunks at t=10 (four ties), a timer and a thunk at t=20 (one
    tie), then a process that starts at t=20 (another tie) and wakes at
    t=30 (the one resumption); a timer at t=10 cancelled before the run
-   is neither fired nor a tie, and cancelling a timer that already fired
-   does nothing. A later [run ~until] that moves the clock without firing
-   adds nothing, and an event at the moved-to instant is not a tie of an
-   unfired one. *)
+   is neither fired nor a tie, and cancelling a timer that already fired,
+   or [no_timer], does nothing. A later [run ~until] that moves the clock
+   without firing adds nothing, and an event at the moved-to instant is
+   not a tie of an unfired one. *)
 let test_engine_counters () =
   let e0 = Sim.Engine.events_fired ()
   and t0 = Sim.Engine.ties ()
@@ -164,6 +164,7 @@ let test_engine_counters () =
   Sim.Engine.run eng;
   Sim.Engine.cancel eng fired;
   Sim.Engine.cancel eng tm;
+  Sim.Engine.cancel eng Sim.Engine.no_timer;
   check_int "events fired" 9 (Sim.Engine.events_fired () - e0);
   check_int "ties" 6 (Sim.Engine.ties () - t0);
   check_int "resumptions" 1 (Sim.Engine.resumptions () - r0);

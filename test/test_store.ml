@@ -291,6 +291,70 @@ let btree_model_qcheck =
       && Store.Btree.length t = SMap.cardinal !model
       && Store.Btree.to_list t = SMap.bindings !model)
 
+(* Probe batches for [find_many]: keys over the ops' range and past it
+   (absent), with repeats. *)
+let probes_arb =
+  QCheck.(
+    make
+      ~print:(fun l -> String.concat "," (List.map string_of_int l))
+      Gen.(list_size (0 -- 40) (int_range 0 230)))
+
+let probe_keys probes = Array.of_list (List.map (Printf.sprintf "%03d") probes)
+
+(* [find_many] fills the first [length keys] slots with [Array.map find]
+   and leaves the rest alone. *)
+let find_many_agrees t keys =
+  let n = Array.length keys in
+  let out = Array.make (n + 1) (Some (-1)) in
+  Store.Btree.find_many t keys out;
+  Array.sub out 0 n = Array.map (Store.Btree.find t) keys && out.(n) = Some (-1)
+
+let apply_op t = function
+  | Insert (k, v) -> ignore (Store.Btree.insert t k v)
+  | Remove k -> ignore (Store.Btree.remove t k)
+  | Find _ -> ()
+
+(* Checked after each half of the ops, so the second batch reuses the
+   first's scratch on a tree that has split, merged or shrunk since. *)
+let btree_find_many_qcheck =
+  QCheck.Test.make ~name:"find_many = Array.map find" ~count:300
+    (QCheck.triple ops_arb ops_arb probes_arb)
+    (fun (ops1, ops2, probes) ->
+      let t = Store.Btree.create () in
+      let keys = probe_keys probes in
+      List.iter (apply_op t) ops1;
+      let first = find_many_agrees t keys in
+      List.iter (apply_op t) ops2;
+      first
+      && find_many_agrees t keys
+      && find_many_agrees t (probe_keys (List.rev probes)))
+
+let test_btree_find_many_edges () =
+  let t = Store.Btree.create () in
+  let keys = probe_keys [ 1; 2; 2; 7 ] in
+  check_bool "empty tree" true (find_many_agrees t keys);
+  check_bool "empty batch" true (find_many_agrees t [||]);
+  List.iter
+    (fun i -> ignore (Store.Btree.insert t (Printf.sprintf "%03d" i) i))
+    [ 2; 5; 7 ];
+  check_bool "root-only leaf" true (find_many_agrees t keys);
+  for i = 0 to 19_999 do
+    ignore (Store.Btree.insert t (Printf.sprintf "%05d" i) i)
+  done;
+  let rng = Random.State.make [| 7 |] in
+  let batch () =
+    Array.init 60 (fun _ -> Printf.sprintf "%05d" (Random.State.int rng 21_000))
+  in
+  check_bool "deep tree" true (find_many_agrees t (batch ()));
+  for i = 0 to 19_999 do
+    if i mod 4 <> 0 then ignore (Store.Btree.remove t (Printf.sprintf "%05d" i))
+  done;
+  Store.Btree.check_invariants t;
+  check_bool "after merges" true (find_many_agrees t (batch ()));
+  Alcotest.check_raises "short output"
+    (Invalid_argument "Btree.find_many: output shorter than keys") (fun () ->
+      Store.Btree.find_many t keys (Array.make 3 None))
+
 let btree_find_last_lt_qcheck =
   QCheck.Test.make ~name:"find_last_lt equals Map.find_last_opt" ~count:150
     (QCheck.pair ops_arb QCheck.small_nat)
@@ -1111,6 +1175,23 @@ let apply_table_op t = function
           Store.Record.install r ~epoch:2 ~ts:(r.Store.Record.ts + 1) ~value:(Some v)
       | None -> ())
 
+let table_get_many_qcheck repr =
+  let name =
+    match repr with Store.Table.Btree -> "btree" | Store.Table.Hash -> "hash"
+  in
+  QCheck.Test.make ~count:150
+    ~name:(Printf.sprintf "table get_many = get (%s)" name)
+    (QCheck.pair table_ops_arb probes_arb)
+    (fun (history, probes) ->
+      let t = Store.Table.create ~repr ~id:0 ~name:"t" () in
+      List.iter (apply_table_op t) history;
+      let keys = probe_keys probes in
+      let out = Array.make (Array.length keys) None in
+      Store.Table.get_many t keys out;
+      Array.for_all2
+        (fun got k -> Option.equal ( == ) got (Store.Table.get t k))
+        out keys)
+
 let table_pairs t =
   let acc = ref [] in
   Store.Table.iter t (fun k r -> acc := (k, r) :: !acc);
@@ -1342,6 +1423,8 @@ let () =
           qc btree_apply_sorted_cursor_qcheck;
           qc btree_count_sorted_qcheck;
           qc btree_count_sorted_splits_qcheck;
+          Alcotest.test_case "find_many edge cases" `Quick test_btree_find_many_edges;
+          qc btree_find_many_qcheck;
         ] );
       ( "record",
         [
@@ -1370,6 +1453,8 @@ let () =
           Alcotest.test_case "iter ascending" `Quick test_hash_iter_ascending;
           Alcotest.test_case "apply_sorted_run" `Quick test_hash_apply_sorted_run;
           qc hash_btree_equiv_qcheck;
+          qc (table_get_many_qcheck Store.Table.Btree);
+          qc (table_get_many_qcheck Store.Table.Hash);
         ] );
       ( "copy",
         [

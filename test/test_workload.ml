@@ -118,6 +118,28 @@ let test_ycsb_setup_and_run () =
       let st = Silo.Db.stats db in
       check_int "200 commits" 200 st.Silo.Db.commits)
 
+(* A follower read reads its payload's keys in payload order, repeats
+   included, and returns the last value it found. *)
+let test_ycsb_read_op () =
+  let p = { Workload.Ycsb.default with Workload.Ycsb.keys = 1_000 } in
+  in_sim (fun _eng db ->
+      Workload.Ycsb.setup p db;
+      let t = Silo.Db.table db Workload.Ycsb.table_name in
+      (match Store.Table.get t (Workload.Ycsb.key 17) with
+      | Some r -> Store.Record.install r ~epoch:0 ~ts:0 ~value:(Some "seventeen")
+      | None -> Alcotest.fail "key 17 not loaded");
+      let read_op = Option.get (Workload.Ycsb.client_app p).Rolis.App.read_op in
+      let payload = "5 17 999 17 2000 3" in
+      let v, obs = Silo.Db.read_at db ~audit:true ~pin:0 (read_op db ~payload) in
+      let loaded = Workload.Row.pad p.Workload.Ycsb.value_size in
+      Alcotest.(check string) "last value found" loaded v;
+      Alcotest.(check (list string))
+        "keys in payload order"
+        (List.map Workload.Ycsb.key [ 5; 17; 999; 17; 2000; 3 ])
+        (List.rev_map (fun (_, k, _) -> k) obs);
+      let v, _ = Silo.Db.read_at db ~pin:0 (read_op db ~payload:"1 17 2000") in
+      Alcotest.(check string) "an absent key keeps the last" "seventeen" v)
+
 (* ---------- TPC-C ---------- *)
 
 let small_tpcc =
@@ -311,6 +333,7 @@ let () =
         [
           Alcotest.test_case "setup and run" `Quick test_ycsb_setup_and_run;
           Alcotest.test_case "standard mixes" `Quick test_ycsb_standard_mixes;
+          Alcotest.test_case "follower read" `Quick test_ycsb_read_op;
         ] );
       ( "tpcc",
         [
