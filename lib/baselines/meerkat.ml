@@ -50,7 +50,7 @@ let run ?(seed = 42L) ?(keys_per_thread = 10_000) ?(pipeline = 16)
                    List.map
                      (fun k ->
                        match Store.Btree.find store k with
-                       | Some r -> (k, r.Store.Record.version)
+                       | Some r -> (k, Store.Record.version r)
                        | None -> (k, -1))
                      keys
                  in
@@ -64,7 +64,7 @@ let run ?(seed = 42L) ?(keys_per_thread = 10_000) ?(pipeline = 16)
                    List.for_all
                      (fun (k, v) ->
                        match Store.Btree.find store k with
-                       | Some r -> r.Store.Record.version = v
+                       | Some r -> Store.Record.version r = v
                        | None -> false)
                      read_set
                  in
@@ -74,12 +74,14 @@ let run ?(seed = 42L) ?(keys_per_thread = 10_000) ?(pipeline = 16)
                    attempt ()
                  end
                  else if not read_only then
-                   (* Unanimous validation succeeded: install (bump
-                      versions) on every replica. *)
+                   (* Unanimous validation succeeded: install (a newer
+                      stamp, the same value) on every replica. *)
                    List.iter
                      (fun (k, _) ->
                        match Store.Btree.find store k with
-                       | Some r -> r.Store.Record.version <- r.Store.Record.version + 1
+                       | Some r ->
+                           Store.Record.install r ~epoch:0 ~ts:(Store.Record.ts r + 1)
+                             ~value:(Some r.Store.Record.value)
                        | None -> ())
                      read_set
                in

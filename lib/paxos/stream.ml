@@ -19,10 +19,6 @@ type stats = {
   coalesced : int;
 }
 
-(* Truncation batching: only compact once this many slots are reclaimable,
-   to avoid per-commit churn. *)
-let truncate_batch = 64
-
 let default_fetch_timeout = 100 * Sim.Engine.ms
 
 type t = {
@@ -178,10 +174,12 @@ let deliver t idx =
   note_config t slot.s_entry;
   t.on_commit ~idx slot.s_entry
 
-(* Discard slots below [upto]; [upto] must already be committed locally. *)
+(* Discard slots below [upto] as soon as the bound passes them — one
+   [Hashtbl.remove] per slot, so there is nothing to gain by batching;
+   [upto] must already be committed locally. *)
 let truncate_below t upto =
   let upto = min upto (t.commit_idx + 1) in
-  if (not t.no_truncate) && upto - t.truncated_below >= truncate_batch then begin
+  if (not t.no_truncate) && upto > t.truncated_below then begin
     for idx = t.truncated_below to upto - 1 do
       if Hashtbl.mem t.slots idx then begin
         Hashtbl.remove t.slots idx;
@@ -435,8 +433,8 @@ let retransmit t =
           (Msg.Commit
              { epoch = t.leader_epoch; commit_idx = t.commit_idx; trunc_upto = t.truncated_below })
 
-(* Bootstrap path: install one already-chosen entry at the next index, as
-   if it had been learned through the protocol — [on_commit] fires, so the
+(* Bootstrap path: install one already-chosen entry at [idx], as if it
+   had been learned through the protocol — [on_commit] fires, so the
    watermark/replay machinery sees exactly the durable history a surviving
    replica saw. Only valid on a non-leading (fresh) stream, fed in
    stream order from a donor's journal. *)
@@ -457,8 +455,6 @@ let inject_committed_at t ~idx (entry : Store.Wire.entry) =
   if t.next_idx <= idx then t.next_idx <- idx + 1;
   if entry.Store.Wire.epoch > t.promised then t.promised <- entry.Store.Wire.epoch;
   deliver t idx
-
-let inject_committed t entry = inject_committed_at t ~idx:(t.commit_idx + 1) entry
 
 (* Checkpoint bootstrap: slots below [idx] are committed cluster-wide and
    reflected in the checkpoint image this replica just installed, but
@@ -629,7 +625,6 @@ let handle t msg ~from =
         t.on_higher_epoch epoch
       end
 
-let is_leading t = match t.lstate with Active | Preparing _ -> true | Idle -> false
 let is_caught_up t = t.lstate = Active && t.commit_idx >= t.recovery_target
 let commit_index t = t.commit_idx
 let next_index t = t.next_idx

@@ -108,19 +108,15 @@ val retransmit : t -> unit
     All re-sends are idempotent — receivers dedup by sender. No-op on a
     follower. *)
 
-val inject_committed : t -> Store.Wire.entry -> unit
-(** Restart bootstrap: install an already-durable entry at the next index
-    as if it had been learned through the protocol ([on_commit] fires).
-    Only valid on a non-leading stream; feed entries in stream order from
-    a donor replica's journal. *)
-
 val inject_committed_at : t -> idx:int -> Store.Wire.entry -> unit
-(** Like {!inject_committed} but at an absolute index, for checkpoint +
-    journal-tail bootstrap where the donor's journal starts above zero: a
-    gap below [idx] is recorded as this replica's compaction floor (the
-    checkpoint image stands in for the missing slots). Feed indices in
-    ascending order. @raise Invalid_argument if leading or if [idx] is
-    already committed. *)
+(** Restart bootstrap: install an already-durable entry at index [idx] as
+    if it had been learned through the protocol ([on_commit] fires). Feed
+    a donor replica's journal in ascending index order. When the donor's
+    journal starts above zero (checkpoint + journal-tail bootstrap), a gap
+    below [idx] is recorded as this replica's compaction floor (the
+    checkpoint image stands in for the missing slots).
+    @raise Invalid_argument if leading or if [idx] is already
+    committed. *)
 
 val set_bootstrap_floor : t -> idx:int -> unit
 (** Checkpoint bootstrap: mark every slot below [idx] as committed
@@ -138,7 +134,7 @@ val export_tail : t -> tail
 
 val import_tail : t -> tail -> unit
 (** Graft a salvaged tail onto a freshly bootstrapped stream (after
-    {!inject_committed} replayed the journal). Used when an {e alive}
+    {!inject_committed_at} replayed the journal). Used when an {e alive}
     replica is voluntarily rebuilt — e.g. a tainted ex-leader: its
     database is suspect but its Paxos acceptor state is sound, and an
     accepted-but-uncommitted slot here may be the last surviving copy of
@@ -146,7 +142,6 @@ val import_tail : t -> tail -> unit
     commit index are skipped; higher-epoch slots win. Raises
     [Invalid_argument] if the stream is leading. *)
 
-val is_leading : t -> bool
 val is_caught_up : t -> bool
 (** Leader only: the Prepare phase finished and every slot it adopted has
     committed — the stream is ready for the epoch-sealing no-op. *)
@@ -157,13 +152,18 @@ val commit_index : t -> int
 val next_index : t -> int
 
 val retained_slots : t -> int
-(** Live slots currently held (bounded by log compaction: the leader
-    truncates below the minimum commit index it has heard from every
-    replica, and piggybacks that bound to followers — so any future
-    leader's Prepare, which starts at its own commit index, never needs a
-    discarded slot). A replica that falls behind the bound forever (e.g.
-    one that crashed) rejoins through {e bootstrap}, exactly as in the
-    paper's §4.3. *)
+(** Live slots currently held. Log compaction drops a slot as soon as the
+    truncation bound passes it: the leader truncates below the minimum
+    commit index it has heard from every voter and registered learner
+    (or a quorum-stable checkpoint's cover floor), and piggybacks that
+    bound to followers on every commit — so any future leader's Prepare,
+    which starts at its own commit index, never needs a discarded slot.
+    A stream therefore retains only slots that, when the leader's commit
+    index last advanced, some voter had not yet reported committed
+    (voters report on their next Accepted); a voter that stops
+    reporting, e.g. one that crashed, pins the bound at its last commit
+    index. A replica that falls behind the bound forever
+    rejoins through {e bootstrap}, exactly as in the paper's §4.3. *)
 
 val truncated_below : t -> int
 

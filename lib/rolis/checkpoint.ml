@@ -60,8 +60,8 @@ let write db ?(threads = 4) ?(disk_mb_per_s = 500) ?(rows_per_yield = 512)
                          {
                            r_key = k;
                            r_value = r.value;
-                           r_epoch = r.epoch;
-                           r_ts = r.ts;
+                           r_epoch = Store.Record.epoch r;
+                           r_ts = Store.Record.ts r;
                            r_deleted = Store.Record.is_deleted r;
                          }
                          :: !rows);

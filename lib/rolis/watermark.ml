@@ -142,7 +142,4 @@ let import t (snap : snapshot) =
 let scan_count t = t.scans
 let is_sealed t ~epoch = Array.for_all (fun s -> s.cur_epoch > epoch) t.streams
 let final_watermark t ~epoch = if is_sealed t ~epoch then compute t ~epoch else None
-let stream_epoch t ~stream = t.streams.(stream).cur_epoch
 
-let min_epoch t =
-  Array.fold_left (fun acc s -> min acc s.cur_epoch) max_int t.streams

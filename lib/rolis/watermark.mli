@@ -68,8 +68,3 @@ val final_watermark : t -> epoch:int -> int option
 (** The sealed boundary for [epoch]; [None] until {!is_sealed}. Streams
     that never produced an entry in [epoch] do not constrain it. *)
 
-val stream_epoch : t -> stream:int -> int
-(** Epoch of the given stream's durable tail (0 = nothing yet). *)
-
-val min_epoch : t -> int
-(** Smallest epoch over all streams' durable tails. *)

@@ -136,7 +136,7 @@ let last_ts t = t.ts_counter
 
 let reads_valid (txn : Txn.t) =
   List.for_all
-    (fun ((r : Store.Record.t), seen) -> r.version = seen)
+    (fun (r, seen) -> Store.Record.version r = seen)
     txn.reads
 
 let absents_valid (txn : Txn.t) =
@@ -144,13 +144,13 @@ let absents_valid (txn : Txn.t) =
 
 let scan_valid (s : Txn.scan_entry) =
   let rows = Store.Table.scan s.s_table ~lo:s.s_lo ~hi:s.s_hi ~limit:s.s_limit () in
-  let now = List.map (fun (k, (r : Store.Record.t)) -> (k, r.version)) rows in
+  let now = List.map (fun (k, r) -> (k, Store.Record.version r)) rows in
   now = s.s_seen
 
 let probe_valid (p : Txn.probe_entry) =
   let now =
     Store.Table.max_live p.p_table ~lo:p.p_lo ~hi:p.p_hi
-    |> Option.map (fun (k, (r : Store.Record.t)) -> (k, r.version))
+    |> Option.map (fun (k, r) -> (k, Store.Record.version r))
   in
   now = p.p_seen
 
@@ -208,16 +208,11 @@ let install_existing t table key (r : Store.Record.t) ~epoch ~ts ~value =
       if value = None && t.physical_deletes && not (Store.Record.has_prior r) then
         Store.Table.remove_phys table key
 
-let fresh_record ~epoch ~ts v =
-  let r = Store.Record.make ~epoch ~ts v in
-  r.Store.Record.version <- 1;
-  r
-
 (* Install by lookup: overwrite the bound record, or bind a fresh one. *)
 let install_found t table key ~epoch ~ts ~value =
   match (Store.Table.get table key, value) with
   | Some r, _ -> install_existing t table key r ~epoch ~ts ~value
-  | None, Some v -> Store.Table.insert table key (fresh_record ~epoch ~ts v)
+  | None, Some v -> Store.Table.insert table key (Store.Record.make ~epoch ~ts v)
   | None, None -> () (* delete of an absent key: nothing to do *)
 
 (* A write of a key the body never read, with a value. *)
@@ -235,7 +230,7 @@ let put_at t (w : Txn.write_entry) existing ~epoch ~ts =
       install_existing t table key r ~epoch ~ts ~value;
       None
   | None, Some v ->
-      let r = fresh_record ~epoch ~ts v in
+      let r = Store.Record.make ~epoch ~ts v in
       Store.Table.account_growth table (Store.Record.byte_size ~key r);
       Some r
   | None, None -> None
@@ -752,7 +747,6 @@ type snap = {
   mutable s_obs : (int * string * int) list;
 }
 
-let snap_pin s = s.s_pin
 
 (* One point read of [key], whose index lookup gave [found]. *)
 let snap_read s table key found =

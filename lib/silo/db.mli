@@ -179,7 +179,6 @@ exception Snapshot_miss
 type snap
 (** A watermark-pinned read-only transaction context. *)
 
-val snap_pin : snap -> int
 val snap_get : snap -> Store.Table.t -> string -> string option
 (** Point read at the snapshot's pin: no lock, no read-set, no
     validation. [None] = key absent (or deleted) at the pin.

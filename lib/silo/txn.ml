@@ -95,7 +95,7 @@ let track_read t id table key (r : Store.Record.t option) =
   if not (Key_tbl.mem t.read_keys id) then begin
     Key_tbl.add t.read_keys id r;
     match r with
-    | Some rec_ -> t.reads <- (rec_, rec_.Store.Record.version) :: t.reads
+    | Some rec_ -> t.reads <- (rec_, Store.Record.version rec_) :: t.reads
     | None -> t.absents <- (table, key) :: t.absents
   end
 
@@ -149,7 +149,7 @@ let scan t table ~lo ~hi ?(limit = max_int) () =
     (fun (_, (r : Store.Record.t)) ->
       t.nvalue_bytes <- t.nvalue_bytes + String.length r.value)
     rows;
-  let seen = List.map (fun (k, (r : Store.Record.t)) -> (k, r.version)) rows in
+  let seen = List.map (fun (k, r) -> (k, Store.Record.version r)) rows in
   t.scans <- { s_table = table; s_lo = lo; s_hi = hi; s_limit = limit; s_seen = seen } :: t.scans;
   List.map (fun (k, (r : Store.Record.t)) -> (k, r.value)) rows
 
@@ -159,7 +159,7 @@ let first_live t table ~lo ~hi =
 let last_live t table ~lo ~hi =
   t.nreads <- t.nreads + 1;
   let found = Store.Table.max_live table ~lo ~hi in
-  let seen = Option.map (fun (k, (r : Store.Record.t)) -> (k, r.version)) found in
+  let seen = Option.map (fun (k, r) -> (k, Store.Record.version r)) found in
   t.probes <- { p_table = table; p_lo = lo; p_hi = hi; p_seen = seen } :: t.probes;
   Option.map (fun (k, (r : Store.Record.t)) -> (k, r.value)) found
 
@@ -176,5 +176,3 @@ let commit_cost_ns t =
   Costs.commit_cost t.costs
     ~reads:(List.length t.reads + List.length t.absents + t.nscan_rows)
     ~writes:(Key_tbl.length t.writes)
-
-let write_count t = Key_tbl.length t.writes

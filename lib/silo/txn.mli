@@ -109,4 +109,3 @@ val exec_cost_ns : t -> int
 (** Accumulated execution cost of the body so far. *)
 
 val commit_cost_ns : t -> int
-val write_count : t -> int

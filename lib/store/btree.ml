@@ -31,14 +31,11 @@ type 'a t = {
   mutable root : 'a node;
   mutable size : int;
   mutable lanes : 'a node array; (* [find_many]'s per-key positions *)
+  nil : 'a leaf; (* always empty: where a sweep starts, before its first descent *)
 }
 
-let create () =
-  {
-    root = Leaf { keys = [||]; vals = [||]; len = 0; next = None };
-    size = 0;
-    lanes = [||];
-  }
+let empty_leaf () = { keys = [||]; vals = [||]; len = 0; next = None }
+let create () = { root = Leaf (empty_leaf ()); size = 0; lanes = [||]; nil = empty_leaf () }
 let length t = t.size
 let is_empty t = t.size = 0
 
@@ -451,8 +448,9 @@ type 'a sweep = {
   mutable cached : bool; (* [leaf] is a valid descent target *)
 }
 
-let sweep_start t =
-  { leaf = leftmost_leaf t.root; hi = ""; bounded = false; cached = false }
+(* Uncached, so the first key descends; the placeholder leaf is never
+   read before that descent replaces it. *)
+let sweep_start t = { leaf = t.nil; hi = ""; bounded = false; cached = false }
 
 let sweep_covers sw k = sw.cached && ((not sw.bounded) || String.compare k sw.hi < 0)
 
@@ -653,7 +651,7 @@ let copy f t =
             kids = Array.init (Array.length n.kids) (fun i -> go n.kids.(i));
           }
   in
-  { root = go t.root; size = t.size; lanes = [||] }
+  { root = go t.root; size = t.size; lanes = [||]; nil = empty_leaf () }
 
 (* ---- invariant checking (tests) ---- *)
 

@@ -1,20 +1,28 @@
 (** Versioned record — the unit of concurrency control and replay.
 
-    Each key in a table maps to one [Record.t] of five fields (six heap
+    Each key in a table maps to one [Record.t] of three fields (four heap
     words with the header):
 
     - [value], the current value, or the private tombstone string after a
       deletion ({!is_deleted});
-    - [epoch] and [ts], the stamp of its last writer, used by follower
-      replay's compare-and-swap (paper §3.4): an apply only wins if its
-      [(epoch, ts)] is strictly newer;
-    - [version], an OCC counter bumped on every install, used by read-set
-      validation on the leader;
+    - [stamp], the [(epoch, ts)] of its last writer packed into one int
+      ({!pack}), used by follower replay's compare-and-swap (paper §3.4):
+      an apply only wins if its [(epoch, ts)] is strictly newer;
     - [prior], a bounded prior-version slot holding the newest overwritten
       version still above the snapshot read-pin floor, so read-only
       transactions pinned at a watermark can read below concurrent replay
       installs. An empty slot is one shared sentinel; an occupied one is an
       immutable block, so {!copy} shares it.
+
+    The stamp is also the OCC version that leader read-set validation
+    compares (as Silo's TID word is). It changes exactly when the record
+    does: a leader install stamps the committing transaction's
+    [(epoch, ts)], strictly newer than any stamp the record can carry
+    (timestamps are unique per database and grow within an epoch, and a
+    new leader runs in a higher epoch), and a replay CAS installs only a
+    strictly newer stamp. No path ever moves a stamp backwards — a
+    tainted replica is rebuilt, never rolled back in place — so a record
+    whose stamp equals the one a transaction read is the version it read.
 
     There is no lock word: commit validates and installs its write-set
     with no yield in between and charges [Silo.Costs.lock_ns] per write, so no
@@ -26,14 +34,35 @@ type prior = private { p_value : string; p_ts : int }
 
 type t = {
   mutable value : string;
-  mutable epoch : int;
-  mutable ts : int;
-  mutable version : int;
+  mutable stamp : int;  (** packed [(epoch, ts)]; see {!pack} *)
   mutable prior : prior;  (** prior version retained for snapshot reads *)
 }
 
+val max_epoch : int
+(** [2^18 - 1]: the largest epoch {!pack} accepts. *)
+
+val max_ts : int
+(** [2^44 - 2]: the largest timestamp {!pack} accepts — in nanoseconds of
+    virtual time, about 4.9 hours. *)
+
+val pack : epoch:int -> ts:int -> int
+(** [epoch lsl 44 lor (ts + 1)]: a non-negative int whose order is the
+    lexicographic order of [(epoch, ts)], for [0 <= epoch <= max_epoch]
+    and [-1 <= ts <= max_ts] ([ts = -1] is the stamp of a record not yet
+    written). @raise Invalid_argument outside that range. *)
+
+val epoch : t -> int
+(** The epoch half of the stamp. *)
+
+val ts : t -> int
+(** The timestamp half of the stamp. *)
+
+val version : t -> int
+(** The OCC version: the stamp itself. *)
+
 val make : ?epoch:int -> ?ts:int -> string -> t
-(** A live record with an empty prior-version slot and [version = 0]. *)
+(** A live record stamped [(epoch, ts)] (default [(0, 0)]) with an empty
+    prior-version slot. @raise Invalid_argument as {!pack}. *)
 
 val tombstone : ?epoch:int -> ?ts:int -> unit -> t
 (** A deleted record: [make] with the tombstone as its value. *)
@@ -48,8 +77,9 @@ val copy : t -> t
     the record is copied). *)
 
 val install : t -> epoch:int -> ts:int -> value:string option -> unit
-(** Leader-side install at commit: set value ([None] = tombstone), stamp
-    [(epoch, ts)], bump [version]. *)
+(** Leader-side install at commit: set value ([None] = tombstone) and
+    stamp [(epoch, ts)], which the caller guarantees is newer than the
+    record's (see the stamp-as-version argument above). *)
 
 val cas_apply : t -> epoch:int -> ts:int -> value:string option -> bool
 (** Replay-side apply: install only if [(epoch, ts)] is strictly newer
@@ -94,6 +124,11 @@ val read_at : t -> pin:int -> snapshot
     atomically-stamped version. *)
 
 val newer : epoch:int -> ts:int -> than:t -> bool
+(** Whether [(epoch, ts)] is strictly newer than the record's stamp: one
+    int compare of the packed stamps. *)
+
 val byte_size : key:string -> t -> int
-(** Approximate memory footprint for accounting, including the
-    prior-version slot while it is occupied. *)
+(** Approximate memory footprint for accounting: a fixed 64 bytes for the
+    record (a model constant, not its heap words, so table and checkpoint
+    accounting do not move with the layout), the key and value bytes,
+    and the prior-version slot while it is occupied. *)

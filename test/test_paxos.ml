@@ -292,6 +292,46 @@ let test_log_truncation_bounds_memory () =
         ((Paxos.Stream.stats r.streams.(0)).Paxos.Stream.truncated > 0))
     c.replicas
 
+(* Slots leave as soon as the truncation bound passes them. Once the
+   proposals stop and every voter has committed them, a replica keeps at
+   most the two newest slots: the leader hears a voter's commit index
+   only on that voter's Accepted of a later slot, and recomputes the
+   bound when its own commit index advances — on the first ack of a
+   quorum, before the slower voter's ack of the same slot arrives. So the
+   slots left are exactly those some voter had not yet reported
+   committed. A crashed voter stops reporting, and its last commit index
+   pins the bound on every replica. *)
+let test_prompt_truncation () =
+  let c = make_cluster () in
+  let _p = spawn_proposer c ~s:0 ~count:200 ~gap:(1 * ms) in
+  Sim.Engine.run ~until:(1_000 * ms) c.eng;
+  let s r = r.streams.(0) in
+  Array.iter
+    (fun r ->
+      check_int "all committed" 199 (Paxos.Stream.commit_index (s r));
+      check_int "no slot below the bound" 200
+        (Paxos.Stream.truncated_below (s r) + Paxos.Stream.retained_slots (s r));
+      check_bool
+        (Printf.sprintf "replica %d keeps at most two slots" r.id)
+        true
+        (Paxos.Stream.retained_slots (s r) <= 2))
+    c.replicas;
+  let _p = spawn_proposer c ~s:0 ~count:100 ~gap:(1 * ms) in
+  Sim.Engine.schedule c.eng (1_050 * ms) (fun () -> crash c 2);
+  Sim.Engine.run ~until:(2_000 * ms) c.eng;
+  let crashed = Paxos.Stream.commit_index (s c.replicas.(2)) in
+  check_bool "crash landed mid-run" true (crashed > 199 && crashed < 299);
+  List.iter
+    (fun r ->
+      check_int "survivor committed everything" 299 (Paxos.Stream.commit_index (s r));
+      check_bool "bound pinned at the crashed voter" true
+        (Paxos.Stream.truncated_below (s r) <= crashed + 1);
+      check_bool
+        (Printf.sprintf "replica %d retains every slot the crashed voter lacks" r.id)
+        true
+        (Paxos.Stream.retained_slots (s r) >= 299 - crashed))
+    [ c.replicas.(0); c.replicas.(1) ]
+
 let test_truncation_freezes_for_lagging_follower () =
   (* While a follower is partitioned, the leader must stop truncating past
      the follower's last known commit, so the follower can still catch up
@@ -733,6 +773,7 @@ let () =
           Alcotest.test_case "follower catch-up" `Quick test_follower_catch_up_after_partition;
           Alcotest.test_case "log truncation bounds memory" `Quick
             test_log_truncation_bounds_memory;
+          Alcotest.test_case "prompt truncation" `Quick test_prompt_truncation;
           Alcotest.test_case "truncation freezes for laggard" `Quick
             test_truncation_freezes_for_lagging_follower;
           Alcotest.test_case "failover after truncation" `Quick

@@ -740,7 +740,7 @@ let db_contents db =
     (fun t ->
       let rows = ref [] in
       Store.Table.iter t (fun k (r : Store.Record.t) ->
-          rows := (k, r.value, r.epoch, r.ts, r.version, Store.Record.is_deleted r) :: !rows);
+          rows := (k, r.value, r.stamp, Store.Record.is_deleted r) :: !rows);
       (Store.Table.id t, Store.Table.name t, Store.Table.repr t, List.rev !rows))
     (Silo.Db.tables db)
 
@@ -748,25 +748,25 @@ let iter_records db f =
   List.iter (fun t -> Store.Table.iter t (fun _ r -> f r)) (Silo.Db.tables db)
 
 (* No record is reachable from two databases. Each database stamps its
-   own mark into every record's [version], in turn; a record shared with
+   own mark into every record's [stamp], in turn; a record shared with
    a database stamped later would then show that database's mark. The
-   versions are restored afterwards. *)
+   stamps are restored afterwards. *)
 let records_disjoint dbs =
   let saved =
     List.map
       (fun db ->
         let vs = ref [] in
-        iter_records db (fun r -> vs := r.Store.Record.version :: !vs);
+        iter_records db (fun r -> vs := r.Store.Record.stamp :: !vs);
         List.rev !vs)
       dbs
   in
   List.iteri
-    (fun i db -> iter_records db (fun r -> r.Store.Record.version <- -1 - i))
+    (fun i db -> iter_records db (fun r -> r.Store.Record.stamp <- -1 - i))
     dbs;
   let ok = ref true in
   List.iteri
     (fun i db ->
-      iter_records db (fun r -> if r.Store.Record.version <> -1 - i then ok := false))
+      iter_records db (fun r -> if r.Store.Record.stamp <> -1 - i then ok := false))
     dbs;
   List.iter2
     (fun db vs ->
@@ -774,7 +774,7 @@ let records_disjoint dbs =
       iter_records db (fun r ->
           match !vs with
           | v :: rest ->
-              r.Store.Record.version <- v;
+              r.Store.Record.stamp <- v;
               vs := rest
           | [] -> assert false))
     dbs saved;
@@ -1574,7 +1574,7 @@ let test_checkpoint_roundtrip () =
         (match Store.Table.get_live ft (Store.Keycodec.encode [ Store.Keycodec.I 7 ]) with
         | Some r ->
             check_bool "value preserved" true (r.Store.Record.value = "v7");
-            check_int "stamp preserved" 7 r.Store.Record.ts
+            check_int "stamp preserved" 7 (Store.Record.ts r)
         | None -> Alcotest.fail "row 7 missing");
         checked := true)
   in
@@ -1651,8 +1651,8 @@ let stamp_dump db =
                ( Store.Table.name t,
                  k,
                  r.Store.Record.value,
-                 r.Store.Record.epoch,
-                 r.Store.Record.ts,
+                 Store.Record.epoch r,
+                 Store.Record.ts r,
                  Store.Record.is_deleted r )
                :: !acc);
          !acc)

@@ -643,9 +643,9 @@ let record_cas_monotone_qcheck =
       let r = Store.Record.make "init" in
       List.for_all
         (fun (epoch, ts) ->
-          let before = (r.Store.Record.epoch, r.Store.Record.ts) in
+          let before = (Store.Record.epoch r, Store.Record.ts r) in
           let won = Store.Record.cas_apply r ~epoch ~ts ~value:(Some "v") in
-          let after = (r.Store.Record.epoch, r.Store.Record.ts) in
+          let after = (Store.Record.epoch r, Store.Record.ts r) in
           if won then after = (epoch, ts) && after > before else after = before)
         stamps)
 
@@ -683,7 +683,7 @@ let test_record_reject_refresh () =
   ignore (Store.Record.cas_apply_retain r ~floor:90 ~epoch:1 ~ts:300 ~value:(Some "v300"));
   check_bool "crossed write rejected" false
     (Store.Record.cas_apply_retain r ~floor:90 ~epoch:1 ~ts:200 ~value:(Some "v200"));
-  check_bool "current untouched" true (r.Store.Record.ts = 300);
+  check_bool "current untouched" true (Store.Record.ts r = 300);
   check_bool "loser parked in slot" true
     (Store.Record.read_at r ~pin:250 = Store.Record.Visible (Some "v200", 200));
   (* A second, even older loser must not displace the newer slot entry. *)
@@ -732,7 +732,7 @@ let record_read_at_qcheck =
 
 (* The record as it was before its prior version moved out of line and
    its tombstone flag folded into the value: nine inline fields (the
-   never-taken lock word left out). The reference the six-word record
+   never-taken lock word left out). The reference the four-word record
    must match on every observable read. *)
 module Old_record = struct
   type t = {
@@ -878,65 +878,143 @@ let record_ops_arb =
   in
   QCheck.make ~print (pair (list_size (1 -- 60) op) (list_size (1 -- 8) (int_range (-2) 32)))
 
+(* One record under test beside its reference, with both versions as of
+   the last op checked. *)
+type record_pair = {
+  o : Old_record.t;
+  r : Store.Record.t;
+  mutable o_ver : int;
+  mutable r_ver : int;
+}
+
+let record_pair o r = { o; r; o_ver = o.Old_record.version; r_ver = Store.Record.version r }
+
 let record_matches_old_qcheck =
-  QCheck.Test.make ~name:"six-word record = nine-field reference" ~count:500 record_ops_arb
+  QCheck.Test.make ~name:"four-word record = nine-field reference" ~count:500 record_ops_arb
     (fun (ops, pins) ->
       (* Parallel pools of (reference, record) pairs, one per [make] or
          [copy]; an op names its record modulo the pool size. *)
-      let pool = ref [| (Old_record.make ~epoch:0 ~ts:0 "init", Store.Record.make "init") |] in
-      let add p = pool := Array.append !pool [| p |] in
+      let pool = ref [| record_pair (Old_record.make ~epoch:0 ~ts:0 "init") (Store.Record.make "init") |] in
+      let add o r = pool := Array.append !pool [| record_pair o r |] in
       let get i = !pool.(i mod Array.length !pool) in
-      let same (o, (r : Store.Record.t)) =
+      let same p =
+        let o = p.o and r = p.r in
         o.Old_record.value = r.value
         && o.deleted = Store.Record.is_deleted r
-        && o.epoch = r.epoch && o.ts = r.ts && o.version = r.version
+        && o.epoch = Store.Record.epoch r
+        && o.ts = Store.Record.ts r
         && Old_record.byte_size ~key:"key" o = Store.Record.byte_size ~key:"key" r
         && List.for_all (fun pin -> Old_record.read_at o ~pin = Store.Record.read_at r ~pin) pins
       in
+      (* The stamp is the version: it moves exactly when the reference's
+         counter does. The one exception is an install that breaks the
+         leader's contract (a stamp not newer than the record's), which
+         the reference counts and the stamp cannot show; [exempt] names
+         the record such an op wrote. *)
+      let version_tracks exempt p =
+        let moved_o = p.o.version <> p.o_ver and moved_r = Store.Record.version p.r <> p.r_ver in
+        p.o_ver <- p.o.version;
+        p.r_ver <- Store.Record.version p.r;
+        p.r == exempt || moved_o = moved_r
+      in
+      let no_record = Store.Record.make "" in
       List.for_all
         (fun op ->
-          let agree =
+          let exempt_if_stale p ~epoch ~ts =
+            if Store.Record.newer ~epoch ~ts ~than:p.r then no_record else p.r
+          in
+          let agree, exempt =
             match op with
             | R_make (epoch, ts, Some v) ->
-                add (Old_record.make ~epoch ~ts v, Store.Record.make ~epoch ~ts v);
-                true
+                add (Old_record.make ~epoch ~ts v) (Store.Record.make ~epoch ~ts v);
+                (true, no_record)
             | R_make (epoch, ts, None) ->
                 let o = Old_record.make ~epoch ~ts "" in
                 o.deleted <- true;
-                add (o, Store.Record.tombstone ~epoch ~ts ());
-                true
+                add o (Store.Record.tombstone ~epoch ~ts ());
+                (true, no_record)
             | R_install (i, epoch, ts, value) ->
-                let o, r = get i in
-                Old_record.stamp o ~epoch ~ts ~value;
-                Store.Record.install r ~epoch ~ts ~value;
-                true
+                let p = get i in
+                let exempt = exempt_if_stale p ~epoch ~ts in
+                Old_record.stamp p.o ~epoch ~ts ~value;
+                Store.Record.install p.r ~epoch ~ts ~value;
+                (true, exempt)
             | R_install_retain (i, floor, epoch, ts, value) ->
-                let o, r = get i in
-                Old_record.install_retain o ~floor ~epoch ~ts ~value;
-                Store.Record.install_retain r ~floor ~epoch ~ts ~value;
-                true
+                let p = get i in
+                let exempt = exempt_if_stale p ~epoch ~ts in
+                Old_record.install_retain p.o ~floor ~epoch ~ts ~value;
+                Store.Record.install_retain p.r ~floor ~epoch ~ts ~value;
+                (true, exempt)
             | R_cas (i, epoch, ts, value) ->
-                let o, r = get i in
-                Old_record.cas_apply o ~epoch ~ts ~value
-                = Store.Record.cas_apply r ~epoch ~ts ~value
+                let p = get i in
+                ( Old_record.cas_apply p.o ~epoch ~ts ~value
+                  = Store.Record.cas_apply p.r ~epoch ~ts ~value,
+                  no_record )
             | R_cas_retain (i, floor, epoch, ts, value) ->
-                let o, r = get i in
-                Old_record.cas_apply_retain o ~floor ~epoch ~ts ~value
-                = Store.Record.cas_apply_retain r ~floor ~epoch ~ts ~value
+                let p = get i in
+                ( Old_record.cas_apply_retain p.o ~floor ~epoch ~ts ~value
+                  = Store.Record.cas_apply_retain p.r ~floor ~epoch ~ts ~value,
+                  no_record )
             | R_snap_clear i ->
-                let o, r = get i in
-                Old_record.snap_clear o;
-                Store.Record.snap_clear r;
-                true
+                let p = get i in
+                Old_record.snap_clear p.o;
+                Store.Record.snap_clear p.r;
+                (true, no_record)
             | R_copy i ->
-                let o, r = get i in
-                add (Old_record.copy o, Store.Record.copy r);
-                true
+                let p = get i in
+                add (Old_record.copy p.o) (Store.Record.copy p.r);
+                (true, no_record)
           in
-          agree && Array.for_all same !pool)
+          agree
+          && Array.for_all same !pool
+          && Array.for_all (fun p -> version_tracks exempt p) !pool)
         ops)
 
-(* The layout and the accounting pinned: a record is five fields, an
+(* The packed stamp sorts as the [(epoch, ts)] pair it packs, across the
+   whole range ([ts = -1] and both upper limits included), and [pack]
+   rejects every pair outside it. *)
+let stamp_pair_arb =
+  let open QCheck.Gen in
+  let edge lo hi = oneof [ int_range lo (lo + 3); int_range (hi - 3) hi; int_range lo hi ] in
+  let epoch = edge 0 Store.Record.max_epoch and ts = edge (-1) Store.Record.max_ts in
+  QCheck.make
+    ~print:QCheck.Print.(pair (pair int int) (pair int int))
+    (pair (pair epoch ts) (pair epoch ts))
+
+let record_pack_order_qcheck =
+  QCheck.Test.make ~name:"stamp packing keeps (epoch, ts) order" ~count:1000 stamp_pair_arb
+    (fun ((e1, t1), (e2, t2)) ->
+      let s1 = Store.Record.pack ~epoch:e1 ~ts:t1 and s2 = Store.Record.pack ~epoch:e2 ~ts:t2 in
+      let r = Store.Record.make ~epoch:e2 ~ts:t2 "" in
+      compare s1 s2 = compare (e1, t1) (e2, t2)
+      && s1 >= 0
+      && Store.Record.newer ~epoch:e1 ~ts:t1 ~than:r = ((e1, t1) > (e2, t2))
+      && (Store.Record.epoch r, Store.Record.ts r, Store.Record.version r) = (e2, t2, s2))
+
+let test_record_pack_range () =
+  let open Store.Record in
+  check_int "lowest stamp" 0 (pack ~epoch:0 ~ts:(-1));
+  check_int "highest stamp" max_int (pack ~epoch:max_epoch ~ts:max_ts);
+  List.iter
+    (fun (epoch, ts) ->
+      check_bool
+        (Printf.sprintf "(%d, %d) rejected" epoch ts)
+        true
+        (match pack ~epoch ~ts with _ -> false | exception Invalid_argument _ -> true))
+    [
+      (-1, 0);
+      (min_int, 0);
+      (max_epoch + 1, 0);
+      (max_int, 0);
+      (0, -2);
+      (0, min_int);
+      (0, max_ts + 1);
+      (max_epoch, max_int);
+    ];
+  check_bool "make checks the range" true
+    (match make ~ts:(max_ts + 1) "" with _ -> false | exception Invalid_argument _ -> true)
+
+(* The layout and the accounting pinned: a record is three fields, an
    empty prior slot is one shared block, and [byte_size] (which feeds
    [Table.bytes], the checkpoint and mem5 accounting) counts a tombstone,
    alone and in the slot, as it counted the [""] a deletion stored. A
@@ -944,7 +1022,7 @@ let record_matches_old_qcheck =
    overhead". *)
 let test_record_layout () =
   let r = Store.Record.make "v" in
-  check_int "five fields" 5 (Obj.size (Obj.repr r));
+  check_int "three fields" 3 (Obj.size (Obj.repr r));
   check_bool "empty slots shared" true (r.prior == (Store.Record.make "w").prior);
   let tomb = Store.Record.tombstone ~epoch:1 ~ts:5 () in
   check_bool "tombstone deleted" true (Store.Record.is_deleted tomb);
@@ -1172,7 +1250,7 @@ let apply_table_op t = function
   | T_mut (k, v) -> (
       match Store.Table.get t k with
       | Some r ->
-          Store.Record.install r ~epoch:2 ~ts:(r.Store.Record.ts + 1) ~value:(Some v)
+          Store.Record.install r ~epoch:2 ~ts:(Store.Record.ts r + 1) ~value:(Some v)
       | None -> ())
 
 let table_get_many_qcheck repr =
@@ -1200,7 +1278,7 @@ let table_pairs t =
 (* Every record field by field, in [iter] order. *)
 let table_contents t =
   List.map
-    (fun (k, (r : Store.Record.t)) -> (k, r.value, Store.Record.is_deleted r, r.epoch, r.ts, r.version))
+    (fun (k, (r : Store.Record.t)) -> (k, r.value, Store.Record.is_deleted r, r.stamp))
     (table_pairs t)
 
 (* The walks a B-tree copy must reproduce from every probe key: a bounded
@@ -1438,6 +1516,8 @@ let () =
           qc record_cas_monotone_qcheck;
           qc record_read_at_qcheck;
           qc record_matches_old_qcheck;
+          qc record_pack_order_qcheck;
+          Alcotest.test_case "pack range" `Quick test_record_pack_range;
         ] );
       ( "table",
         [
