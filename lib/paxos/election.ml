@@ -249,8 +249,6 @@ let set_view t view ~gen =
     end
   end
 
-let view t = t.view
-let mgen t = t.mgen
 let failed_candidacies t = t.failed_candidacies
 (* A leader made ineligible (a tainted ex-leader: it stopped serving on
    losing its quorum) also gives up the role. Still heartbeating, it
@@ -265,9 +263,6 @@ let set_eligible t b =
     t.on_new_epoch ~epoch:t.cur_epoch ~leader:None
   end
 
-let eligible t = t.eligible
-let role t = t.role
 let is_leader t = t.role = Leader
 let epoch t = t.cur_epoch
 let leader_id t = t.leader
-let heartbeat_interval t = t.hb_interval

@@ -11,8 +11,6 @@
     number orders all leaders, and [<epoch, timestamp>] pairs serialize
     transactions across failovers (§3.3). *)
 
-type role = Leader | Follower | Candidate
-
 type t
 
 val create :
@@ -47,9 +45,6 @@ val set_view : t -> Member.view -> gen:int -> unit
     of order during catch-up). Resets candidacy backoff, but {e never}
     clears [voted_for]: a removed-then-readded replica must not vote
     twice in one ballot. *)
-
-val view : t -> Member.view
-val mgen : t -> int
 
 val failed_candidacies : t -> int
 (** Consecutive candidacies since this replica last heard a live leader.
@@ -96,10 +91,6 @@ val set_eligible : t -> bool -> unit
     [on_new_epoch] with no leader), so the followers time out and elect
     a successor. *)
 
-val eligible : t -> bool
-
-val role : t -> role
 val is_leader : t -> bool
 val epoch : t -> int
 val leader_id : t -> int option
-val heartbeat_interval : t -> int

@@ -20,7 +20,6 @@ let voters = function
 
 let mem view i = List.mem i (voters view)
 
-let size view = List.length (voters view)
 
 let majority_of c = (List.length c / 2) + 1
 

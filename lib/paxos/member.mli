@@ -29,7 +29,6 @@ val voters : view -> config
 (** All voting members — for [Joint], the union of both sides. *)
 
 val mem : view -> int -> bool
-val size : view -> int
 
 val quorum : view -> int list -> bool
 (** Do the (deduplicated) acknowledgers [acks] form a quorum under this

@@ -59,52 +59,3 @@ let size t =
       | Promise { accepted; _ } -> 16 + slots_size accepted
       | Accept { entry; _ } -> 24 + Store.Wire.byte_size entry
       | Fetch_rep { entries; _ } -> 16 + slots_size entries)
-
-let pp fmt t =
-  let body =
-    match t.body with
-    | Elect (Request_vote { epoch; candidate }) ->
-        Printf.sprintf "RequestVote(e=%d,c=%d)" epoch candidate
-    | Elect (Vote { epoch; granted }) -> Printf.sprintf "Vote(e=%d,%b)" epoch granted
-    | Elect (Heartbeat { epoch; leader }) ->
-        Printf.sprintf "Heartbeat(e=%d,l=%d)" epoch leader
-    | Elect (Timeout_now { epoch }) -> Printf.sprintf "TimeoutNow(e=%d)" epoch
-    | Client_req { cid; seq; payload } ->
-        Printf.sprintf "ClientReq(c=%d,s=%d,|p|=%d)" cid seq (String.length payload)
-    | Client_rep { cid; seq; reply } ->
-        let r =
-          match reply with
-          | Ok_released -> "ok"
-          | Ok_read { value } -> Printf.sprintf "ok-read(|v|=%d)" (String.length value)
-          | Aborted -> "aborted"
-          | Not_leader { hint = Some h } -> Printf.sprintf "not-leader(hint=%d)" h
-          | Not_leader { hint = None } -> "not-leader"
-          | Busy -> "busy"
-        in
-        Printf.sprintf "ClientRep(c=%d,s=%d,%s)" cid seq r
-    | Read_req { cid; seq; payload } ->
-        Printf.sprintf "ReadReq(c=%d,s=%d,|p|=%d)" cid seq (String.length payload)
-    | Read_lease { epoch; until } ->
-        Printf.sprintf "ReadLease(e=%d,until=%d)" epoch until
-    | Stream { stream; msg } ->
-        let m =
-          match msg with
-          | Prepare { epoch; from_idx } -> Printf.sprintf "Prepare(e=%d,i>=%d)" epoch from_idx
-          | Promise { epoch; commit_idx; truncated_below; accepted } ->
-              Printf.sprintf "Promise(e=%d,ci=%d,tr=%d,|acc|=%d)" epoch commit_idx
-                truncated_below (List.length accepted)
-          | Accept { epoch; idx; commit_idx; _ } ->
-              Printf.sprintf "Accept(e=%d,i=%d,ci=%d)" epoch idx commit_idx
-          | Accepted { epoch; idx; commit_idx } ->
-              Printf.sprintf "Accepted(e=%d,i=%d,ci=%d)" epoch idx commit_idx
-          | Commit { epoch; commit_idx; trunc_upto } ->
-              Printf.sprintf "Commit(e=%d,ci=%d,tr=%d)" epoch commit_idx trunc_upto
-          | Fetch { from_idx } -> Printf.sprintf "Fetch(i>=%d)" from_idx
-          | Fetch_rep { commit_idx; truncated_below; entries } ->
-              Printf.sprintf "FetchRep(ci=%d,tr=%d,|e|=%d)" commit_idx truncated_below
-                (List.length entries)
-          | Nack { epoch } -> Printf.sprintf "Nack(e=%d)" epoch
-        in
-        Printf.sprintf "S%d:%s" stream m
-  in
-  Format.fprintf fmt "[%d]%s" t.from body

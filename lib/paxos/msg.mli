@@ -81,5 +81,3 @@ type t = { from : int; body : body }
 
 val size : t -> int
 (** Approximate wire size in bytes, for network accounting. *)
-
-val pp : Format.formatter -> t -> unit

@@ -138,7 +138,6 @@ let create net ?peers ?view ?(fetch_timeout = default_fetch_timeout)
     s_coalesced = 0;
   }
 
-let id t = t.stream_id
 
 (* Membership views are adopted at *accept* time (the joint-consensus
    discipline), keyed by generation so stale replays are ignored. *)
@@ -149,7 +148,6 @@ let set_view t view ~gen =
   end
 
 let set_learners t l = t.learners <- l
-let view t = t.view
 
 let note_config t (e : Store.Wire.entry) =
   match e.Store.Wire.config with Some c -> t.on_config c | None -> ()

@@ -31,8 +31,6 @@ type stats = {
           [k - 1] here *)
 }
 
-val default_fetch_timeout : int
-
 val create :
   Msg.t Sim.Net.t ->
   ?peers:int ->
@@ -72,8 +70,6 @@ val create :
     order are unchanged; an epoch change or the [coalesce_max_bytes] cap
     (default 1 MiB) forces the buffer out immediately. *)
 
-val id : t -> int
-
 val set_view : t -> Member.view -> gen:int -> unit
 (** Adopt a membership view at generation [gen]; ignored unless [gen]
     exceeds the current generation. Changes which acks count toward
@@ -83,8 +79,6 @@ val set_learners : t -> int list -> unit
 (** Register the non-voting slots currently catching up: they gate the
     leader's safe truncation bound (their catch-up source must survive)
     without ever counting in quorums. Replaces the previous list. *)
-
-val view : t -> Member.view
 
 val become_leader : t -> epoch:int -> unit
 (** Start the Prepare phase for [epoch]. Proposals made before the phase

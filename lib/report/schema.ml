@@ -156,4 +156,3 @@ let find_result r ~fig = List.find_opt (fun res -> res.fig = fig) r.results
 let find_point res ~series ~x =
   List.find_opt (fun p -> p.series = series && Float.abs (p.x -. x) < 1e-9) res.points
 
-let metric p name = List.assoc_opt name p.metrics

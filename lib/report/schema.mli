@@ -43,21 +43,15 @@ type result = {
 type report = { schema : string; mode : string; results : result list }
 (** [mode] is ["quick"] or ["full"]. *)
 
-val schema_version : string
-(** Current ["rolis-bench/1"]. {!decode} rejects other versions. *)
-
 val make_report : mode:string -> result list -> report
-
-val encode : report -> Json.t
-val decode : Json.t -> (report, string) Stdlib.result
-(** Structural validation: unknown fields are ignored, missing or
-    ill-typed required fields are errors. *)
 
 val to_string : report -> string
 (** Pretty-printed JSON. *)
 
 val of_string : string -> (report, string) Stdlib.result
+(** Structural validation: unknown fields are ignored, missing or
+    ill-typed required fields are errors, and a schema other than
+    ["rolis-bench/1"] (the one {!make_report} stamps) is rejected. *)
 
 val find_result : report -> fig:string -> result option
 val find_point : result -> series:string -> x:float -> point option
-val metric : point -> string -> float option

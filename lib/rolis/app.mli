@@ -57,8 +57,3 @@ val make :
 (** The one app constructor. [payloads ~rng ~worker] is worker [worker]'s
     payload generator; [make_worker] runs its payloads through [op], and
     [client_op] is [Some op]. *)
-
-val counter_app : keys:int -> t
-(** A tiny built-in app (random read-modify-write increments over [keys]
-    counters) used by tests and the quickstart example. Its payload is a
-    decimal key index. *)

@@ -56,7 +56,6 @@ let create cfg ?(coalesce_factor = fun () -> 1.0) ~cpu ~stats ~trace ~epoch
     deadline = None;
   }
 
-let pending t = t.count
 
 let cancel_deadline t =
   match t.deadline with

@@ -69,5 +69,3 @@ val flush : t -> unit
 
 val clear : t -> unit
 (** Drop pending transactions (failover: speculative work is abandoned). *)
-
-val pending : t -> int

@@ -64,9 +64,6 @@ let bank_payload rng ~accounts =
   let b = (a + 1 + Sim.Rng.int rng (accounts - 1)) mod accounts in
   Printf.sprintf "%d %d %d" a b (1 + Sim.Rng.int rng 10)
 
-(* Read-session payload: one account id, answered with its balance. *)
-let bank_read_payload rng ~accounts = string_of_int (Sim.Rng.int rng accounts)
-
 type outcome = {
   seed : int;
   violations : Check.violation list;

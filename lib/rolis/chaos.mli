@@ -33,9 +33,6 @@
     checkpoints and rolling operations need [shards = 1] (see
     {!run_seed}). *)
 
-val bank_table : string
-val initial_balance : int
-
 val bank_app : ?range:int * int -> accounts:int -> unit -> App.t
 (** Random transfers between [accounts] accounts; conserves total money.
     The app also carries a [client_op] parsing ["a b amount"] (transfer),
@@ -49,10 +46,6 @@ val bank_app : ?range:int * int -> accounts:int -> unit -> App.t
 val bank_payload : Sim.Rng.t -> accounts:int -> string
 (** One random transfer request ["a b amount"] with [a <> b], suitable as
     a {!Client.spawn} [gen]. *)
-
-val bank_read_payload : Sim.Rng.t -> accounts:int -> string
-(** One random balance-read request (an account id), suitable as a
-    read-only {!Client.spawn} [gen] against [bank_app]'s [read_op]. *)
 
 type outcome = {
   seed : int;

@@ -44,9 +44,6 @@ type replica_image = {
 val size_bytes : image -> int
 val row_count : image -> int
 
-val disk_time : disk_mb_per_s:int -> bytes:int -> int
-(** Transfer time (ns) of [bytes] through the modeled disk. *)
-
 val write :
   Silo.Db.t ->
   ?threads:int ->

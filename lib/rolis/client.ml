@@ -42,18 +42,14 @@ type t = {
   lat : Sim.Metrics.Hist.t;
 }
 
-let cid t = t.cid
-let node t = t.node
 let is_ro t = t.ro
 let acked_count t = List.length t.acked
 let acked_seqs t = List.rev_map (fun seq -> (t.cid, seq)) t.acked
-let aborted t = t.aborted
 let retries t = t.retries
 let redirects t = t.redirects
 let busy_replies t = t.busy
 let timeouts t = t.timeouts
 let parked t = t.parked
-let issued t = t.seq
 let latency t = t.lat
 
 (* Read sessions rotate within their preference list; write sessions scan

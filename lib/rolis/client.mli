@@ -99,21 +99,14 @@ val request : t -> string -> [ `Ok | `Aborted | `Stopped ]
     drivers that must finish a multi-step protocol pass a never-true
     flag and check their own stop signal between protocol rounds. *)
 
-val cid : t -> int
-val node : t -> int
-
 val is_ro : t -> bool
 (** True for read-only sessions (spawned with [~ro:true]). *)
-
-val issued : t -> int
-(** Highest sequence number issued so far. *)
 
 val acked_count : t -> int
 val acked_seqs : t -> (int * int) list
 (** [(cid, seq)] of every [Ok_released] ack, in issue order — the input to
     {!Check.exactly_once}. *)
 
-val aborted : t -> int
 val retries : t -> int
 val redirects : t -> int
 val busy_replies : t -> int

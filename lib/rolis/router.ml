@@ -17,7 +17,6 @@ let create ~splits =
   { shards = n + 1; splits = Array.copy splits }
 
 let shards t = t.shards
-let splits t = Array.copy t.splits
 
 (* Number of splits <= key, by binary search: shard of an encoded key. *)
 let shard_of_key t key =

@@ -9,19 +9,7 @@
 
 type t
 
-val create : splits:string array -> t
-(** [create ~splits] builds a router over [Array.length splits + 1]
-    shards. @raise Invalid_argument unless splits are strictly
-    increasing. *)
-
 val shards : t -> int
-val splits : t -> string array
-
-val shard_of_key : t -> string -> int
-(** Owner of an already-encoded key. *)
-
-val shard_of : t -> Store.Keycodec.component list -> int
-(** Owner of a composite key (encodes, then routes). *)
 
 val tpcc : warehouses:int -> shards:int -> t
 (** Partition TPC-C by warehouse: contiguous, near-equal runs of

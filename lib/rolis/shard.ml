@@ -6,6 +6,9 @@ let ms = Sim.Engine.ms
 
 (* ---- the replicated 2PC control surface ---- *)
 
+(* The control table each wrapped app gains: intent rows keyed
+   [("i", xid)] hold the staged sub-payload, decision rows keyed
+   [("d", xid)] hold ["C"] or ["A"]. *)
 let table_2pc = "__2pc"
 
 let k_intent xid = Store.Keycodec.encode [ Store.Keycodec.S "i"; Store.Keycodec.I xid ]
@@ -166,7 +169,6 @@ type t = {
 
 let engine t = t.eng
 let clusters t = t.clusters
-let cluster t s = t.clusters.(s)
 let shards t = Array.length t.clusters
 
 (* Globally unique transaction ids without coordination: driver-major. *)

@@ -19,11 +19,6 @@
     gives cross-shard conservation without a cross-shard lock table —
     the same argument deterministic-backup systems make for replay. *)
 
-val table_2pc : string
-(** Name of the control table each wrapped app gains ("__2pc"): intent
-    rows keyed [("i", xid)] holding the staged sub-payload, decision
-    rows keyed [("d", xid)] holding ["C"] or ["A"]. *)
-
 (** {2 Deployment} *)
 
 type op =
@@ -81,7 +76,6 @@ val create :
 val engine : t -> Sim.Engine.t
 val shards : t -> int
 val clusters : t -> Cluster.t array
-val cluster : t -> int -> Cluster.t
 
 val run : t -> ?warmup:int -> duration:int -> unit -> unit
 (** Advance virtual time; after [warmup], reset every cluster's and

@@ -43,8 +43,6 @@ type t = {
   mutable s_user_aborts : int;
   mutable s_conflict_aborts : int;
   mutable s_retries : int;
-  mutable s_snap_reads : int;
-  mutable s_snap_misses : int;
   mutable attached : attachment list;
 }
 
@@ -70,8 +68,6 @@ let create eng cpu ?(costs = Costs.default) ?(physical_deletes = true)
     s_user_aborts = 0;
     s_conflict_aborts = 0;
     s_retries = 0;
-    s_snap_reads = 0;
-    s_snap_misses = 0;
     attached = [];
   }
 
@@ -129,8 +125,6 @@ let next_ts t =
   let ts = if now > t.ts_counter then now else t.ts_counter + 1 in
   t.ts_counter <- ts;
   ts
-
-let last_ts t = t.ts_counter
 
 (* ---- validation ---- *)
 
@@ -373,19 +367,6 @@ let run t ~worker f =
         loop (retries + 1)
   in
   loop 0
-
-let run_once t ~worker f =
-  match run_attempt t ~worker f with
-  | `User_abort txn ->
-      let reads, writes = counts txn in
-      Some { value = None; tid = None; log = []; retries = 0; reads; writes }
-  | `Committed (v, tid, log, txn) ->
-      let reads, writes = counts txn in
-      (match txn.Txn.decision with
-      | None -> ()
-      | Some d -> Hashtbl.replace t.pending_decisions worker d);
-      Some { value = Some v; tid = Some tid; log; retries = 0; reads; writes }
-  | `Conflict -> None
 
 let take_decision t ~worker =
   match Hashtbl.find_opt t.pending_decisions worker with
@@ -790,16 +771,11 @@ let read_at t ?(audit = false) ~pin f =
   in
   match f s with
   | v ->
-      t.s_snap_reads <- t.s_snap_reads + 1;
       charge ();
       (v, s.s_obs)
   | exception Snapshot_miss ->
-      t.s_snap_misses <- t.s_snap_misses + 1;
       charge ();
       raise Snapshot_miss
-
-let snapshot_reads t = t.s_snap_reads
-let snapshot_misses t = t.s_snap_misses
 
 let stats t =
   {

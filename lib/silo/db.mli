@@ -77,13 +77,12 @@ val copy_tables : src:t -> t -> unit
     record. This is how a replica starts from another's loaded tables
     instead of loading its own; [src] must hold nothing but the load.
     @raise Invalid_argument if [t] already has tables, if [src] has
-    attachments or has issued a timestamp ({!last_ts} [<> 0]), or if
+    attachments or has issued a timestamp, or if
     the two databases' [hash_tables] disagree on a table. *)
 
 val table : t -> string -> Store.Table.t
 (** @raise Not_found for unknown names. *)
 
-val table_by_id : t -> int -> Store.Table.t
 val tables : t -> Store.Table.t list
 
 val epoch : t -> int
@@ -97,15 +96,9 @@ val set_physical_deletes : t -> bool -> unit
 val next_ts : t -> int
 (** Strictly monotone timestamp (the [rdtscp] stand-in). *)
 
-val last_ts : t -> int
-
 val run : t -> worker:int -> (Txn.t -> 'a) -> 'a result
 (** Execute a transaction body to (execution-)commit, retrying on
     conflicts. Must be called from inside a simulation process. *)
-
-val run_once : t -> worker:int -> (Txn.t -> 'a) -> 'a result option
-(** Single attempt; [None] on a conflict abort (no retry). For baselines
-    that handle retry themselves. *)
 
 val take_decision : t -> worker:int -> Store.Wire.decision option
 (** Cross-shard 2PC mark the last committed transaction on [worker]
@@ -207,12 +200,6 @@ val read_at :
     process.
     @raise Snapshot_miss (after charging the partial cost) on a
     reclaimed version; the caller retries at a fresher pin. *)
-
-val snapshot_reads : t -> int
-(** Completed snapshot-read transactions. *)
-
-val snapshot_misses : t -> int
-(** Snapshot reads that raised {!Snapshot_miss}. *)
 
 val stats : t -> stats
 val reset_stats : t -> unit

@@ -1,10 +1,1 @@
 type t = { epoch : int; ts : int }
-
-let compare a b =
-  let c = Stdlib.compare a.epoch b.epoch in
-  if c <> 0 then c else Stdlib.compare a.ts b.ts
-
-let ( < ) a b = compare a b < 0
-let ( <= ) a b = compare a b <= 0
-let pp fmt t = Format.fprintf fmt "<%d,%d>" t.epoch t.ts
-let zero = { epoch = 0; ts = 0 }

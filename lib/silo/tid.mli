@@ -4,12 +4,9 @@
     monotone counter shared by all cores of a machine — and the epoch is
     the replication layer's leader-election round. Together they totally
     order transactions across failovers (§3.3): a larger epoch always
-    wins; within an epoch, the timestamp is the serialization order. *)
+    wins; within an epoch, the timestamp is the serialization order.
+    [Tid] only names the pair; that order is compared on the packed
+    record stamp ({!Store.Record.t}'s [stamp]), which sorts as
+    [(epoch, ts)]. *)
 
 type t = { epoch : int; ts : int }
-
-val compare : t -> t -> int
-val ( < ) : t -> t -> bool
-val ( <= ) : t -> t -> bool
-val pp : Format.formatter -> t -> unit
-val zero : t

@@ -14,8 +14,6 @@ let create eng ~cores ?(efficiency = default_efficiency) () =
   if cores <= 0 then invalid_arg "Cpu.create: cores must be positive";
   { eng; cores; efficiency; active = 0; busy = 0.0 }
 
-let cores t = t.cores
-let active t = t.active
 let engine_of t = t.eng
 let register t = t.active <- t.active + 1
 

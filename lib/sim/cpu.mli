@@ -20,17 +20,12 @@ val create :
   ?efficiency:(active:int -> float) ->
   unit ->
   t
-(** [create eng ~cores ()] is a machine with [cores] cores and the
-    {!default_efficiency} curve. *)
+(** [create eng ~cores ()] is a machine with [cores] cores. The default
+    [efficiency] is [1 + 0.85 * (min active 16 - 1) / 15]: cost grows
+    linearly up to 16 active threads, then flattens — calibrated so a
+    Silo-like workload's per-core throughput declines for the first ~15
+    cores and then stabilises, as in the paper. *)
 
-val default_efficiency : active:int -> float
-(** [1 + 0.85 * (min active 16 - 1) / 15]: cost grows linearly up to 16
-    active threads, then flattens — calibrated so a Silo-like workload's
-    per-core throughput declines for the first ~15 cores and then
-    stabilises, as in the paper. *)
-
-val cores : t -> int
-val active : t -> int
 val engine_of : t -> Engine.t
 
 val register : t -> unit
@@ -42,9 +37,6 @@ val consume : t -> int -> unit
 (** [consume t cost] charges [cost] ns of computation: the calling process
     sleeps for the inflated amount, and the machine's busy-time accounting
     is updated. Must be called from inside a process. *)
-
-val cost_factor : t -> float
-(** Current inflation factor (efficiency x oversubscription). *)
 
 val busy_ns : t -> float
 (** Total core-nanoseconds of work consumed so far. *)

@@ -184,7 +184,6 @@ let sleep d =
   let at = p.eng.clock + if d < 0 then 0 else d in
   sleep_until at
 
-let ns = 1
 let us = 1_000
 let ms = 1_000_000
 let s = 1_000_000_000

@@ -68,8 +68,6 @@ val kill : proc -> unit
 
 val alive : proc -> bool
 
-val proc_name : proc -> string
-
 val run : ?until:int -> ?max_events:int -> t -> unit
 (** [run t] executes events until the queue drains, or virtual time would
     exceed [until], or [max_events] events have fired. When [until] is
@@ -103,20 +101,13 @@ val ties : unit -> int
 
 (** {1 Operations usable only inside a process} *)
 
-val self : unit -> proc
-
 val time : unit -> int
 (** Current virtual time, from inside a process. *)
-
-val engine : unit -> t
-(** The engine running the current process. *)
 
 val sleep : int -> unit
 (** [sleep d] suspends the current process for [d] nanoseconds ([d <= 0]
     yields: the process is rescheduled at the current time, after already
     queued events). *)
-
-val sleep_until : int -> unit
 
 val suspend : (wake:('a -> unit) -> unit) -> 'a
 (** [suspend register] parks the current process and calls
@@ -125,7 +116,6 @@ val suspend : (wake:('a -> unit) -> unit) -> 'a
     call to [wake] has any effect; wakeups of dead processes are dropped.
     This is the single primitive from which all of {!Sync} is built. *)
 
-val ns : int
 val us : int
 val ms : int
 val s : int

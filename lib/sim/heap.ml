@@ -67,7 +67,6 @@ let pop_exn h =
   if h.size > 0 then sift_down h 0 h.data.(h.size);
   top
 
-let pop h = if h.size = 0 then None else Some (pop_exn h)
 
 (* Keep the elements [keep] accepts, in place, then heapify bottom-up
    (Floyd): O(n). The vacated tail is overwritten so that it holds no

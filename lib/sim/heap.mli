@@ -19,9 +19,6 @@ val min_exn : 'a t -> 'a
 (** [min_exn h] is the minimum element, without removing it.
     @raise Invalid_argument on an empty heap. *)
 
-val pop : 'a t -> 'a option
-(** [pop h] removes and returns the minimum element. *)
-
 val pop_exn : 'a t -> 'a
 (** @raise Invalid_argument on an empty heap. *)
 

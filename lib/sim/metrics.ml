@@ -29,22 +29,6 @@ module Hist = struct
       t.sorted <- true
     end
 
-  let mean t =
-    if t.size = 0 then 0.0
-    else begin
-      let sum = ref 0.0 in
-      for i = 0 to t.size - 1 do
-        sum := !sum +. float_of_int t.data.(i)
-      done;
-      !sum /. float_of_int t.size
-    end
-
-  let min_value t =
-    if t.size = 0 then 0
-    else begin
-      ensure_sorted t;
-      t.data.(0)
-    end
 
   let quantile t q =
     if t.size = 0 then 0
@@ -102,17 +86,4 @@ module Series = struct
     List.map
       (fun (at, v) -> (float_of_int at /. 1e9, float_of_int v *. scale))
       (buckets t)
-end
-
-module Meter = struct
-  type t = { mutable n : int }
-
-  let create () = { n = 0 }
-  let incr t = t.n <- t.n + 1
-  let add t v = t.n <- t.n + v
-  let count t = t.n
-
-  let rate t ~start ~stop =
-    let dt = stop - start in
-    if dt <= 0 then 0.0 else float_of_int t.n *. 1e9 /. float_of_int dt
 end

@@ -32,7 +32,6 @@ type 'm t = {
   incarnation : int array;
   cut : (int * int, unit) Hashtbl.t; (* directed (src, dst) pairs *)
   mutable default_faults : faults;
-  link_faults : (int * int, faults) Hashtbl.t; (* directed overrides *)
   link_latency : (int * int, latency_model) Hashtbl.t;
       (* directed per-link latency overrides (geo topologies); links
          without an entry use the global model *)
@@ -56,7 +55,6 @@ let create eng ~nodes ~latency =
     incarnation = Array.make nodes 0;
     cut = Hashtbl.create 7;
     default_faults = no_faults;
-    link_faults = Hashtbl.create 7;
     link_latency = Hashtbl.create 7;
     messages_sent = 0;
     bytes_sent = 0;
@@ -89,20 +87,7 @@ let set_default_faults t f =
   validate_faults f;
   t.default_faults <- f
 
-let set_link_faults t ~src ~dst f =
-  check_node t src;
-  check_node t dst;
-  validate_faults f;
-  Hashtbl.replace t.link_faults (src, dst) f
-
-let clear_faults t =
-  t.default_faults <- no_faults;
-  Hashtbl.reset t.link_faults
-
-let link_faults t ~src ~dst =
-  match Hashtbl.find_opt t.link_faults (src, dst) with
-  | Some f -> f
-  | None -> t.default_faults
+let clear_faults t = t.default_faults <- no_faults
 
 let set_link_latency t ~src ~dst model =
   check_node t src;
@@ -182,7 +167,7 @@ let send t ?(size = 0) ~src ~dst m =
   if (not t.up.(src)) || (not t.up.(dst)) || Hashtbl.mem t.cut (src, dst) then
     t.messages_dropped <- t.messages_dropped + 1
   else begin
-    let f = link_faults t ~src ~dst in
+    let f = t.default_faults in
     if f.drop > 0.0 && Rng.float t.frng 1.0 < f.drop then
       t.messages_dropped <- t.messages_dropped + 1
     else begin
@@ -215,11 +200,6 @@ let send t ?(size = 0) ~src ~dst m =
     end
   end
 
-let broadcast t ?size ~src m =
-  for dst = 0 to t.n - 1 do
-    if dst <> src then send t ?size ~src ~dst m
-  done
-
 let recv t i =
   check_node t i;
   Sync.Mailbox.recv t.inboxes.(i)
@@ -227,10 +207,6 @@ let recv t i =
 let recv_timeout t i d =
   check_node t i;
   Sync.Mailbox.recv_timeout t.inboxes.(i) d
-
-let try_recv t i =
-  check_node t i;
-  Sync.Mailbox.try_recv t.inboxes.(i)
 
 let inbox_length t i =
   check_node t i;

@@ -2,7 +2,7 @@
 
     Nodes are integers [0 .. nodes-1]; each has an unbounded inbox.
     Delivery takes a sampled latency. Crash-stop failures, symmetric and
-    one-way link partitions, and a per-link fault model (loss, duplication,
+    one-way link partitions, and a network-wide fault model (loss, duplication,
     reorder jitter) drop, repeat, or delay messages — which matches the
     asynchronous-network assumption in the paper: messages can be lost,
     duplicated, or arbitrarily delayed, and consensus — not the network —
@@ -27,8 +27,6 @@ type faults = {
           enough jitter reorders deliveries *)
 }
 
-val no_faults : faults
-
 type 'm t
 
 val create : Engine.t -> nodes:int -> latency:latency_model -> 'm t
@@ -42,16 +40,12 @@ val send : 'm t -> ?size:int -> src:int -> dst:int -> 'm -> unit
     at delivery time), or by the link's fault model. [size] feeds byte
     accounting only. *)
 
-val broadcast : 'm t -> ?size:int -> src:int -> 'm -> unit
-(** Send to every node except [src]. *)
-
 val recv : 'm t -> int -> 'm
 (** Blocking receive on a node's inbox. *)
 
 val recv_timeout : 'm t -> int -> int -> 'm option
 (** [recv_timeout t node d]: wait at most [d] ns. *)
 
-val try_recv : 'm t -> int -> 'm option
 val inbox_length : 'm t -> int -> int
 
 val crash : 'm t -> int -> unit
@@ -85,13 +79,10 @@ val can_send : 'm t -> src:int -> dst:int -> bool
 (** The [src -> dst] direction is intact. *)
 
 val set_default_faults : 'm t -> faults -> unit
-(** Fault model applied to every link without a per-link override. *)
-
-val set_link_faults : 'm t -> src:int -> dst:int -> faults -> unit
-(** Directed per-link override of the default fault model. *)
+(** Fault model applied to every link. *)
 
 val clear_faults : 'm t -> unit
-(** Reset the default and every per-link override to {!no_faults}. *)
+(** Reset the fault model to no faults. *)
 
 val messages_sent : 'm t -> int
 (** Messages actually put on the wire (duplicates included). Sends that
@@ -113,13 +104,6 @@ val messages_duplicated : 'm t -> int
     distributions) for leader-placement and follower-read experiments.
     With no overrides installed, sampling draws exactly the same RNG
     sequence as the historical single-model network. *)
-
-val set_link_latency : 'm t -> src:int -> dst:int -> latency_model -> unit
-(** Directed per-link override of the global latency model.
-    @raise Invalid_argument on a malformed model. *)
-
-val link_latency_model : 'm t -> src:int -> dst:int -> latency_model
-(** The model governing [src -> dst] (the override, or the global one). *)
 
 val apply_regions :
   'm t -> regions:int array -> intra:latency_model -> inter:latency_model -> unit

@@ -4,7 +4,7 @@
    The four 64-bit state words live in one 32-byte [Bytes] (s0 at offset
    0, s1 at 8, s2 at 16, s3 at 24) rather than in boxed [mutable int64]
    fields: every step then reads and writes raw words, so drawing an
-   [int], [float] or [bool] allocates nothing. *)
+   [int] or [float] allocates nothing. *)
 
 type t = Bytes.t
 
@@ -83,8 +83,6 @@ let float t x =
   let bits = Int64.to_int (Int64.shift_right_logical (output t) 11) in
   advance t;
   x *. (float_of_int bits /. 9007199254740992.0)
-
-let bool t = next_int t land 1 = 1
 
 let exponential t ~mean =
   let u = 1.0 -. float t 1.0 in

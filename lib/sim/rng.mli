@@ -16,9 +16,6 @@ val split : t -> t
     deterministic. Used to give each simulated component its own stream so
     that adding draws in one component does not perturb another. *)
 
-val int64 : t -> int64
-(** Uniform over all 64-bit values. *)
-
 val int : t -> int -> int
 (** [int t n] is uniform in [\[0, n)]. @raise Invalid_argument if [n <= 0]. *)
 
@@ -27,8 +24,6 @@ val int_in : t -> int -> int -> int
 
 val float : t -> float -> float
 (** [float t x] is uniform in [\[0, x)]. *)
-
-val bool : t -> bool
 
 val exponential : t -> mean:float -> float
 (** Exponentially distributed with the given mean; used for network jitter. *)

@@ -64,7 +64,6 @@ module Mailbox = struct
     | Some w -> w.deliver msg
     | None -> Queue.add msg t.msgs
 
-  let try_recv t = Queue.take_opt t.msgs
 
   let recv t =
     match Queue.take_opt t.msgs with
@@ -142,30 +141,6 @@ module Mutex = struct
     | None -> t.held <- false
 end
 
-module Condition = struct
-  type t = { eng : Engine.t; waiters : unit waiter Queue.t }
-
-  let create eng = { eng; waiters = Queue.create () }
-
-  let wait t mu =
-    Engine.suspend (fun ~wake ->
-        Queue.add (waiter (deferred_wake t.eng wake)) t.waiters;
-        Mutex.unlock mu);
-    Mutex.lock mu
-
-  let signal t = match claim_waiter t.waiters with Some w -> w.deliver () | None -> ()
-
-  let broadcast t =
-    let rec flush () =
-      match claim_waiter t.waiters with
-      | None -> ()
-      | Some w ->
-          w.deliver ();
-          flush ()
-    in
-    flush ()
-end
-
 module Semaphore = struct
   type t = {
     eng : Engine.t;
@@ -194,7 +169,6 @@ module Semaphore = struct
     | Some w -> w.deliver () (* the permit transfers directly *)
     | None -> t.count <- t.count + 1
 
-  let value t = t.count
 end
 
 module Waitgroup = struct

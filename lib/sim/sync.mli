@@ -3,7 +3,7 @@
     All blocking operations must be called from inside a process spawned on
     the engine the primitive was created with. Wakeups are delivered
     through the event queue (never synchronously inside the waker), so a
-    [send]/[signal]/[fill] never yields the calling process. *)
+    [send]/[release]/[fill] never yields the calling process. *)
 
 module Ivar : sig
   (** Write-once cell ("future"). *)
@@ -35,7 +35,6 @@ module Mailbox : sig
       without [~until]) stops at the last live event instead of at the
       abandoned deadline. *)
 
-  val try_recv : 'a t -> 'a option
   val length : 'a t -> int
   (** Messages queued. *)
 
@@ -54,20 +53,7 @@ module Mutex : sig
 
   val create : Engine.t -> t
   val lock : t -> unit
-  val try_lock : t -> bool
   val unlock : t -> unit
-end
-
-module Condition : sig
-  type t
-
-  val create : Engine.t -> t
-  val wait : t -> Mutex.t -> unit
-  (** Atomically releases the mutex and waits; re-acquires before
-      returning. *)
-
-  val signal : t -> unit
-  val broadcast : t -> unit
 end
 
 module Semaphore : sig
@@ -75,9 +61,7 @@ module Semaphore : sig
 
   val create : Engine.t -> int -> t
   val acquire : t -> unit
-  val try_acquire : t -> bool
   val release : t -> unit
-  val value : t -> int
 end
 
 module Waitgroup : sig

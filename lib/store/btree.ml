@@ -37,7 +37,6 @@ type 'a t = {
 let empty_leaf () = { keys = [||]; vals = [||]; len = 0; next = None }
 let create () = { root = Leaf (empty_leaf ()); size = 0; lanes = [||]; nil = empty_leaf () }
 let length t = t.size
-let is_empty t = t.size = 0
 
 (* ---- array helpers ---- *)
 
@@ -131,7 +130,6 @@ let rec find_node node k =
   | Node n -> find_node n.kids.(child_index n k) k
 
 let find t k = find_node t.root k
-let mem t k = find t k <> None
 
 (* A cold descent pays its cache misses one after another: each level's
    node, separator array and separator strings are reached through the
@@ -376,60 +374,9 @@ let remove t k =
 
 let rec leftmost_leaf = function Leaf l -> l | Node n -> leftmost_leaf n.kids.(0)
 
-let rec rightmost_leaf = function
-  | Leaf l -> l
-  | Node n -> rightmost_leaf n.kids.(Array.length n.kids - 1)
-
-let min_binding t =
-  let l = leftmost_leaf t.root in
-  if l.len = 0 then None else Some (l.keys.(0), l.vals.(0))
-
-let max_binding t =
-  let l = rightmost_leaf t.root in
-  let n = l.len in
-  if n = 0 then None else Some (l.keys.(n - 1), l.vals.(n - 1))
-
 (* Leaf that would contain [k], i.e. the leaf reached by descent. *)
 let rec seek_leaf node k =
   match node with Leaf l -> l | Node n -> seek_leaf n.kids.(child_index n k) k
-
-(* ---- read cursor ---- *)
-
-type 'a cursor = {
-  c_tree : 'a t;
-  mutable c_leaf : 'a leaf option;
-  mutable c_idx : int;
-}
-
-let cursor t = { c_tree = t; c_leaf = None; c_idx = 0 }
-
-(* Hop to the next leaf when the index ran off the end. One hop suffices:
-   only the root leaf can be empty, and it has no successor. *)
-let rec cursor_norm c =
-  match c.c_leaf with
-  | Some l when c.c_idx >= l.len ->
-      c.c_leaf <- l.next;
-      c.c_idx <- 0;
-      cursor_norm c
-  | Some _ | None -> ()
-
-let seek c k =
-  let l = seek_leaf c.c_tree.root k in
-  c.c_leaf <- Some l;
-  c.c_idx <- slot (bsearch l.keys l.len k);
-  cursor_norm c
-
-let current c =
-  match c.c_leaf with
-  | Some l when c.c_idx < l.len -> Some (l.keys.(c.c_idx), l.vals.(c.c_idx))
-  | Some _ | None -> None
-
-let advance c =
-  match c.c_leaf with
-  | None -> ()
-  | Some _ ->
-      c.c_idx <- c.c_idx + 1;
-      cursor_norm c
 
 (* ---- sorted bulk apply (the follower-replay fast path) ---- *)
 
@@ -589,23 +536,6 @@ let find_last_lt t k =
         try_child i
   in
   descend t.root
-
-let find_first_geq t k =
-  let result = ref None in
-  iter_from t k (fun key v ->
-      result := Some (key, v);
-      false);
-  !result
-
-let fold_range t ~lo ~hi ~init ~f =
-  let acc = ref init in
-  iter_from t lo (fun k v ->
-      if compare k hi >= 0 then false
-      else begin
-        acc := f !acc k v;
-        true
-      end);
-  !acc
 
 let iter t f =
   let rec walk = function

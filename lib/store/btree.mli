@@ -18,11 +18,7 @@ val create : unit -> 'a t
 val length : 'a t -> int
 (** Number of live keys. O(1). *)
 
-val is_empty : 'a t -> bool
-
 val find : 'a t -> string -> 'a option
-
-val mem : 'a t -> string -> bool
 
 val find_many : 'a t -> string array -> 'a option array -> unit
 (** [find_many t keys out] stores [find t keys.(i)] at [out.(i)] for
@@ -45,12 +41,6 @@ val insert_if_absent : 'a t -> string -> 'a -> bool
 val remove : 'a t -> string -> 'a option
 (** [remove t k] deletes [k] and returns the removed binding. *)
 
-val min_binding : 'a t -> (string * 'a) option
-val max_binding : 'a t -> (string * 'a) option
-
-val find_first_geq : 'a t -> string -> (string * 'a) option
-(** Smallest binding with key [>= k]. *)
-
 val find_last_lt : 'a t -> string -> (string * 'a) option
 (** Largest binding with key [< k] — the descending-probe primitive behind
     "latest order" lookups. *)
@@ -59,13 +49,10 @@ val iter_from : 'a t -> string -> (string -> 'a -> bool) -> unit
 (** [iter_from t k f] visits bindings with key [>= k] in ascending order
     while [f] returns [true]. *)
 
-val fold_range : 'a t -> lo:string -> hi:string -> init:'b -> f:('b -> string -> 'a -> 'b) -> 'b
-(** Fold over keys in [[lo, hi)] ascending. *)
-
 val iter : 'a t -> (string -> 'a -> unit) -> unit
 
 val to_list : 'a t -> (string * 'a) list
-(** Ascending; for tests. *)
+(** Ascending. *)
 
 val copy : ('a -> 'b) -> 'a t -> 'b t
 (** [copy f t] is a tree of the same shape as [t] — the same leaves
@@ -76,28 +63,13 @@ val copy : ('a -> 'b) -> 'a t -> 'b t
     The copy is independent of [t]: later inserts and removes on either
     leave the other untouched. *)
 
-(** {2 Cursors and sorted bulk application}
+(** {2 Sorted bulk application}
 
     The follower-replay fast path: a watermark-released log entry is a
     pre-serialized, conflict-free batch, so its write-set can be applied
     as one sorted sweep instead of per-key point operations. With TPC-C's
     warehouse-clustered keys most consecutive writes land in the same
     leaf, amortizing the descent. *)
-
-type 'a cursor
-(** Read cursor over the leaf chain. Positioning and stepping are O(1)
-    amortized. The cursor observes live tree state; mutating the tree
-    (insert/remove/bulk apply) while a cursor is live invalidates it —
-    re-{!seek} before further use. *)
-
-val cursor : 'a t -> 'a cursor
-(** A fresh, unpositioned cursor ({!current} is [None] until {!seek}). *)
-
-val seek : 'a cursor -> string -> unit
-(** Position at the first binding with key [>= k] (end if none). *)
-
-val current : 'a cursor -> (string * 'a) option
-val advance : 'a cursor -> unit
 
 type bulk_counts = { descents : int; steps : int }
 (** Index work performed by {!apply_sorted}: [descents] root-to-leaf

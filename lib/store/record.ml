@@ -45,8 +45,6 @@ let set t ~stamp ~value =
   t.stamp <- stamp
 
 let install t ~epoch ~ts ~value = set t ~stamp:(pack ~epoch ~ts) ~value
-let newer ~epoch ~ts ~than:t = pack ~epoch ~ts > t.stamp
-
 let cas_apply t ~epoch ~ts ~value =
   let stamp = pack ~epoch ~ts in
   if stamp > t.stamp then begin
@@ -54,8 +52,6 @@ let cas_apply t ~epoch ~ts ~value =
     true
   end
   else false
-
-let snap_clear t = t.prior <- no_prior
 
 (* Retain the current version in the prior-version slot before it is
    overwritten by a write stamped [next]. A snapshot read is pinned at

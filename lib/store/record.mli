@@ -6,7 +6,7 @@
     - [value], the current value, or the private tombstone string after a
       deletion ({!is_deleted});
     - [stamp], the [(epoch, ts)] of its last writer packed into one int
-      ({!pack}), used by follower replay's compare-and-swap (paper §3.4):
+      ([epoch lsl 44 lor (ts + 1)]), used by follower replay's compare-and-swap (paper §3.4):
       an apply only wins if its [(epoch, ts)] is strictly newer;
     - [prior], a bounded prior-version slot holding the newest overwritten
       version still above the snapshot read-pin floor, so read-only
@@ -34,22 +34,14 @@ type prior = private { p_value : string; p_ts : int }
 
 type t = {
   mutable value : string;
-  mutable stamp : int;  (** packed [(epoch, ts)]; see {!pack} *)
+  mutable stamp : int;
+      (** [epoch lsl 44 lor (ts + 1)]: a non-negative int whose order is
+          the lexicographic order of [(epoch, ts)], for
+          [0 <= epoch <= 2^18 - 1] and [-1 <= ts <= 2^44 - 2] ([ts = -1]
+          is the stamp of a record not yet written; [2^44 - 2] ns of
+          virtual time is about 4.9 hours) *)
   mutable prior : prior;  (** prior version retained for snapshot reads *)
 }
-
-val max_epoch : int
-(** [2^18 - 1]: the largest epoch {!pack} accepts. *)
-
-val max_ts : int
-(** [2^44 - 2]: the largest timestamp {!pack} accepts — in nanoseconds of
-    virtual time, about 4.9 hours. *)
-
-val pack : epoch:int -> ts:int -> int
-(** [epoch lsl 44 lor (ts + 1)]: a non-negative int whose order is the
-    lexicographic order of [(epoch, ts)], for [0 <= epoch <= max_epoch]
-    and [-1 <= ts <= max_ts] ([ts = -1] is the stamp of a record not yet
-    written). @raise Invalid_argument outside that range. *)
 
 val epoch : t -> int
 (** The epoch half of the stamp. *)
@@ -62,7 +54,8 @@ val version : t -> int
 
 val make : ?epoch:int -> ?ts:int -> string -> t
 (** A live record stamped [(epoch, ts)] (default [(0, 0)]) with an empty
-    prior-version slot. @raise Invalid_argument as {!pack}. *)
+    prior-version slot. @raise Invalid_argument when [(epoch, ts)] is
+    outside the stamp's range. *)
 
 val tombstone : ?epoch:int -> ?ts:int -> unit -> t
 (** A deleted record: [make] with the tombstone as its value. *)
@@ -102,9 +95,6 @@ val cas_apply_retain :
     already landed, and that loser is exactly the newest version below
     the current stamp — what a read pinned between the two must see. *)
 
-val snap_clear : t -> unit
-(** Empty the prior-version slot (reclaims its bytes). *)
-
 val has_prior : t -> bool
 (** Whether the prior-version slot is occupied. *)
 
@@ -122,10 +112,6 @@ val read_at : t -> pin:int -> snapshot
     already been overwritten past the pin (the reader must retry at a
     fresher pin). Never returns torn state: each branch returns one
     atomically-stamped version. *)
-
-val newer : epoch:int -> ts:int -> than:t -> bool
-(** Whether [(epoch, ts)] is strictly newer than the record's stamp: one
-    int compare of the packed stamps. *)
 
 val byte_size : key:string -> t -> int
 (** Approximate memory footprint for accounting: a fixed 64 bytes for the

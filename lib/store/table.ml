@@ -127,13 +127,6 @@ let scan t ~lo ~hi ?(limit = max_int) () =
           end);
       List.rev !acc
 
-let scan_all t ~lo ~hi =
-  match t.index with
-  | Htbl _ -> no_range t "scan_all"
-  | Tree tr ->
-      Btree.fold_range tr ~lo ~hi ~init:[] ~f:(fun acc k r -> (k, r) :: acc)
-      |> List.rev
-
 let max_live t ~lo ~hi =
   match t.index with
   | Htbl _ -> no_range t "max_live"
@@ -145,20 +138,6 @@ let max_live t ~lo ~hi =
         | Some _ | None -> None
       in
       probe hi
-
-let min_live t ~lo ~hi =
-  match t.index with
-  | Htbl _ -> no_range t "min_live"
-  | Tree tr ->
-      let result = ref None in
-      Btree.iter_from tr lo (fun k r ->
-          if compare k hi >= 0 then false
-          else if Record.is_deleted r then true
-          else begin
-            result := Some (k, r);
-            false
-          end);
-      !result
 
 let count t =
   match t.index with Tree tr -> Btree.length tr | Htbl h -> Hashtbl.length h

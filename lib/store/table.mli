@@ -1,14 +1,14 @@
 (** A named table: an index of {!Record.t} plus byte accounting.
 
     Tables expose records, not values: the OCC engine and the replay path
-    both work directly on the record's version and lock fields. Scans skip
+    both work directly on the record's stamp. Scans skip
     tombstoned records.
 
     Two index representations live behind this interface. The default is
     the ordered B+tree; point-lookup-only tables (YCSB's usertable,
     TPC-C's item) can instead be declared {!Hash} — O(1) probes, no
-    ordering, and therefore no range operations: {!scan}, {!scan_all},
-    {!min_live}, {!max_live} and {!tree} raise [Invalid_argument] on a
+    ordering, and therefore no range operations: {!scan}, {!max_live}
+    and {!tree} raise [Invalid_argument] on a
     hash table. {!iter} visits keys in ascending order for {e both}
     representations (the hash arm sorts), so checkpointing and
     consistency sweeps are representation-independent and deterministic
@@ -59,13 +59,6 @@ val removals : t -> int
 
 val scan : t -> lo:string -> hi:string -> ?limit:int -> unit -> (string * Record.t) list
 (** Live records with [lo <= key < hi], ascending, at most [limit]. *)
-
-val scan_all : t -> lo:string -> hi:string -> (string * Record.t) list
-(** Like {!scan} but including tombstones — used by replay-consistency
-    checks and bootstrap. *)
-
-val min_live : t -> lo:string -> hi:string -> (string * Record.t) option
-(** First live record in the range (TPC-C delivery's oldest-order probe). *)
 
 val max_live : t -> lo:string -> hi:string -> (string * Record.t) option
 (** Last live record in [[lo, hi)] (TPC-C's latest-order probe). *)

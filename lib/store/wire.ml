@@ -188,8 +188,6 @@ let encode_into (scratch : Scratch.t) e =
   assert (!pos = n);
   Bytes.sub_string b 0 n
 
-let encode e = encode_into (Scratch.create ~capacity:(byte_size e) ()) e
-
 exception Malformed of string
 
 let decode s =

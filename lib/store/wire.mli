@@ -80,8 +80,6 @@ val config_entry : epoch:int -> ts:int -> member_change -> entry
 
 val is_noop : entry -> bool
 
-val write_byte_size : write -> int
-val decision_byte_size : decision option -> int
 val txn_byte_size : txn_log -> int
 val byte_size : entry -> int
 val txn_count : entry -> int
@@ -101,9 +99,7 @@ module Scratch : sig
 end
 
 val encode_into : Scratch.t -> entry -> string
-(** Same bytes as {!encode}, but staged through the caller's arena instead
-    of a fresh [Buffer]. *)
+(** The entry's bytes, staged through the caller's arena. *)
 
-val encode : entry -> string
 val decode : string -> entry
 (** @raise Invalid_argument on malformed input. *)

@@ -49,36 +49,26 @@ let colon_after s pos =
   match String.index_from s pos ':' with
   | c -> c
   | exception (Not_found | Invalid_argument _) ->
-      invalid_arg "Row.unpack: missing length separator"
+      invalid_arg "Row: missing length separator"
 
 let frame_len s pos colon =
-  if colon = pos || colon - pos > 18 then invalid_arg "Row.unpack: bad length";
+  if colon = pos || colon - pos > 18 then invalid_arg "Row: bad length";
   let n = ref 0 in
   for i = pos to colon - 1 do
     match String.unsafe_get s i with
     | '0' .. '9' as c -> n := (!n * 10) + Char.code c - 48
-    | _ -> invalid_arg "Row.unpack: bad length"
+    | _ -> invalid_arg "Row: bad length"
   done;
-  if colon + 1 + !n > String.length s then invalid_arg "Row.unpack: truncated field";
+  if colon + 1 + !n > String.length s then invalid_arg "Row: truncated field";
   !n
 
 (* Header position of field [i]. *)
 let rec seek s i pos =
-  if pos >= String.length s then invalid_arg "Row.field: no such field"
+  if pos >= String.length s then invalid_arg "Row: no such field"
   else if i = 0 then pos
   else
     let colon = colon_after s pos in
     seek s (i - 1) (colon + 1 + frame_len s pos colon)
-
-let unpack s =
-  let rec go pos acc =
-    if pos >= String.length s then List.rev acc
-    else
-      let colon = colon_after s pos in
-      let n = frame_len s pos colon in
-      go (colon + 1 + n) (String.sub s (colon + 1) n :: acc)
-  in
-  go 0 []
 
 let int_field = string_of_int
 
@@ -86,11 +76,6 @@ let to_int s =
   match int_of_string_opt s with
   | Some v -> v
   | None -> failwith (Printf.sprintf "Row.to_int: %S is not numeric" s)
-
-let field row i =
-  let pos = seek row i 0 in
-  let colon = colon_after row pos in
-  String.sub row (colon + 1) (frame_len row pos colon)
 
 (* Plain decimals (what {!int_field} writes) are parsed in place,
    accumulating on the negative side so [min_int] fits; anything else
@@ -126,10 +111,6 @@ let splice row i len fill =
   fill b start;
   Bytes.blit_string row stop b (start + len) tail;
   Bytes.unsafe_to_string b
-
-let set_field row i v =
-  splice row i (String.length v) (fun b start ->
-      Bytes.blit_string v 0 b start (String.length v))
 
 let set_int row i n =
   let len = digits n in

@@ -6,28 +6,18 @@
     of log per TPC-C transaction). *)
 
 val pack : string list -> string
-val unpack : string -> string list
-(** @raise Invalid_argument on malformed input. *)
 
 val int_field : int -> string
 val to_int : string -> int
 (** @raise Failure on a non-numeric field. *)
 
-val field : string -> int -> string
-(** [field row i] is field [i], read in place from the framing.
-    @raise Invalid_argument if the row has no field [i] or is malformed. *)
-
 val int_at : string -> int -> int
-(** [int_at row i] is [to_int (field row i)] without copying the field.
+(** [int_at row i] is [to_int] of field [i], read without copying it.
     @raise Failure on a non-numeric field. *)
 
-val set_field : string -> int -> string -> string
-(** Functional field update: [row] with field [i] replaced, built in one
-    sized copy. *)
-
 val set_int : string -> int -> int -> string
-(** [set_int row i n] is [set_field row i (int_field n)] without the
-    intermediate string. *)
+(** [set_int row i n] is [row] with field [i] replaced by [int_field n],
+    built in one sized copy without the intermediate string. *)
 
 val pad : int -> string
 (** A filler string of the given length (deterministic content). *)

@@ -39,7 +39,6 @@ and mix = {
   delivery : int;  (** percentages; must sum to 100 *)
 }
 
-val official_mix : mix
 val default : params
 (** 8 warehouses, reduced cardinalities, FastIds on, official mix. *)
 

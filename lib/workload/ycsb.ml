@@ -14,7 +14,6 @@ let ycsb_t = { default with ops_per_txn = 1 }
 (* Standard YCSB mixes, transactionalised the same way as YCSB++ (each
    transaction groups [ops_per_txn] operations). Workloads A/B use the
    YCSB-default Zipfian skew; C is read-only. *)
-let workload_a = { default with read_ratio = 0.5; theta = Some 0.99 }
 let workload_b = { default with read_ratio = 0.95; theta = Some 0.99 }
 let workload_c = { default with read_ratio = 1.0; theta = None }
 let table_name = "usertable"

@@ -24,9 +24,6 @@ val default : params
 val ycsb_t : params
 (** Meerkat's YCSB-T shape: 1 op per transaction. *)
 
-val workload_a : params
-(** Classic YCSB-A: 50/50 read/update, Zipfian skew. *)
-
 val workload_b : params
 (** Classic YCSB-B: 95/5 read/update, Zipfian skew. *)
 
@@ -34,19 +31,16 @@ val workload_c : params
 (** Classic YCSB-C: read-only, uniform. *)
 
 val table_name : string
-val key : int -> string
 val setup : params -> Silo.Db.t -> unit
 
-val op : params -> Silo.Db.t -> payload:string -> Silo.Txn.t -> unit
-(** The YCSB op, stated once: ["t <ro> <k1,k2,...>"] runs a transaction
-    over the listed keys (reads when [ro=1], RMWs otherwise); ["m <k>"] is
-    a single-key RMW — the cross-range 2PC sub-transaction. Keys travel in
-    the payload, so retries replay identically. *)
-
 val client_app : params -> Rolis.App.t
-(** The cluster app. Its embedded generator flips read-only vs RMW and
-    draws [ops_per_txn] keys (uniform or Zipfian) into a ["t"] payload
-    for {!op}; [client_op] is {!op}. Its [read_op] interprets a
+(** The cluster app. Its op states the YCSB transaction once:
+    ["t <ro> <k1,k2,...>"] runs a transaction over the listed keys (reads
+    when [ro=1], RMWs otherwise); ["m <k>"] is a single-key RMW — the
+    cross-range 2PC sub-transaction. Keys travel in the payload, so
+    retries replay identically. Its embedded generator flips read-only
+    vs RMW and draws [ops_per_txn] keys (uniform or Zipfian) into a
+    ["t"] payload; [client_op] is the op. Its [read_op] interprets a
     read-session payload of space-separated key indices as point reads
     against a pinned snapshot (for follower reads). *)
 

@@ -38,5 +38,3 @@ let next t rng =
     let i = int_of_float v in
     if i >= t.n then t.n - 1 else if i < 0 then 0 else i
 
-let n t = t.n
-let theta t = t.theta

@@ -13,5 +13,3 @@ val create : n:int -> theta:float -> t
     [0 <= theta < 1] and [n > 0]. *)
 
 val next : t -> Sim.Rng.t -> int
-val n : t -> int
-val theta : t -> float

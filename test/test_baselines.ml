@@ -29,7 +29,7 @@ let test_silo_only_scales () =
 let test_silo_only_utilization () =
   let r =
     Baselines.Silo_only.run ~cores:4 ~workers:4 ~duration:(200 * ms)
-      ~app:(Rolis.App.counter_app ~keys:1000) ()
+      ~app:(Fixtures.counter_app ~keys:1000) ()
   in
   check_bool "CPU saturated with workers = cores" true
     (r.Baselines.Silo_only.cpu_utilization > 0.9)

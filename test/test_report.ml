@@ -178,7 +178,7 @@ let test_schema_roundtrip () =
   | Error e -> Alcotest.failf "decode failed: %s" e
   | Ok r ->
       check_bool "report survives encode/decode" true (r = sample_report);
-      check_string "schema version stamped" Report.Schema.schema_version r.Report.Schema.schema
+      check_string "schema version stamped" "rolis-bench/1" r.Report.Schema.schema
 
 let schema_metrics_qcheck =
   QCheck.Test.make ~name:"schema: arbitrary finite metrics round-trip"
@@ -210,7 +210,7 @@ let schema_metrics_qcheck =
 let test_schema_rejects_bad_version () =
   let s = Report.Schema.to_string sample_report in
   let doctored =
-    replace_substring ~sub:Report.Schema.schema_version ~by:"rolis-bench/999" s
+    replace_substring ~sub:"rolis-bench/1" ~by:"rolis-bench/999" s
   in
   match Report.Schema.of_string doctored with
   | Error _ -> ()
@@ -227,8 +227,8 @@ let test_schema_rejects_garbage () =
 let test_schema_lookups () =
   let r = Option.get (Report.Schema.find_result sample_report ~fig:"fig10a") in
   let p = Option.get (Report.Schema.find_point r ~series:"rolis" ~x:16.0) in
-  check_bool "metric present" true (Report.Schema.metric p "tput" = Some 1.23e6);
-  check_bool "metric absent" true (Report.Schema.metric p "nope" = None);
+  check_bool "metric present" true (List.assoc_opt "tput" p.Report.Schema.metrics = Some 1.23e6);
+  check_bool "metric absent" true (List.assoc_opt "nope" p.Report.Schema.metrics = None);
   check_bool "missing series" true
     (Report.Schema.find_point r ~series:"calvin" ~x:16.0 = None);
   check_bool "missing figure" true

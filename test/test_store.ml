@@ -171,9 +171,28 @@ let test_prefix_scan_semantics () =
 
 (* ---------- Btree ---------- *)
 
+(* Bindings in [[lo, hi)], ascending, through [iter_from]. *)
+let range t ~lo ~hi =
+  let acc = ref [] in
+  Store.Btree.iter_from t lo (fun k v ->
+      k < hi
+      && begin
+           acc := (k, v) :: !acc;
+           true
+         end);
+  List.rev !acc
+
+(* The first binding at or after [k], through [iter_from]. *)
+let first_geq t k =
+  let r = ref None in
+  Store.Btree.iter_from t k (fun k v ->
+      r := Some (k, v);
+      false);
+  !r
+
 let test_btree_basic () =
   let t = Store.Btree.create () in
-  check_bool "empty" true (Store.Btree.is_empty t);
+  check_int "empty" 0 (Store.Btree.length t);
   check_bool "insert new" true (Store.Btree.insert t "b" 2 = None);
   check_bool "insert replace" true (Store.Btree.insert t "b" 3 = Some 2);
   check_int "size" 1 (Store.Btree.length t);
@@ -225,7 +244,7 @@ let test_btree_drain () =
   done;
   Store.Btree.check_invariants t;
   check_int "empty after drain" 0 (Store.Btree.length t);
-  check_bool "min of empty" true (Store.Btree.min_binding t = None)
+  check_bool "min of empty" true (first_geq t "" = None)
 
 let test_btree_range () =
   let t = Store.Btree.create () in
@@ -233,12 +252,12 @@ let test_btree_range () =
     ignore (Store.Btree.insert t (Printf.sprintf "%04d" i) i)
   done;
   let r =
-    Store.Btree.fold_range t ~lo:"0010" ~hi:"0015" ~init:[] ~f:(fun acc _ v -> v :: acc)
+    List.rev_map snd (range t ~lo:"0010" ~hi:"0015")
   in
   Alcotest.(check (list int)) "range [10,15)" [ 14; 13; 12; 11; 10 ] r;
-  check_bool "first geq" true (Store.Btree.find_first_geq t "0010x" = Some ("0011", 11));
-  check_bool "min" true (Store.Btree.min_binding t = Some ("0000", 0));
-  check_bool "max" true (Store.Btree.max_binding t = Some ("0099", 99))
+  check_bool "first geq" true (first_geq t "0010x" = Some ("0011", 11));
+  check_bool "min" true (first_geq t "" = Some ("0000", 0));
+  check_bool "max" true (Store.Btree.find_last_lt t "1" = Some ("0099", 99))
 
 (* Model-based qcheck: a random op sequence must behave like Map. *)
 type op = Insert of string * int | Remove of string | Find of string
@@ -392,16 +411,13 @@ let btree_range_qcheck =
               model := SMap.remove k !model
           | Find _ -> ())
         ops;
-      let got =
-        Store.Btree.fold_range t ~lo ~hi ~init:[] ~f:(fun acc k v -> (k, v) :: acc)
-        |> List.rev
-      in
+      let got = range t ~lo ~hi in
       let want =
         SMap.bindings !model |> List.filter (fun (k, _) -> k >= lo && k < hi)
       in
       got = want)
 
-(* ---------- Btree cursors + sorted bulk apply ---------- *)
+(* ---------- Btree ordered walks + sorted bulk apply ---------- *)
 
 let test_btree_insert_if_absent () =
   let t = Store.Btree.create () in
@@ -420,31 +436,24 @@ let test_btree_insert_if_absent () =
   Store.Btree.check_invariants t;
   check_int "size stable" 1001 (Store.Btree.length t)
 
+(* Every binding in ascending order, walked leaf to leaf by [iter_from]. *)
+let walk t =
+  let walked = ref [] in
+  Store.Btree.iter_from t "" (fun k v ->
+      walked := (k, v) :: !walked;
+      true);
+  List.rev !walked
+
 let test_btree_cursor_walk () =
   let t = Store.Btree.create () in
   for i = 0 to 499 do
     ignore (Store.Btree.insert t (Printf.sprintf "%04d" (2 * i)) i)
   done;
-  let c = Store.Btree.cursor t in
-  check_bool "unpositioned" true (Store.Btree.current c = None);
-  (* Seek to an absent key lands on the next present one. *)
-  Store.Btree.seek c "0003";
-  check_bool "first geq" true (Store.Btree.current c = Some ("0004", 2));
-  (* Walking the cursor from the start yields exactly to_list. *)
-  Store.Btree.seek c "";
-  let walked = ref [] in
-  let continue = ref true in
-  while !continue do
-    match Store.Btree.current c with
-    | Some kv ->
-        walked := kv :: !walked;
-        Store.Btree.advance c
-    | None -> continue := false
-  done;
-  check_bool "cursor walk = to_list" true
-    (List.rev !walked = Store.Btree.to_list t);
-  Store.Btree.seek c "9999";
-  check_bool "past the end" true (Store.Btree.current c = None)
+  (* A walk from an absent key starts at the next present one. *)
+  check_bool "first geq" true (first_geq t "0003" = Some ("0004", 2));
+  check_bool "walk = to_list" true (walk t = Store.Btree.to_list t);
+  check_bool "range = to_list" true (range t ~lo:"" ~hi:"9999" = Store.Btree.to_list t);
+  check_bool "past the end" true (first_geq t "9999" = None)
 
 (* The sorted sweeps address their run by index; these adapt a
    (key, payload) list to that form. *)
@@ -546,18 +555,7 @@ let btree_apply_sorted_cursor_qcheck =
       List.iter (fun (k, v) -> ignore (Store.Btree.insert t k v)) seed;
       ignore
         (apply_run t (sorted_run batch) ~f:(fun _k x _ -> Some x));
-      let c = Store.Btree.cursor t in
-      Store.Btree.seek c "";
-      let walked = ref [] in
-      let continue = ref true in
-      while !continue do
-        match Store.Btree.current c with
-        | Some kv ->
-            walked := kv :: !walked;
-            Store.Btree.advance c
-        | None -> continue := false
-      done;
-      List.rev !walked = Store.Btree.to_list t)
+      walk t = Store.Btree.to_list t)
 
 (* The replay decision pattern count_sorted models: present keys mutate
    in place (no structural change), absent keys always install. *)
@@ -578,7 +576,7 @@ let btree_count_sorted_qcheck =
       (* Updates only (no structural change): the prediction must equal
          the live sweep's charges, key for key. *)
       let updates =
-        List.filter (fun (k, _) -> Store.Btree.mem t k) run
+        List.filter (fun (k, _) -> Store.Btree.find t k <> None) run
       in
       let predicted_upd = count_run t updates in
       let live_upd = apply_run t updates ~f:replay_f in
@@ -702,8 +700,9 @@ let test_record_byte_size_slot () =
   check_int "slot overhead while occupied"
     (64 + 1 + 8 + 32 + 4)
     (Store.Record.byte_size ~key:"k" r);
-  Store.Record.snap_clear r;
-  check_int "reclaimed after snap_clear" (64 + 1 + 8)
+  (* An install the floor has passed empties the slot. *)
+  Store.Record.install_retain r ~floor:300 ~epoch:1 ~ts:300 ~value:(Some "cccccccc");
+  check_int "reclaimed once the floor passes" (64 + 1 + 8)
     (Store.Record.byte_size ~key:"k" r)
 
 (* Interleave retained installs and rejected crossed writes at random;
@@ -832,7 +831,6 @@ type record_op =
   | R_install_retain of int * int * int * int * string option
   | R_cas of int * int * int * string option
   | R_cas_retain of int * int * int * int * string option
-  | R_snap_clear of int
   | R_copy of int
 
 (* Small stamp and floor ranges, so crossed writes (the parked-loser
@@ -856,7 +854,6 @@ let record_ops_arb =
           map3
             (fun i (e, t) (f, v) -> R_cas_retain (i, f, e, t, v))
             i (pair epoch ts) (pair floor value) );
-        (1, map (fun i -> R_snap_clear i) i);
         (1, map (fun i -> R_copy i) i);
       ]
   in
@@ -872,7 +869,6 @@ let record_ops_arb =
            | R_cas (i, e, t, v) -> Printf.sprintf "cas%d(%d,%d,%s)" i e t (print_v v)
            | R_cas_retain (i, f, e, t, v) ->
                Printf.sprintf "cas_retain%d(f%d,%d,%d,%s)" i f e t (print_v v)
-           | R_snap_clear i -> Printf.sprintf "clear%d" i
            | R_copy i -> Printf.sprintf "copy%d" i)
          ops)
   in
@@ -921,7 +917,7 @@ let record_matches_old_qcheck =
       List.for_all
         (fun op ->
           let exempt_if_stale p ~epoch ~ts =
-            if Store.Record.newer ~epoch ~ts ~than:p.r then no_record else p.r
+            if Old_record.newer ~epoch ~ts p.o then no_record else p.r
           in
           let agree, exempt =
             match op with
@@ -955,11 +951,6 @@ let record_matches_old_qcheck =
                 ( Old_record.cas_apply_retain p.o ~floor ~epoch ~ts ~value
                   = Store.Record.cas_apply_retain p.r ~floor ~epoch ~ts ~value,
                   no_record )
-            | R_snap_clear i ->
-                let p = get i in
-                Old_record.snap_clear p.o;
-                Store.Record.snap_clear p.r;
-                (true, no_record)
             | R_copy i ->
                 let p = get i in
                 add (Old_record.copy p.o) (Store.Record.copy p.r);
@@ -971,12 +962,17 @@ let record_matches_old_qcheck =
         ops)
 
 (* The packed stamp sorts as the [(epoch, ts)] pair it packs, across the
-   whole range ([ts = -1] and both upper limits included), and [pack]
-   rejects every pair outside it. *)
+   whole range ([ts = -1] and both upper limits included), and packing
+   rejects every pair outside it. The limits are record.mli's; the packed
+   stamp is observed as a fresh record's version. *)
+let max_epoch = (1 lsl 18) - 1
+let max_ts = (1 lsl 44) - 2
+let pack ~epoch ~ts = Store.Record.version (Store.Record.make ~epoch ~ts "")
+
 let stamp_pair_arb =
   let open QCheck.Gen in
   let edge lo hi = oneof [ int_range lo (lo + 3); int_range (hi - 3) hi; int_range lo hi ] in
-  let epoch = edge 0 Store.Record.max_epoch and ts = edge (-1) Store.Record.max_ts in
+  let epoch = edge 0 max_epoch and ts = edge (-1) max_ts in
   QCheck.make
     ~print:QCheck.Print.(pair (pair int int) (pair int int))
     (pair (pair epoch ts) (pair epoch ts))
@@ -984,15 +980,15 @@ let stamp_pair_arb =
 let record_pack_order_qcheck =
   QCheck.Test.make ~name:"stamp packing keeps (epoch, ts) order" ~count:1000 stamp_pair_arb
     (fun ((e1, t1), (e2, t2)) ->
-      let s1 = Store.Record.pack ~epoch:e1 ~ts:t1 and s2 = Store.Record.pack ~epoch:e2 ~ts:t2 in
+      let s1 = pack ~epoch:e1 ~ts:t1 and s2 = pack ~epoch:e2 ~ts:t2 in
       let r = Store.Record.make ~epoch:e2 ~ts:t2 "" in
       compare s1 s2 = compare (e1, t1) (e2, t2)
       && s1 >= 0
-      && Store.Record.newer ~epoch:e1 ~ts:t1 ~than:r = ((e1, t1) > (e2, t2))
+      && Store.Record.cas_apply (Store.Record.copy r) ~epoch:e1 ~ts:t1 ~value:None
+         = ((e1, t1) > (e2, t2))
       && (Store.Record.epoch r, Store.Record.ts r, Store.Record.version r) = (e2, t2, s2))
 
 let test_record_pack_range () =
-  let open Store.Record in
   check_int "lowest stamp" 0 (pack ~epoch:0 ~ts:(-1));
   check_int "highest stamp" max_int (pack ~epoch:max_epoch ~ts:max_ts);
   List.iter
@@ -1012,7 +1008,7 @@ let test_record_pack_range () =
       (max_epoch, max_int);
     ];
   check_bool "make checks the range" true
-    (match make ~ts:(max_ts + 1) "" with _ -> false | exception Invalid_argument _ -> true)
+    (match Store.Record.make ~epoch:0 ~ts:(max_ts + 1) "" with _ -> false | exception Invalid_argument _ -> true)
 
 (* The layout and the accounting pinned: a record is three fields, an
    empty prior slot is one shared block, and [byte_size] (which feeds
@@ -1046,7 +1042,9 @@ let test_table_tombstones () =
   check_bool "get sees tombstone" true (Store.Table.get t "b" <> None);
   check_bool "get_live hides tombstone" true (Store.Table.get_live t "b" = None);
   check_int "scan skips tombstone" 1 (List.length (Store.Table.scan t ~lo:"" ~hi:"z" ()));
-  check_int "scan_all includes it" 2 (List.length (Store.Table.scan_all t ~lo:"" ~hi:"z"));
+  let physical = ref 0 in
+  Store.Table.iter t (fun _ _ -> incr physical);
+  check_int "iter includes it" 2 !physical;
   check_int "compact drops one" 1 (Store.Table.compact t);
   check_int "one physical record left" 1 (Store.Table.count t)
 
@@ -1054,10 +1052,11 @@ let test_table_min_live () =
   let t = Store.Table.create ~id:0 ~name:"t" () in
   Store.Table.insert t "a" (Store.Record.tombstone ());
   Store.Table.insert t "b" (Store.Record.make "2");
-  match Store.Table.min_live t ~lo:"" ~hi:"z" with
-  | Some ("b", _) -> ()
-  | Some (k, _) -> Alcotest.failf "expected b, got %s" k
-  | None -> Alcotest.fail "expected a live record"
+  (* The oldest-live probe: a one-record live scan. *)
+  match Store.Table.scan t ~lo:"" ~hi:"z" ~limit:1 () with
+  | [ ("b", _) ] -> ()
+  | (k, _) :: _ -> Alcotest.failf "expected b, got %s" k
+  | [] -> Alcotest.fail "expected a live record"
 
 let test_table_bytes_accounting () =
   let t = Store.Table.create ~id:0 ~name:"t" () in
@@ -1105,8 +1104,6 @@ let test_hash_range_ops_raise () =
     with Invalid_argument _ -> ()
   in
   expect_raise "scan" (fun () -> Store.Table.scan t ~lo:"" ~hi:"z" ());
-  expect_raise "scan_all" (fun () -> Store.Table.scan_all t ~lo:"" ~hi:"z");
-  expect_raise "min_live" (fun () -> Store.Table.min_live t ~lo:"" ~hi:"z");
   expect_raise "max_live" (fun () -> Store.Table.max_live t ~lo:"" ~hi:"z");
   expect_raise "tree" (fun () -> Store.Table.tree t)
 
@@ -1282,13 +1279,11 @@ let table_contents t =
     (table_pairs t)
 
 (* The walks a B-tree copy must reproduce from every probe key: a bounded
-   [fold_range] and an [iter_from] cut after 40 keys. *)
+   range and an [iter_from] cut after 40 keys. *)
 let tree_walks tr =
   List.init 11 (fun i ->
       let lo = Printf.sprintf "%03d" (i * 20) and hi = Printf.sprintf "%03d" ((i * 20) + 35) in
-      let range =
-        Store.Btree.fold_range tr ~lo ~hi ~init:[] ~f:(fun acc k _ -> k :: acc)
-      in
+      let range = List.map fst (range tr ~lo ~hi) in
       let from = ref [] in
       Store.Btree.iter_from tr lo (fun k _ ->
           from := k :: !from;
@@ -1348,6 +1343,9 @@ let table_copy_qcheck repr =
 
 (* ---------- Wire ---------- *)
 
+(* A one-shot encode through a fresh arena. *)
+let encode e = Store.Wire.encode_into (Store.Wire.Scratch.create ()) e
+
 let sample_entry () =
   let w1 = { Store.Wire.table = 1; key = "k1"; value = Some "v1" } in
   let w2 = { Store.Wire.table = 2; key = "k2"; value = None } in
@@ -1366,22 +1364,22 @@ let sample_entry () =
 let test_wire_roundtrip () =
   let e = sample_entry () in
   check_int "last ts from batch" 105 e.Store.Wire.last_ts;
-  let e' = Store.Wire.decode (Store.Wire.encode e) in
+  let e' = Store.Wire.decode (encode e) in
   check_bool "roundtrip" true (e = e')
 
 let test_wire_size_matches_encoding () =
   let e = sample_entry () in
-  check_int "byte_size = encoded length" (String.length (Store.Wire.encode e))
+  check_int "byte_size = encoded length" (String.length (encode e))
     (Store.Wire.byte_size e)
 
 let test_wire_noop () =
   let n = Store.Wire.noop ~epoch:2 ~ts:55 in
   check_bool "is noop" true (Store.Wire.is_noop n);
-  check_bool "roundtrip noop" true (Store.Wire.decode (Store.Wire.encode n) = n)
+  check_bool "roundtrip noop" true (Store.Wire.decode (encode n) = n)
 
 let test_wire_malformed () =
   let e = sample_entry () in
-  let enc = Store.Wire.encode e in
+  let enc = encode e in
   let truncated = String.sub enc 0 (String.length enc - 3) in
   (try
      ignore (Store.Wire.decode truncated);
@@ -1436,11 +1434,10 @@ let wire_entry_gen =
 let wire_roundtrip_qcheck =
   QCheck.Test.make ~name:"wire roundtrip + size law" ~count:300
     (QCheck.make wire_entry_gen) (fun e ->
-      let enc = Store.Wire.encode e in
+      let enc = encode e in
       Store.Wire.decode enc = e && String.length enc = Store.Wire.byte_size e)
 
-(* The allocation-light encoder must be byte-for-byte the same as the
-   one-shot [encode], including when the scratch buffer is reused across
+(* A reused arena must encode byte-for-byte as a fresh one, including when the scratch buffer is reused across
    entries of wildly different sizes (reuse is the whole point: one
    scratch per worker, never reallocated once warm). *)
 let wire_encode_into_qcheck =
@@ -1449,7 +1446,7 @@ let wire_encode_into_qcheck =
     (QCheck.make QCheck.Gen.(list_size (1 -- 6) wire_entry_gen))
     (fun entries ->
       List.for_all
-        (fun e -> Store.Wire.encode_into scratch e = Store.Wire.encode e)
+        (fun e -> Store.Wire.encode_into scratch e = encode e)
         entries)
 
 let test_wire_scratch_growth () =
@@ -1458,7 +1455,7 @@ let test_wire_scratch_growth () =
     (Store.Wire.Scratch.capacity s >= 4);
   let e = sample_entry () in
   let enc = Store.Wire.encode_into s e in
-  check_bool "matches one-shot encode" true (enc = Store.Wire.encode e);
+  check_bool "matches one-shot encode" true (enc = encode e);
   check_bool "grew to fit" true
     (Store.Wire.Scratch.capacity s >= String.length enc);
   let cap = Store.Wire.Scratch.capacity s in
